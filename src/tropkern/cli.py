@@ -45,6 +45,7 @@ from .control import (
 )
 from .core import (
     GridFunction,
+    Point,
     PointSet,
     PreconditionError,
     SizeError,
@@ -136,12 +137,25 @@ def _need(data: Mapping, field: str, parent: str = "") -> object:
     return data[field]
 
 
-def _points(raw: object, field: str, has_time: bool = False) -> PointSet:
+def _point_list(raw: object, field: str, kernel=None) -> list[Point]:
+    """Points in input order; a Gram ``kernel`` is defined only on its grid."""
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise _SchemaError(field, "expected a list of points")
     try:
-        return PointSet.make(list(raw), has_time=has_time)
+        points = [as_point(p) for p in raw]
     except (TypeError, ValueError) as exc:
+        raise _SchemaError(field, str(exc)) from exc
+    if isinstance(kernel, GramKernel):
+        for p in points:
+            if p not in kernel.points:
+                raise _SchemaError(field, f"point {p} is not on the kernel's grid")
+    return points
+
+
+def _points(raw: object, field: str, kernel=None) -> PointSet:
+    try:
+        return PointSet(tuple(_point_list(raw, field, kernel)))
+    except ValueError as exc:
         raise _SchemaError(field, str(exc)) from exc
 
 
@@ -168,7 +182,7 @@ def _kernel_domain(data: Mapping, kernel, field: str = "points") -> PointSet:
     Gram kernels carry their grid; closed-form kernels need explicit points.
     """
     if field in data:
-        return _points(data[field], field)
+        return _points(data[field], field, kernel)
     if isinstance(kernel, GramKernel):
         return kernel.points
     raise _SchemaError(field, "closed-form kernels require explicit points")
@@ -183,13 +197,13 @@ def _grid_function(domain: PointSet, raw: object, field: str) -> GridFunction:
     return GridFunction(domain, values)
 
 
-def _samples(data: Mapping, candidates_field: str = "dual_candidates"):
+def _samples(data: Mapping, kernel):
     raw = _need(data, "samples")
-    xs = _points(_need(raw, "xs", "samples"), "samples.xs")
+    xs = _points(_need(raw, "xs", "samples"), "samples.xs", kernel)
     ys = _values(_need(raw, "ys", "samples"), "samples.ys")
     if ys.ndim != 1 or len(ys) != len(xs):
         raise _SchemaError("samples.ys", "one finite target per sample point")
-    candidates = _points(_need(data, candidates_field), candidates_field)
+    candidates = _points(_need(data, "dual_candidates"), "dual_candidates", kernel)
     try:
         return SampleSet(xs, ys, candidates)
     except (TypeError, ValueError) as exc:
@@ -227,8 +241,9 @@ Handler = Callable[[Mapping, RunConfig], tuple[int, dict, GridFunction | None]]
 
 def _cmd_check_tpsd(data: Mapping, config: RunConfig):
     kernel = _kernel(data)
-    points = _points(data["points"], "points") if "points" in data else None
-    verdict = is_tpsd_pairwise(kernel, points, tol=config.tolerance)
+    points = _kernel_domain(data, kernel)
+    gram = GramKernel(points, gram_on(kernel, points))
+    verdict = is_tpsd_pairwise(gram, tol=config.tolerance)
     payload: dict = {"tpsd": verdict.is_tpsd}
     if not verdict.is_tpsd:
         payload["failure"] = verdict.failure
@@ -237,12 +252,6 @@ def _cmd_check_tpsd(data: Mapping, config: RunConfig):
     if m_max is not None:
         if not isinstance(m_max, int) or m_max < 1:
             raise _SchemaError("permutation_m_max", "expected a positive integer")
-        if points is not None:
-            gram = GramKernel(points, gram_on(kernel, points))
-        elif isinstance(kernel, GramKernel):
-            gram = kernel
-        else:
-            raise _SchemaError("points", "closed-form kernels require explicit points")
         perm = check_permutation_positivity(
             gram.matrix, m_max=m_max, tol=config.tolerance
         )
@@ -252,10 +261,8 @@ def _cmd_check_tpsd(data: Mapping, config: RunConfig):
 
 def _cmd_factorize(data: Mapping, config: RunConfig):
     kernel = _kernel(data)
-    if not isinstance(kernel, GramKernel):
-        domain = _kernel_domain(data, kernel)
-        kernel = GramKernel(domain, gram_on(kernel, domain))
-    feature_map = factorize(kernel)
+    domain = _kernel_domain(data, kernel)
+    feature_map = factorize(GramKernel(domain, gram_on(kernel, domain)))
     payload = {
         "points": _encode_points(feature_map.points),
         "labels": [list(z) for z in feature_map.z_labels],
@@ -340,7 +347,7 @@ def _cmd_regularity(data: Mapping, config: RunConfig):
 
 def _cmd_interpolate(data: Mapping, config: RunConfig):
     kernel = _kernel(data)
-    samples = _samples(data)
+    samples = _samples(data, kernel)
     wit = feasible_witnesses(samples, kernel, tol=config.tolerance)
     if not wit.feasible:
         return 1, {"feasible": False, "blocking_index": wit.blocking_index + 1}, None
@@ -350,23 +357,23 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
         "witnesses": [list(p) for p in wit.witnesses],
         "witness_indices": list(wit.witness_indices),
         "f0": _f0_payload(f0),
-        "values_at_xs": encode_values(
-            np.array([f0(x) for x in samples.xs])
-        ),
+        "values_at_xs": encode_values(f0.on_grid(samples.xs).values),
     }
     return 0, payload, None
 
 
 def _cmd_regress(data: Mapping, config: RunConfig):
     kernel = _kernel(data)
-    samples = _samples(data)
+    samples = _samples(data, kernel)
     loss = data.get("loss", "sup_norm")
     if loss not in ("sup_norm", "sup", "l1"):
         raise _SchemaError("loss", "expected 'sup_norm' or 'l1'")
     mode = data.get("mode", "search")
     fixed_p = None
     if isinstance(mode, Mapping):
-        fixed_p = [as_point(p) for p in _need(mode, "fixed_p", "mode")]
+        fixed_p = _point_list(_need(mode, "fixed_p", "mode"), "mode.fixed_p", kernel)
+        if len(fixed_p) != len(samples):
+            raise _SchemaError("mode.fixed_p", "expected one anchor per sample")
     elif mode != "search":
         raise _SchemaError("mode", "expected 'search' or {'fixed_p': [...]}")
     try:
@@ -450,10 +457,10 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
         raise _SchemaError("start_index", "expected a time index before the last")
     kernel = space_slice_kernel(problem, start, problem.n_time - 1)
     raw = _need(data, "samples")
-    xs = _points(_need(raw, "xs", "samples"), "samples.xs")
+    xs = _points(_need(raw, "xs", "samples"), "samples.xs", kernel)
     ys = _values(_need(raw, "ys", "samples"), "samples.ys")
     if "dual_candidates" in data:
-        candidates = _points(data["dual_candidates"], "dual_candidates")
+        candidates = _points(data["dual_candidates"], "dual_candidates", kernel)
     else:
         candidates = problem.space_points()
     try:

@@ -31,6 +31,7 @@ from .core import (
     PreconditionError,
     lower_add,
     lower_add_arrays,
+    max_plus,
     max_reduce,
     upper_add,
     upper_sub,
@@ -283,5 +284,4 @@ def funk_kernel(op: ConjugationOp) -> np.ndarray:
     somewhere.  Every range element g satisfies g(x) <= g(y) + c(x,y).
     """
     b = op.matrix  # (n_z, n_x), z runs over the codomain
-    diff = lower_add_arrays(b[:, :, None], -b[:, None, :])
-    return max_reduce(diff, axis=0)
+    return max_plus(b.T, -b)

@@ -41,6 +41,7 @@ from .core import (
     SizeError,
     as_point,
     ext_close,
+    min_plus,
     min_reduce,
     upper_add_arrays,
     validate_values,
@@ -103,18 +104,28 @@ class LagrangianSpec:
 
     def eval(self, t: float, r: Point, velocity: Point) -> float:
         """L(t, r, velocity); built-in forms ignore t and r."""
-        v = np.asarray(velocity, dtype=float)
+        return float(self.on_velocities(np.asarray(velocity, dtype=float).reshape(1, -1))[0])
+
+    def on_velocities(self, v: np.ndarray) -> np.ndarray:
+        """L at each row of a (k, d) velocity array.
+
+        Raises:
+            ValueError: For a table form, at the first velocity that is not
+                tabulated (within 1e-9 in every coordinate).
+        """
         if self.name == "quadratic":
-            return float(np.sum(v * v))
+            return np.sum(v * v, axis=1)
         if self.name == "absolute":
-            return float(np.sum(np.abs(v)))
-        target = as_point(velocity)
-        for tab_v, cost in zip(self.velocities, self.costs):
-            if len(tab_v) == len(target) and all(
-                abs(a - b) <= 1e-9 for a, b in zip(tab_v, target)
-            ):
-                return cost
-        raise ValueError(f"velocity {target} is not tabulated")
+            return np.sum(np.abs(v), axis=1)
+        hits = np.zeros((len(v), len(self.velocities)), dtype=bool)
+        for j, tab_v in enumerate(self.velocities):
+            if len(tab_v) == v.shape[1]:
+                hits[:, j] = (np.abs(np.array(tab_v) - v) <= 1e-9).all(axis=1)
+        found = hits.any(axis=1)
+        if not found.all():
+            target = tuple(float(c) for c in v[np.argmin(found)])
+            raise ValueError(f"velocity {target} is not tabulated")
+        return np.array(self.costs)[np.argmax(hits, axis=1)]
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, object] | "LagrangianSpec") -> "LagrangianSpec":
@@ -142,32 +153,41 @@ class LagrangianSpec:
         return {"name": self.name}
 
 
-def lax_hopf(
-    lagrangian: LagrangianSpec,
-    x0: float | Sequence[float],
-    x1: float | Sequence[float],
-) -> float:
-    """Closed-form least action between spacetime points.
+def lax_hopf_table(
+    lagrangian: LagrangianSpec, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Closed-form least action between the spacetime rows of ``xs`` and ``ys``.
 
     For a convex state-independent running cost, the optimal trajectory is a
     straight line and the kernel value is -|t1 - t0| * L((r1-r0)/(t1-t0));
-    0 when the points coincide; -inf between distinct simultaneous points.
+    0 when the points coincide; -inf between distinct simultaneous points,
+    where L is never consulted.
 
     Raises:
         PreconditionError: If the running cost is not certified convex.
     """
     if not lagrangian.convex:
         raise PreconditionError("closed form requires a convex running cost")
-    p0, p1 = as_point(x0), as_point(x1)
-    if len(p0) != len(p1) or len(p0) < 2:
+    if xs.shape[1] != ys.shape[1] or xs.shape[1] < 2:
         raise ValueError("spacetime points need a time plus space coordinates")
-    t0, r0 = p0[0], p0[1:]
-    t1, r1 = p1[0], p1[1:]
-    if t0 == t1:
-        return 0.0 if r0 == r1 else NEG_INF
-    tau = t1 - t0
-    velocity = tuple((b - a) / tau for a, b in zip(r0, r1))
-    return -abs(tau) * lagrangian.eval(t0, r0, velocity)
+    x0, x1 = xs[:, None, :], ys[None, :, :]
+    tau = x1[..., 0] - x0[..., 0]
+    out = np.where((x0[..., 1:] == x1[..., 1:]).all(axis=2), 0.0, NEG_INF)
+    moving = x0[..., 0] != x1[..., 0]
+    velocity = (x1 - x0)[..., 1:][moving] / tau[moving][:, None]
+    out[moving] = -np.abs(tau[moving]) * lagrangian.on_velocities(velocity)
+    return out
+
+
+def lax_hopf(
+    lagrangian: LagrangianSpec,
+    x0: float | Sequence[float],
+    x1: float | Sequence[float],
+) -> float:
+    """Least action between two spacetime points: the 1x1 case of
+    ``lax_hopf_table``."""
+    table = lax_hopf_table(lagrangian, np.array([as_point(x0)]), np.array([as_point(x1)]))
+    return float(table[0, 0])
 
 
 @dataclass(frozen=True)
@@ -258,12 +278,10 @@ class MaupertuisProblem:
                     raise ValueError(
                         "reversibility claimed but stencil is not symmetric"
                     )
-        if self.require_nonneg:
-            for vel in self.stencil_velocities():
-                if self.lagrangian.eval(float(times[0]), self.space_points().points[0], vel) < 0:
-                    raise ValueError(
-                        "nonnegative running cost required but L < 0 on the stencil"
-                    )
+        if self.require_nonneg and (self._stencil_costs() < 0).any():
+            raise ValueError(
+                "nonnegative running cost required but L < 0 on the stencil"
+            )
 
     # -- grid geometry ------------------------------------------------------
 
@@ -304,6 +322,10 @@ class MaupertuisProblem:
         """Per-step velocities v/dt for each stencil displacement."""
         return tuple(tuple(c / self.dt for c in v) for v in self.stencil)
 
+    def _stencil_costs(self) -> np.ndarray:
+        """L at each stencil velocity (the running cost ignores t and r)."""
+        return self.lagrangian.on_velocities(np.array(self.stencil_velocities()))
+
     @classmethod
     def from_spec(cls, spec: Mapping[str, object]) -> "MaupertuisProblem":
         """Build from a JSON-style mapping.
@@ -342,9 +364,7 @@ class MaupertuisProblem:
         shape = self.space_shape
         cost = np.full((n, n), POS_INF)
         flat = np.arange(n).reshape(shape)
-        t = float(self.time_grid[time_index])
-        origin = self.space_points().points[0]
-        for v, off, vel in zip(self.stencil, self._offsets, self.stencil_velocities()):
+        for off, lag in zip(self._offsets, self._stencil_costs()):
             src = tuple(
                 slice(max(0, -k), shape[j] - max(0, k)) for j, k in enumerate(off)
             )
@@ -353,7 +373,7 @@ class MaupertuisProblem:
             )
             if any(s.start >= s.stop for s in src):
                 continue
-            c = self.dt * self.lagrangian.eval(t, origin, vel)
+            c = self.dt * lag
             a_idx = flat[src].ravel()
             b_idx = flat[tgt].ravel()
             np.minimum.at(cost, (a_idx, b_idx), c)
@@ -366,11 +386,6 @@ def _parse_grid(g) -> np.ndarray:
     return np.asarray(list(g), dtype=float)
 
 
-def _mp_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus matrix product with +inf absorbing."""
-    return min_reduce(upper_add_arrays(a[:, :, None], b[None, :, :]), axis=1)
-
-
 def _cumulative_actions(problem: MaupertuisProblem) -> list[list[np.ndarray | None]]:
     """actions[i][k] = minimal path cost matrix from slice i to slice k>i."""
     nt = problem.n_time
@@ -380,7 +395,7 @@ def _cumulative_actions(problem: MaupertuisProblem) -> list[list[np.ndarray | No
         cur = steps[i]
         actions[i][i + 1] = cur
         for k in range(i + 2, nt):
-            cur = _mp_min(cur, steps[k - 1])
+            cur = min_plus(cur, steps[k - 1])
             actions[i][k] = cur
     return actions
 

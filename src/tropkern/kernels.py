@@ -96,28 +96,32 @@ class ClosedFormKernel:
         object.__setattr__(self, "params", dict(self.params or {}))
 
     def eval(self, x: float | Sequence[float], y: float | Sequence[float]) -> float:
-        """b(x, y) by formula."""
-        px, py = as_point(x), as_point(y)
-        if len(px) != len(py):
-            raise ValueError("points must share one dimension")
-        ax, ay = np.array(px), np.array(py)
-        if self.name == "conv":
-            return float(ax @ ay)
-        if self.name == "sconv":
-            return float(-np.sum((ax - ay) ** 2))
-        if self.name == "lip":
-            alpha = float(self.params.get("alpha", 1.0))
-            return float(-alpha * np.linalg.norm(ax - ay))
-        if self.name == "dirac":
-            return 0.0 if px == py else NEG_INF
-        if self.name == "power_distance":
-            p = float(self.params.get("p", 1.0))
-            return float(-np.linalg.norm(ax - ay) ** p)
-        # lax_hopf: defer to the control module (local import avoids a cycle).
-        from .control import LagrangianSpec, lax_hopf
+        """b(x, y): the 1x1 case of ``table``."""
+        return float(self.table(np.array([as_point(x)]), np.array([as_point(y)]))[0, 0])
 
-        lag = LagrangianSpec.from_spec(self.params.get("lagrangian", {"name": "quadratic"}))
-        return lax_hopf(lag, px, py)
+    def table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """[b(x, y)] for the rows x of ``xs`` (n, d) and y of ``ys`` (m, d)."""
+        if xs.shape[1] != ys.shape[1]:
+            raise ValueError("points must share one dimension")
+        if self.name == "conv":
+            return xs @ ys.T
+        if self.name == "dirac":
+            return np.where((xs[:, None, :] == ys[None, :, :]).all(axis=2), 0.0, NEG_INF)
+        if self.name == "lax_hopf":
+            # Defer to the control module (local import avoids a cycle).
+            from .control import LagrangianSpec, lax_hopf_table
+
+            lag = LagrangianSpec.from_spec(self.params.get("lagrangian", {"name": "quadratic"}))
+            return lax_hopf_table(lag, xs, ys)
+        diff = xs[:, None, :] - ys[None, :, :]
+        if self.name == "sconv":
+            return -np.sum(diff * diff, axis=2)
+        # One dot product per pair, as np.linalg.norm takes it, keeps the
+        # scalar rounding (a sum of squares does not).
+        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        if self.name == "lip":
+            return -float(self.params.get("alpha", 1.0)) * dist
+        return -(dist ** float(self.params.get("p", 1.0)))
 
 
 KernelRep = GramKernel | ClosedFormKernel
@@ -125,16 +129,24 @@ KernelRep = GramKernel | ClosedFormKernel
 
 def gram_on(
     kernel: KernelRep,
-    rows: PointSet,
+    rows: PointSet | None = None,
     cols: PointSet | None = None,
 ) -> np.ndarray:
-    """Dense matrix [b(x, y)] for x in ``rows``, y in ``cols`` (default rows)."""
+    """Dense matrix [b(x, y)] for x in ``rows``, y in ``cols``.
+
+    ``cols`` defaults to ``rows``, and ``rows`` to a Gram kernel's own
+    points.  A Gram kernel is read by index and raises KeyError for a point
+    off its grid; a closed form is evaluated by its array formula.
+    """
+    if rows is None:
+        if not isinstance(kernel, GramKernel):
+            raise ValueError("closed-form kernels need an evaluation PointSet")
+        rows = kernel.points
     cols = rows if cols is None else cols
-    out = np.empty((len(rows), len(cols)), dtype=float)
-    for i, x in enumerate(rows):
-        for j, y in enumerate(cols):
-            out[i, j] = kernel.eval(x, y)
-    return out
+    if isinstance(kernel, GramKernel):
+        at = kernel.points.index_of
+        return kernel.matrix[np.ix_([at(p) for p in rows], [at(p) for p in cols])]
+    return kernel.table(rows.as_array(), cols.as_array())
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +200,7 @@ def is_tpsd_pairwise(
     Returns:
         A TpsdVerdict (with the violating pair and failed condition if any).
     """
-    gram = _materialize(kernel, points)
+    gram = gram_on(kernel, points)
     sym = _symmetry_witness(gram, tol)
     if sym is not None:
         return TpsdVerdict(False, "symmetry", sym)
@@ -296,15 +308,6 @@ def _cycle_to_perm(
 # ---------------------------------------------------------------------------
 # Decomposition and feature-map factorization.
 # ---------------------------------------------------------------------------
-
-
-def _materialize(kernel: KernelRep, points: PointSet | None) -> np.ndarray:
-    """Dense square matrix of a kernel on a grid."""
-    if isinstance(kernel, GramKernel) and points is None:
-        return kernel.matrix
-    if points is None:
-        raise ValueError("closed-form kernels need an evaluation PointSet")
-    return gram_on(kernel, points)
 
 
 def _require_tpsd(gram: GramKernel, op: str) -> None:

@@ -35,7 +35,7 @@ from .core import (
     Point,
     PointSet,
     PreconditionError,
-    lower_add,
+    as_point,
     lower_add_arrays,
 )
 from .kernels import KernelRep, gram_on
@@ -157,13 +157,35 @@ class CanonicalInterpolant:
         return tuple(zip(self.anchor_points, self.offsets))
 
     def __call__(self, x: Point) -> float:
-        best = NEG_INF
-        for p, off in zip(self.anchor_points, self.offsets):
-            best = max(best, lower_add(self.kernel.eval(x, p), off))
-        return best
+        return float(self.on_grid(PointSet((as_point(x),))).values[0])
 
     def on_grid(self, domain: PointSet) -> GridFunction:
-        return GridFunction(domain, np.array([self(x) for x in domain]))
+        sections = _sections(self.kernel, domain, self.anchor_points)
+        terms = lower_add_arrays(sections, np.array(self.offsets))
+        # The first maximal term, as a running max keeps it (a tie of 0.0
+        # and -0.0 resolves by order, not by the reduction's lane layout).
+        return GridFunction(domain, terms[np.arange(len(domain)), terms.argmax(axis=1)])
+
+
+def _sections(
+    kernel: KernelRep, xs: PointSet, anchors: tuple[Point, ...]
+) -> np.ndarray:
+    """[b(x, p_m)] for x in ``xs`` and each anchor p_m; repeated anchors are
+    read once."""
+    points = [as_point(p) for p in anchors]
+    column = {p: j for j, p in enumerate(dict.fromkeys(points))}
+    table = gram_on(kernel, xs, PointSet(tuple(column)))
+    return table[:, [column[p] for p in points]]
+
+
+def _exchange_gaps(
+    samples: SampleSet, kernel: KernelRep, anchors: tuple[Point, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Self-evaluations b(x_m, p_m) and gaps[k, m] = b(x_k, p_m) - b(x_m, p_m)
+    (lower difference; meaningful where the self-evaluation is finite)."""
+    sections = _sections(kernel, samples.xs, anchors)
+    self_eval = np.diag(sections)
+    return self_eval, lower_add_arrays(sections, -self_eval)
 
 
 def build_f0(
@@ -182,22 +204,22 @@ def build_f0(
     if len(witnesses) != n:
         raise ValueError("one witness per sample is required")
     y = samples.ys
-    offsets = []
-    for m, p in enumerate(witnesses):
-        self_eval = kernel.eval(samples.xs.points[m], p)
-        if not np.isfinite(self_eval):
+    self_eval, need = _exchange_gaps(samples, kernel, witnesses)
+    finite = np.isfinite(self_eval)
+    violated = y[:, None] - y[None, :] < need - tol  # [k, m]
+    failing = np.flatnonzero(~finite | violated.any(axis=0))
+    if failing.size:
+        m = int(failing[0])
+        if not finite[m]:
             raise PreconditionError(
                 f"witness for sample {m} has non-finite self-evaluation"
             )
-        for k in range(n):
-            need = lower_add(kernel.eval(samples.xs.points[k], p), -self_eval)
-            if y[k] - y[m] < need - tol:
-                raise PreconditionError(
-                    f"witness for sample {m} violates the exchange inequality "
-                    f"against sample {k}"
-                )
-        offsets.append(float(y[m] - self_eval))
-    return CanonicalInterpolant(kernel, tuple(witnesses), tuple(offsets))
+        raise PreconditionError(
+            f"witness for sample {m} violates the exchange inequality "
+            f"against sample {int(np.argmax(violated[:, m]))}"
+        )
+    offsets = tuple(float(v) for v in y - self_eval)
+    return CanonicalInterpolant(kernel, tuple(witnesses), offsets)
 
 
 @dataclass(frozen=True)
@@ -389,21 +411,14 @@ def _exchange_constraints(
     samples: SampleSet, kernel: KernelRep, anchors: tuple[Point, ...]
 ) -> DifferenceConstraintSystem | None:
     """Difference constraints for fixed anchors; None if no finite system."""
-    n = len(samples)
-    gaps = []
-    for m, p in enumerate(anchors):
-        self_eval = kernel.eval(samples.xs.points[m], p)
-        if not np.isfinite(self_eval):
-            return None
-        for k in range(n):
-            if k == m:
-                continue
-            c = lower_add(kernel.eval(samples.xs.points[k], p), -self_eval)
-            if c == POS_INF:
-                return None
-            if c > NEG_INF:
-                gaps.append((k, m, c))
-    return DifferenceConstraintSystem(n, tuple(gaps))
+    self_eval, gaps = _exchange_gaps(samples, kernel, anchors)
+    np.fill_diagonal(gaps, NEG_INF)
+    if not np.isfinite(self_eval).all() or (gaps == POS_INF).any():
+        return None
+    ms, ks = np.nonzero(gaps.T > NEG_INF)  # m-major, then k
+    return DifferenceConstraintSystem(
+        len(samples), tuple(zip(ks, ms, gaps[ks, ms]))
+    )
 
 
 def _solve_sup_norm(

@@ -31,6 +31,15 @@ PROBLEM_4X5 = {
     "stencil": [[-0.25], [0.0], [0.25]],
 }
 
+GRAM_3 = {
+    "type": "gram",
+    "points": [[0.0], [1.0], [2.0]],
+    "matrix": [[0, -1, -2], [-1, 0, -1], [-2, -1, 0]],
+}
+
+# One input per subcommand, with its expected stdout bytes and exit code.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 # 2 x 600 spacetime points: the maupertuis pair guard refuses it (exit 1).
 PAIR_GUARD_PROBLEM = {
     "time_grid": [0.0, 1.0],
@@ -387,6 +396,106 @@ class TestOtherCommands:
         )
         recomposed = (features[:, None, :] + features[None, :, :]).max(axis=2)
         assert np.array_equal(recomposed, np.array(matrix))
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stdout_bytes_match_golden(self, capsys, command):
+        code = main([command, "--input", str(GOLDEN / f"{command}.json")])
+        out = capsys.readouterr().out
+        expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+        assert code == expected_codes[command]
+        assert out.encode() == (GOLDEN / f"{command}.stdout").read_bytes()
+
+
+class TestBadPointsAreSchemaErrors:
+    """Points a kernel cannot be read at exit 2 and name the field."""
+
+    def test_check_tpsd_closed_form_without_points(self, capsys, tmp_path):
+        code, out = invoke(capsys, tmp_path, "check-tpsd", {"kernel": CONV})
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "points"
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("check-tpsd", {}),
+            ("factorize", {}),
+            ("conjugate", {"values": [0.0]}),
+            ("membership", {"values": [0.0]}),
+            ("funk", {}),
+            ("regularity", {}),
+        ],
+    )
+    def test_points_off_gram_grid(self, capsys, tmp_path, command, extra):
+        payload = {"kernel": GRAM_3, "points": [[5.0]], **extra}
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "points"
+        assert "(5.0,)" in out["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["interpolate", "regress"])
+    def test_samples_off_gram_grid(self, capsys, tmp_path, command):
+        payload = {
+            "kernel": GRAM_3,
+            "samples": {"xs": [[0.0], [5.0]], "ys": [0.0, 0.0]},
+            "dual_candidates": [[1.0]],
+        }
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "samples.xs"
+
+    @pytest.mark.parametrize("command", ["interpolate", "regress"])
+    def test_dual_candidates_off_gram_grid(self, capsys, tmp_path, command):
+        payload = {
+            "kernel": GRAM_3,
+            "samples": {"xs": [[0.0], [1.0]], "ys": [0.0, 0.0]},
+            "dual_candidates": [[1.0], [-1.0]],
+        }
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "dual_candidates"
+
+    def test_terminal_samples_off_space_grid(self, capsys, tmp_path):
+        payload = {
+            "problem": PROBLEM_4X5,
+            "samples": {"xs": [[0.0], [0.1]], "ys": [0.0, 0.0]},
+        }
+        code, out = invoke(capsys, tmp_path, "invert-terminal-cost", payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "samples.xs"
+
+    @pytest.mark.parametrize(
+        "fixed_p", [[["a"], [1.0]], [None, [1.0]], 3, [[1.0]], [[1.0], [7.0]]]
+    )
+    def test_bad_fixed_anchors(self, capsys, tmp_path, fixed_p):
+        payload = {
+            "kernel": GRAM_3,
+            "samples": {"xs": [[0.0], [1.0]], "ys": [0.0, 0.0]},
+            "dual_candidates": [[1.0]],
+            "mode": {"fixed_p": fixed_p},
+        }
+        code, out = invoke(capsys, tmp_path, "regress", payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "mode.fixed_p"
+
+    def test_repeated_fixed_anchors_are_allowed(self, capsys, tmp_path):
+        payload = {
+            "kernel": CONV,
+            "samples": {"xs": [[0.0], [1.0]], "ys": [0.0, 1.0]},
+            "dual_candidates": [[1.0]],
+            "mode": {"fixed_p": [[1.0], [1.0]]},
+        }
+        code, out = invoke(capsys, tmp_path, "regress", payload)
+        assert code == 0
+        assert out["witnesses"] == [[1.0], [1.0]]
+        assert out["loss_value"] == 0.0
 
 
 class TestErrorPlumbing:

@@ -22,6 +22,7 @@ from tropkern.control import (
     invert_terminal_cost,
     largest_subsolution_check,
     lax_hopf,
+    lax_hopf_table,
     lift_terminal,
     maupertuis_dp,
     space_slice_kernel,
@@ -116,6 +117,30 @@ class TestLaxHopf:
     def test_scalar_points_rejected(self):
         with pytest.raises(ValueError):
             lax_hopf(QUAD, 0.0, 1.0)
+
+    def test_table_cost_not_consulted_between_simultaneous_points(self):
+        # (0, 0) and (0, 2) are simultaneous; their displacement 2 is not a
+        # tabulated velocity, and must not be looked up.
+        table = LagrangianSpec(
+            "table", velocities=((-1.0,), (0.0,), (1.0,)), costs=(1.0, 0.0, 1.0),
+            convex_flag=True,
+        )
+        pts = PointSet.make([(0.0, 0.0), (0.0, 2.0), (1.0, 1.0)])
+        xs = pts.as_array()
+        expected = np.array(
+            [[0.0, NEG_INF, -1.0], [NEG_INF, 0.0, -1.0], [-1.0, -1.0, 0.0]]
+        )
+        assert np.array_equal(lax_hopf_table(table, xs, xs), expected)
+        assert lax_hopf(table, (0.0, 0.0), (0.0, 2.0)) == NEG_INF
+
+    @pytest.mark.parametrize("lagrangian", [QUAD, ABS], ids=["quadratic", "absolute"])
+    def test_table_is_scalar_lax_hopf_per_entry(self, lagrangian):
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(-2, 2, (6, 3))
+        ys = rng.uniform(-2, 2, (5, 3))
+        ys[:2, 0] = xs[:2, 0]  # some simultaneous pairs
+        expected = [[lax_hopf(lagrangian, x, y) for y in ys] for x in xs]
+        assert np.array_equal(lax_hopf_table(lagrangian, xs, ys), expected)
 
 
 class TestLagrangianSpec:

@@ -23,9 +23,10 @@ from tropkern.core import (
     lower_add,
     lower_add_arrays,
     lower_sub,
+    max_plus,
     max_reduce,
+    min_plus,
     min_reduce,
-    negate,
     upper_add,
     upper_add_arrays,
     upper_sub,
@@ -85,8 +86,9 @@ class TestScalarArithmetic:
 
     @given(ext_reals, ext_reals)
     def test_de_morgan_duality(self, a, b):
-        assert negate(upper_add(a, b)) == lower_add(negate(a), negate(b))
-        assert negate(lower_add(a, b)) == upper_add(negate(a), negate(b))
+        # Unary minus is extended-real negation: it swaps the infinities.
+        assert -upper_add(a, b) == lower_add(-a, -b)
+        assert -lower_add(a, b) == upper_add(-a, -b)
 
     @given(ext_reals, ext_reals)
     def test_additions_agree_without_mixed_infinities(self, a, b):
@@ -142,6 +144,39 @@ class TestArrayArithmetic:
     def test_validate_values_rejects_nan(self):
         with pytest.raises(ValueError):
             validate_values([1.0, float("nan")])
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_tropical_products_match_broadcast_forms(self, m, k, n, data):
+        entries = st.lists(ext_integers | st.just(-0.0), min_size=m * k + k * n, max_size=m * k + k * n)
+        flat = np.array(data.draw(entries), dtype=float)
+        a, b = flat[: m * k].reshape(m, k), flat[m * k :].reshape(k, n)
+        cases = [
+            (max_plus(a, b), max_reduce(lower_add_arrays(a[:, :, None], b[None, :, :]), axis=1)),
+            (min_plus(a, b), min_reduce(upper_add_arrays(a[:, :, None], b[None, :, :]), axis=1)),
+        ]
+        for got, want in cases:
+            assert got.shape == (m, n)
+            assert np.array_equal(got, want)
+
+    def test_tropical_products_absorb_like_their_additions(self):
+        a = np.array([[POS_INF, 0.0]])
+        b = np.array([[NEG_INF], [1.0]])
+        assert max_plus(a, b)[0, 0] == 1.0  # (+inf) + (-inf) = -inf, then max with 1
+        assert min_plus(a, b)[0, 0] == 1.0  # (+inf) + (-inf) = +inf, then min with 1
+        assert max_plus(np.empty((2, 0)), np.empty((0, 3))).tolist() == [[NEG_INF] * 3] * 2
+        assert min_plus(np.empty((2, 0)), np.empty((0, 3))).tolist() == [[POS_INF] * 3] * 2
+        with pytest.raises(ValueError, match="inner dimensions"):
+            max_plus(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_tropical_products_on_transposed_views(self):
+        rng = np.random.default_rng(7)
+        x = rng.integers(-9, 10, (5, 7)).astype(float)
+        y = rng.integers(-9, 10, (5, 6)).astype(float)
+        # left residual: min_k y[k, j] - x[k, i]
+        want = min_reduce(upper_add_arrays(y[:, None, :], -x[:, :, None]), axis=0)
+        got = min_plus(-x.T, y)
+        assert np.array_equal(got, want)
+        assert got.ctypes.data % 64 == 0
 
     def test_ext_close_infinities(self):
         assert ext_close(np.array([NEG_INF]), np.array([NEG_INF])).all()

@@ -34,6 +34,113 @@ def gram5() -> GramKernel:
     return GramKernel(PointSet.make([0, 1, 2, 3, 4]), BIPARTITE_5)
 
 
+def random_points(rng, n, dim, times=None):
+    """n random float points; with ``times``, coordinate 0 is drawn from it."""
+    coords = rng.uniform(-3.0, 3.0, (n, dim))
+    if times is not None:
+        coords[:, 0] = rng.choice(times, n)
+    return PointSet(tuple(tuple(map(float, row)) for row in coords))
+
+
+def rows_and_cols(rng, dim, times=None):
+    """Distinct row and column sets sharing two points."""
+    rows = random_points(rng, 7, dim, times)
+    extra = random_points(rng, 4, dim, times)
+    return rows, PointSet(rows.points[5:] + extra.points)
+
+
+def velocity_table(rows, cols):
+    """A convex-flagged table cost tabulating every velocity between the
+    sets (as lax_hopf computes it), with costs |v|^2 + 1."""
+    vels = {
+        tuple((b - a) / (y[0] - x[0]) for a, b in zip(x[1:], y[1:]))
+        for x in rows for y in cols if x[0] != y[0]
+    }
+    vels = sorted(vels)
+    return {
+        "name": "table",
+        "velocities": [list(v) for v in vels],
+        "costs": [float(np.dot(v, v)) + 1.0 for v in vels],
+        "convex": True,
+    }
+
+
+CLOSED_FORMS = {
+    "conv": ClosedFormKernel("conv"),
+    "sconv": ClosedFormKernel("sconv"),
+    "lip": ClosedFormKernel("lip"),
+    "lip_alpha": ClosedFormKernel("lip", {"alpha": 1.7}),
+    "dirac": ClosedFormKernel("dirac"),
+    "power_distance": ClosedFormKernel("power_distance"),
+    "power_distance_p": ClosedFormKernel("power_distance", {"p": 2.5}),
+}
+
+
+def scalar_formula(kernel, x, y):
+    """A closed form evaluated entry by entry, as the library once did."""
+    ax, ay = np.array(x), np.array(y)
+    if kernel.name == "conv":
+        return float(ax @ ay)
+    if kernel.name == "sconv":
+        return float(-np.sum((ax - ay) ** 2))
+    if kernel.name == "dirac":
+        return 0.0 if x == y else NEG_INF
+    if kernel.name == "lip":
+        return float(-kernel.params.get("alpha", 1.0) * np.linalg.norm(ax - ay))
+    return float(-np.linalg.norm(ax - ay) ** kernel.params.get("p", 1.0))
+
+
+class TestGramOn:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_closed_form_table_matches_eval(self, name, dim):
+        kernel = CLOSED_FORMS[name]
+        rows, cols = rows_and_cols(np.random.default_rng(dim), dim)
+        got = gram_on(kernel, rows, cols)
+        expected = np.array([[kernel.eval(x, y) for y in cols] for x in rows])
+        assert np.array_equal(got, expected)
+        if name == "dirac":
+            assert (expected == 0.0).sum() == 2
+        reference = np.array([[scalar_formula(kernel, x, y) for y in cols] for x in rows])
+        if name == "power_distance_p":
+            # numpy's array pow may round a fractional power one ulp away
+            # from the scalar pow.
+            np.testing.assert_allclose(got, reference, rtol=4 * np.finfo(float).eps, atol=0)
+        else:
+            assert np.array_equal(got, reference)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cost", ["quadratic", "absolute", "table"])
+    def test_lax_hopf_table_matches_eval(self, cost, dim):
+        rng = np.random.default_rng(10 + dim)
+        rows, cols = rows_and_cols(rng, dim, times=[0.0, 0.5, 1.25])
+        lagrangian = velocity_table(rows, cols) if cost == "table" else {"name": cost}
+        kernel = ClosedFormKernel("lax_hopf", {"lagrangian": lagrangian})
+        expected = np.array([[kernel.eval(x, y) for y in cols] for x in rows])
+        assert np.array_equal(gram_on(kernel, rows, cols), expected)
+        assert (expected == NEG_INF).any() and (expected == 0.0).sum() == 2
+
+    def test_gram_kernel_reads_shuffled_subset(self):
+        rng = np.random.default_rng(5)
+        pts = random_points(rng, 9, 2)
+        gram = GramKernel(pts, rng.normal(size=(9, 9)))
+        r, c = rng.permutation(9)[:5], rng.permutation(9)[:4]
+        rows = PointSet(tuple(pts.points[i] for i in r))
+        cols = PointSet(tuple(pts.points[i] for i in c))
+        assert np.array_equal(gram_on(gram, rows, cols), gram.matrix[np.ix_(r, c)])
+
+    def test_gram_kernel_rows_default_to_its_points(self):
+        assert np.array_equal(gram_on(gram5()), BIPARTITE_5)
+
+    def test_point_off_gram_grid_raises_key_error(self):
+        with pytest.raises(KeyError):
+            gram_on(gram5(), PointSet.make([0, 1]), PointSet.make([2, 7]))
+
+    def test_closed_form_needs_rows(self):
+        with pytest.raises(ValueError):
+            gram_on(ClosedFormKernel("conv"))
+
+
 class TestClosedFormEval:
     def test_conv_inner_product(self):
         k = ClosedFormKernel("conv")

@@ -13,6 +13,7 @@ from tropkern.core import (
 from tropkern.conjugation import ConjugationOp, is_in_range
 from tropkern.kernels import ClosedFormKernel, GramKernel, gram_on
 from tropkern.representer import (
+    CanonicalInterpolant,
     DifferenceConstraintSystem,
     InfeasibleConstraintsError,
     SampleSet,
@@ -169,6 +170,53 @@ class TestBuildF0:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             build_f0(convex_samples(), (0.0,), CONV)
+
+    def test_reports_first_failure_in_loop_order(self):
+        # Random anchors, repeats included: the error names the first
+        # (m, k) that a loop over samples m, then k, meets.
+        rng = np.random.default_rng(57)
+        outcomes = set()
+        for _ in range(200):
+            samples, kernel, bxp = random_instance(rng, n_samples=4, n_cand=3)
+            idx = rng.integers(0, 3, size=4)
+            wit = feasible_witnesses(samples, kernel)
+            if wit.feasible and rng.random() < 0.5:
+                idx = np.array(wit.witness_indices)
+            anchors = tuple(samples.dual_candidates.points[j] for j in idx)
+            y, expected = samples.ys, None
+            for m in range(4):
+                self_eval = bxp[m, idx[m]]
+                if not np.isfinite(self_eval):
+                    expected = f"witness for sample {m} has non-finite self-evaluation"
+                    break
+                bad = [k for k in range(4)
+                       if y[k] - y[m] < lo_sub(bxp[k, idx[m]], self_eval) - 1e-9]
+                if bad:
+                    expected = (f"witness for sample {m} violates the exchange "
+                                f"inequality against sample {bad[0]}")
+                    break
+            if expected is None:
+                f0 = build_f0(samples, anchors, kernel)
+                assert np.array_equal(f0.on_grid(samples.xs).values, y)
+                outcomes.add("built")
+            else:
+                with pytest.raises(PreconditionError) as exc:
+                    build_f0(samples, anchors, kernel)
+                assert str(exc.value) == expected
+                outcomes.add("violates" if "violates" in expected else "non-finite")
+        assert outcomes == {"built", "non-finite", "violates"}
+
+    def test_tie_of_signed_zeros_follows_term_order(self):
+        # At x = 0 the lip terms are -0.0 + -0.0 and -1.0 + 1.0: a running
+        # max keeps whichever comes first.
+        lip = ClosedFormKernel("lip")
+        anchors, offsets = ((0.0,), (1.0,)), (-0.0, 1.0)
+        first = CanonicalInterpolant(lip, anchors, offsets)
+        second = CanonicalInterpolant(lip, anchors[::-1], offsets[::-1])
+        assert np.copysign(1.0, first(0.0)) == -1.0
+        assert np.copysign(1.0, second(0.0)) == 1.0
+        grid = PointSet.make([0.0])
+        assert np.copysign(1.0, first.on_grid(grid).values[0]) == -1.0
 
     def test_terms_expose_representation(self):
         samples = convex_samples()
