@@ -204,6 +204,10 @@ def _samples(data: Mapping, kernel):
     if ys.ndim != 1 or len(ys) != len(xs):
         raise _SchemaError("samples.ys", "one finite target per sample point")
     candidates = _points(_need(data, "dual_candidates"), "dual_candidates", kernel)
+    if candidates.dim != xs.dim:
+        raise _SchemaError(
+            "dual_candidates", f"points must have dimension {xs.dim}, as samples.xs"
+        )
     try:
         return SampleSet(xs, ys, candidates)
     except (TypeError, ValueError) as exc:
@@ -374,6 +378,10 @@ def _cmd_regress(data: Mapping, config: RunConfig):
         fixed_p = _point_list(_need(mode, "fixed_p", "mode"), "mode.fixed_p", kernel)
         if len(fixed_p) != len(samples):
             raise _SchemaError("mode.fixed_p", "expected one anchor per sample")
+        if any(len(p) != samples.xs.dim for p in fixed_p):
+            raise _SchemaError(
+                "mode.fixed_p", f"points must have dimension {samples.xs.dim}, as samples.xs"
+            )
     elif mode != "search":
         raise _SchemaError("mode", "expected 'search' or {'fixed_p': [...]}")
     try:

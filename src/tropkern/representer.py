@@ -16,14 +16,16 @@ matches the data exactly.
 
 With anchors fixed, the exchange inequalities are difference constraints
 y_n - y_m >= c on the targets, so regression (minimally perturbing the y's
-into feasibility) reduces to shortest paths: the solver here is Bellman-Ford
-with a box source, returning the componentwise-greatest feasible point or a
-negative cycle as an infeasibility certificate.
+into feasibility) reduces to one max-plus closure D of the constraint gaps.
+A cycle whose gaps sum, exactly, to more than 0 certifies infeasibility;
+otherwise both fits are read off D exactly: the sup-norm fit in closed
+form, the l1 fit as the potentials of a min-cost flow on the dual.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,8 +295,9 @@ class DCSolution:
             leaves unbounded above are anchored at a finite level derived
             from the data, as documented on the solver).
         negative_cycle: If infeasible, variable indices along a cycle whose
-            constraint gaps cannot all hold; -1 stands for the box anchor
-            node when the conflict involves box bounds.
+            constraint gaps sum exactly (math.fsum) to more than 0, so they
+            cannot all hold; -1 stands for the box node when the conflict
+            involves box bounds.
     """
 
     feasible: bool
@@ -303,83 +306,155 @@ class DCSolution:
 
 
 def solve_difference_constraints(system: DifferenceConstraintSystem) -> DCSolution:
-    """Solve y_n - y_m >= c with boxes via Bellman-Ford shortest paths.
+    """Solve y_n - y_m >= c with boxes through the max-plus closure.
 
-    Writing each constraint as y_m <= y_n - c and each box as
-    lo_i <= y_i <= hi_i, the shortest-path distances from a virtual source
-    (connected by the box edges) are the componentwise-greatest solution; a
-    negative cycle certifies infeasibility.  Coordinates with no upper bound
-    reachable at all are anchored at a finite level exceeding every real
-    bound chain, so the returned assignment is finite; any larger value
-    would also be feasible on those coordinates.
+    The boxes become arcs to one extra node z held at 0: lo_i <= y_i is
+    y_i - y_z >= lo_i and y_i <= hi_i is y_z - y_i >= -hi_i.  The closure D
+    on the n + 1 nodes gives the componentwise-greatest solution
+    y_i = -D[z, i]; a cycle of positive exact weight certifies
+    infeasibility.  A coordinate without an upper bound is capped at
+    1 + sum|finite bounds| + 2 sum|c|, above every level a bound chain can
+    force, so the returned assignment is finite; any larger value would also
+    be feasible on the coordinates that cap reaches.
     """
     n = system.n_vars
-    source = n
-    edges: list[tuple[int, int, float]] = []
+    gaps = np.full((n + 1, n + 1), NEG_INF)
     for a, m, c in system.constraints:
-        edges.append((a, m, -c))
-    for i in range(n):
-        if system.upper[i] < POS_INF:
-            edges.append((source, i, float(system.upper[i])))
-        if system.lower[i] > NEG_INF:
-            edges.append((i, source, -float(system.lower[i])))
-
-    dist, cycle = _bellman_ford(n + 1, source, edges)
+        gaps[a, m] = max(gaps[a, m], c)
+    bounds = np.concatenate([system.lower, system.upper])
+    cap = (1.0 + np.abs(bounds[np.isfinite(bounds)]).sum()
+           + 2.0 * sum(abs(c) for _, _, c in system.constraints))
+    gaps[:n, n] = system.lower
+    gaps[n, :n] = -np.where(system.upper < POS_INF, system.upper, cap)
+    closure, cycle = _closure(gaps)
     if cycle is not None:
-        return DCSolution(False, None, [(-1 if v == source else v) for v in cycle])
-
-    unbounded = [i for i in range(n) if dist[i] == POS_INF]
-    if unbounded:
-        # The anchor level exceeds any real bound chain by more than the sum
-        # of all edge magnitudes, so anchored paths never undercut the true
-        # distances of bounded coordinates.
-        finite_parts = [dist[i] for i in range(n) if dist[i] < POS_INF]
-        finite_parts.extend(x for x in system.lower if np.isfinite(x))
-        finite_parts.extend(x for x in system.upper if np.isfinite(x))
-        finite_parts.extend(c for _, _, c in system.constraints)
-        anchor = 1.0 + sum(abs(x) for x in finite_parts)
-        for i in unbounded:
-            edges.append((source, i, anchor))
-        dist, cycle = _bellman_ford(n + 1, source, edges)
-        if cycle is not None:  # pragma: no cover - anchoring cannot create cycles
-            return DCSolution(
-                False, None, [(-1 if v == source else v) for v in cycle]
-            )
-
-    return DCSolution(True, np.array(dist[:n]), None)
+        return DCSolution(False, None, [(-1 if v == n else v) for v in cycle])
+    return DCSolution(True, -closure[n, :n], None)
 
 
-def _bellman_ford(
-    n_nodes: int, source: int, edges: list[tuple[int, int, float]]
-) -> tuple[list[float], list[int] | None]:
-    """Shortest distances from source; (dist, None) or (_, negative cycle)."""
-    dist = [POS_INF] * n_nodes
-    dist[source] = 0.0
-    pred = [-1] * n_nodes
-    flagged = -1
-    for _ in range(n_nodes):
-        changed = False
-        flagged = -1
-        for u, v, w in edges:
-            if dist[u] < POS_INF and dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                pred[v] = u
-                changed = True
-                flagged = v
-        if not changed:
-            return dist, None
-    # A relaxation happened in the extra pass: walk predecessors onto the
-    # cycle, then collect it.
-    v = flagged
-    for _ in range(n_nodes):
-        v = pred[v]
-    cycle = [v]
-    u = pred[v]
-    while u != v:
-        cycle.append(u)
-        u = pred[u]
-    cycle.reverse()
-    return dist, cycle
+def _closure(gaps: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
+    """Max-plus closure of the constraints y_k - y_m >= gaps[k, m].
+
+    D[k, m] is the largest gap sum along a path from k to m (0 on the
+    diagonal, -inf where no path exists), built by one rank-1 update per
+    pivot; y satisfies the system exactly when y_k - y_m >= D[k, m] for all
+    k, m.  A positive diagonal entry marks a candidate cycle, read back from
+    the successor matrix.  If the cycle's gaps, summed exactly with
+    math.fsum, are positive, no finite y exists and (D, cycle) is returned;
+    otherwise the entry is float drift and is reset to 0.  ``gaps`` holds no
+    +inf; its diagonal is ignored.
+    """
+    n = len(gaps)
+    closure = np.array(gaps, dtype=float)
+    np.fill_diagonal(closure, 0.0)
+    succ = np.tile(np.arange(n), (n, 1))  # succ[k, m]: next node from k to m
+    for j in range(n):
+        through = closure[:, j, None] + closure[j]
+        better = through > closure
+        before = succ  # the paths of pivots < j, which the cycle consists of
+        closure = np.where(better, through, closure)
+        succ = np.where(better, succ[:, j, None], succ)
+        for i in np.flatnonzero(np.diag(closure) > 0):
+            walk = _path(before, i, j)[:-1] + _path(before, j, i)[:-1]
+            cycle = _heaviest_cycle(walk, gaps)
+            if cycle is not None:
+                return closure, cycle
+            closure[i, i] = 0.0
+    return closure, None
+
+
+def _path(succ: np.ndarray, u: int, v: int) -> list[int]:
+    """The stored path from u to v (cut after n steps)."""
+    path = [int(u)]
+    while path[-1] != v and len(path) <= len(succ):
+        path.append(int(succ[path[-1], v]))
+    return path
+
+
+def _heaviest_cycle(walk: list[int], gaps: np.ndarray) -> list[int] | None:
+    """The simple cycle of a closed walk whose gaps have the largest exact
+    (math.fsum) sum, if that sum is positive."""
+    best, best_weight = None, 0.0
+    stack: list[int] = []
+    for v in walk + walk[:1]:
+        if v not in stack:
+            stack.append(v)
+            continue
+        k = stack.index(v)
+        cycle = stack[k:]
+        del stack[k + 1:]
+        weight = math.fsum(gaps[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        if weight > best_weight:
+            best, best_weight = cycle, weight
+    return best
+
+
+def _greatest_below(closure: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The componentwise-greatest y <= upper with y_k - y_m >= closure[k, m]:
+    y_i = min_j upper_j - closure[j, i]."""
+    return np.min(upper[:, None] - closure, axis=0)
+
+
+def _fit_sup_norm(closure: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+    """Least sup-norm fit: the greatest feasible y at the exact radius
+    eps* = 1/2 max_{k,m} (D[k, m] - (ybar_k - ybar_m)), the least eps at
+    which the box [ybar - eps, ybar + eps] meets the system (the diagonal
+    keeps eps* >= 0)."""
+    eps = 0.5 * float(np.max(closure - np.subtract.outer(ybar, ybar)))
+    return _greatest_below(closure, ybar + eps)
+
+
+def _fit_l1(closure: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+    """Least l1 fit, as the node potentials of a min-cost flow on n + 1 nodes.
+
+    Arcs k -> m cost -D[k, m] with no capacity; root arcs r -> i cost
+    ybar_i and i -> r cost -ybar_i, with capacity 1 each.  Potentials pi with
+    reduced cost c + pi_u - pi_v >= 0 on every residual arc of an optimal
+    flow solve the dual, min sum |y_i - ybar_i| s.t. y_k - y_m >= D[k, m],
+    by y_i = pi_i - pi_r.  The start is the greatest feasible point below
+    ybar; its negative root arcs i -> r are saturated, and each unit they owe
+    is sent from r along a shortest path of reduced costs (dense Dijkstra),
+    so at most n augmentations finish the flow.
+    """
+    n = len(ybar)
+    root = n
+    cost = np.full((n + 1, n + 1), POS_INF)
+    cost[:n, :n] = -closure
+    cost[root, :n], cost[:n, root] = ybar, -ybar
+    capacity = np.full((n + 1, n + 1), POS_INF)
+    capacity[root], capacity[:, root] = 1.0, 1.0
+    potential = np.append(_greatest_below(closure, ybar), 0.0)
+    owing = np.append(potential[:n] < ybar, False)
+    flow = np.zeros((n + 1, n + 1))
+    flow[:, root] = owing
+    for _ in range(int(owing.sum())):
+        residual = np.minimum(
+            np.where(flow < capacity, cost, POS_INF),
+            np.where(flow.T > 0, -cost.T, POS_INF),
+        )
+        reduced = residual + potential[:, None] - potential[None, :]
+        dist = np.full(n + 1, POS_INF)
+        dist[root] = 0.0
+        pred = np.zeros(n + 1, dtype=int)
+        unsettled = np.ones(n + 1, dtype=bool)
+        while True:
+            u = int(np.argmin(np.where(unsettled, dist, POS_INF)))
+            if owing[u]:
+                break
+            unsettled[u] = False
+            through = dist[u] + reduced[u]
+            better = unsettled & (through < dist)
+            dist[better] = through[better]
+            pred[better] = u
+        potential += np.minimum(dist, dist[u])
+        owing[u] = False
+        while u != root:
+            v, u = u, int(pred[u])
+            if flow[v, u] > 0 and -cost[v, u] == residual[u, v]:
+                flow[v, u] -= 1.0  # cancel flow rather than add it
+            else:
+                flow[u, v] += 1.0
+    return potential[:n] - potential[root]
 
 
 @dataclass(frozen=True)
@@ -394,9 +469,12 @@ class RegressionResult:
             it).
         loss_value: sup-norm or l1 distance between fitted and given targets.
         interpolant: Canonical interpolant through the fitted targets.
-        exact: True when the procedure certifies the reported loss optimal
-            for the anchors used (sup-norm bisection); l1 descent and anchor
-            search are heuristic and report False.
+        exact: True for a fixed-anchor sup_norm fit, whose loss is the
+            closed-form optimum for those anchors.  False otherwise,
+            including fits that are optimal all the same: a fixed-anchor l1
+            fit (min-cost flow) and an anchor search that enumerated every
+            assignment.  Only the alternating search used beyond
+            SEARCH_ENUMERATION_BUDGET assignments has no optimality proof.
     """
 
     y_star: np.ndarray
@@ -405,140 +483,6 @@ class RegressionResult:
     loss_value: float
     interpolant: CanonicalInterpolant
     exact: bool
-
-
-def _exchange_constraints(
-    samples: SampleSet, kernel: KernelRep, anchors: tuple[Point, ...]
-) -> DifferenceConstraintSystem | None:
-    """Difference constraints for fixed anchors; None if no finite system."""
-    self_eval, gaps = _exchange_gaps(samples, kernel, anchors)
-    np.fill_diagonal(gaps, NEG_INF)
-    if not np.isfinite(self_eval).all() or (gaps == POS_INF).any():
-        return None
-    ms, ks = np.nonzero(gaps.T > NEG_INF)  # m-major, then k
-    return DifferenceConstraintSystem(
-        len(samples), tuple(zip(ks, ms, gaps[ks, ms]))
-    )
-
-
-def _solve_sup_norm(
-    base: DifferenceConstraintSystem, y: np.ndarray, tol: float
-) -> tuple[np.ndarray, float] | None:
-    """Least sup-norm perturbation of y into feasibility, by bisection."""
-
-    def attempt(eps: float) -> DCSolution:
-        sys_eps = DifferenceConstraintSystem(
-            base.n_vars, base.constraints, lower=y - eps, upper=y + eps
-        )
-        return solve_difference_constraints(sys_eps)
-
-    sol = attempt(0.0)
-    if sol.feasible:
-        return sol.assignment, 0.0
-    # Feasibility is monotone in the radius, and spread + total gap mass is a
-    # sufficient radius whenever the difference system is feasible at all, so
-    # a single check there decides between bisection and a certificate.
-    spread = float(y.max() - y.min()) if len(y) > 1 else 1.0
-    hi = spread + sum(abs(c) for _, _, c in base.constraints) + 1.0
-    if not attempt(hi).feasible:
-        return None
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if attempt(mid).feasible:
-            hi = mid
-        else:
-            lo = mid
-    sol = attempt(hi)
-    assert sol.feasible and sol.assignment is not None
-    return sol.assignment, float(np.abs(sol.assignment - y).max())
-
-
-def _solve_l1(
-    base: DifferenceConstraintSystem, y: np.ndarray, tol: float
-) -> tuple[np.ndarray, float] | None:
-    """Coordinate descent on the l1 loss from the greatest feasible point."""
-    n = base.n_vars
-    finite_gaps = [abs(c) for _, _, c in base.constraints]
-    span = float(y.max() - y.min()) if n > 1 else 1.0
-    # This width is sufficient whenever the difference system is feasible at
-    # all (feasibility is monotone in it), so one attempt decides.
-    width = span + sum(finite_gaps) + 1.0
-    sys_box = DifferenceConstraintSystem(
-        n, base.constraints, lower=y - width, upper=y + width
-    )
-    sol = solve_difference_constraints(sys_box)
-    if not sol.feasible:
-        return None
-    assert sol.assignment is not None
-    point = sol.assignment.copy()
-
-    lower_of: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    upper_of: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, m, c in base.constraints:
-        lower_of[a].append((m, c))  # y_a >= y_m + c
-        upper_of[m].append((a, c))  # y_m <= y_a - c
-    for _ in range(10 * n * n + 10):
-        moved = False
-        for i in range(n):
-            lo = max([NEG_INF, *(point[m] + c for m, c in lower_of[i])])
-            hi = min([POS_INF, *(point[a] - c for a, c in upper_of[i])])
-            target = min(max(y[i], lo), hi)
-            if abs(target - point[i]) > 1e-12:
-                point[i] = target
-                moved = True
-        if not _shift_tight_components(base, y, point):
-            if not moved:
-                break
-    return point, float(np.abs(point - y).sum())
-
-
-def _shift_tight_components(
-    base: DifferenceConstraintSystem, y: np.ndarray, point: np.ndarray
-) -> bool:
-    """Jointly translate groups of variables locked together by tight
-    constraints toward their targets; single-coordinate moves cannot cross
-    such equalities.  Mutates ``point``; returns True if anything moved."""
-    n = base.n_vars
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, m, c in base.constraints:
-        if abs((point[a] - point[m]) - c) <= 1e-12:
-            parent[find(a)] = find(m)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    moved = False
-    for members in groups.values():
-        inside = set(members)
-        lo, hi = NEG_INF, POS_INF
-        for a, m, c in base.constraints:
-            if a in inside and m not in inside:
-                lo = max(lo, c - (point[a] - point[m]))
-            elif m in inside and a not in inside:
-                hi = min(hi, (point[a] - point[m]) - c)
-        for i in members:
-            lo = max(lo, base.lower[i] - point[i])
-            hi = min(hi, base.upper[i] - point[i])
-        residuals = sorted(y[i] - point[i] for i in members)
-        delta = min(max(residuals[(len(members) - 1) // 2], lo), hi)
-        if abs(delta) > 1e-12:
-            before = sum(abs(point[i] - y[i]) for i in members)
-            after = sum(abs(point[i] + delta - y[i]) for i in members)
-            if after < before - 1e-12:
-                for i in members:
-                    point[i] += delta
-                moved = True
-    return moved
 
 
 def regress(
@@ -551,19 +495,18 @@ def regress(
     """Fit targets minimally perturbed into kernel-section feasibility.
 
     With ``fixed_p`` given (one anchor per sample) the exchange inequalities
-    become a difference constraint system and the fit is computed directly:
-    the sup_norm loss by bisection on the box radius (certified optimal for
-    those anchors within tol), the l1 loss by coordinate descent from the
-    greatest feasible point (a certified coordinatewise-local optimum, no
-    global guarantee).
+    become a difference constraint system, closed once under max-plus paths
+    (D), and the fit is exact for those anchors: the sup_norm fit is the
+    greatest feasible point at radius eps* = 1/2 max_{k,m} (D[k, m] -
+    (ybar_k - ybar_m)), the l1 fit solves a min-cost flow on n + 1 nodes.
 
     Without ``fixed_p`` the anchors are searched over the candidate set.
     When the number of anchor assignments is within a fixed budget every
-    assignment is fitted and the best kept; otherwise each sample starts at
-    the candidate minimizing its total constraint violation against the raw
-    targets, then anchor choice and fit alternate until stable and the best
-    visited configuration is returned.  Either way ``exact`` is False: the
-    per-assignment l1 fit carries no global certificate.
+    assignment is fitted and the best kept (a tie goes to the least
+    constraining assignment); otherwise each sample starts at the candidate
+    minimizing its total constraint violation against the raw targets, then
+    anchor choice and fit alternate until stable and the best visited
+    configuration is returned.  Either way ``exact`` is False.
 
     Raises InfeasibleConstraintsError when no configuration is feasible.
     """
@@ -595,20 +538,21 @@ def _regress_fixed(
 ) -> RegressionResult:
     if len(anchors) != len(samples):
         raise ValueError("one anchor per sample is required")
-    base = _exchange_constraints(samples, kernel, anchors)
-    if base is None:
+    self_eval, gaps = _exchange_gaps(samples, kernel, anchors)
+    np.fill_diagonal(gaps, NEG_INF)
+    if not np.isfinite(self_eval).all() or (gaps == POS_INF).any():
         raise InfeasibleConstraintsError(
             "anchors force an unsatisfiable (infinite) exchange gap"
         )
-    y = np.asarray(samples.ys, dtype=float)
-    solver = _solve_sup_norm if loss == "sup_norm" else _solve_l1
-    fit = solver(base, y, tol)
-    if fit is None:
-        sol = solve_difference_constraints(base)
+    closure, cycle = _closure(gaps)
+    if cycle is not None:
         raise InfeasibleConstraintsError(
-            "exchange constraints admit no solution", cycle=sol.negative_cycle
+            "exchange constraints admit no solution", cycle=cycle
         )
-    fitted, loss_value = fit
+    y = samples.ys
+    fitted = (_fit_sup_norm if loss == "sup_norm" else _fit_l1)(closure, y)
+    deviation = np.abs(fitted - y)
+    loss_value = float(deviation.max() if loss == "sup_norm" else deviation.sum())
     fitted_samples = SampleSet(samples.xs, fitted, samples.dual_candidates)
     interp = build_f0(fitted_samples, anchors, kernel, tol=max(tol, 1e-6))
     return RegressionResult(
@@ -647,7 +591,9 @@ def _regress_enumerate(
     usable = [np.flatnonzero(bxp[m] > NEG_INF) for m in range(len(samples))]
     if any(len(u) == 0 for u in usable):
         raise InfeasibleConstraintsError("some sample admits no usable anchor")
+    n = len(samples)
     best: RegressionResult | None = None
+    best_mass = POS_INF
     for combo in itertools.product(*usable):
         idx = tuple(int(k) for k in combo)
         anchors = tuple(candidates.points[k] for k in idx)
@@ -655,8 +601,14 @@ def _regress_enumerate(
             result = _regress_fixed(samples, kernel, loss, anchors, idx, tol)
         except InfeasibleConstraintsError:
             continue
-        if best is None or result.loss_value < best.loss_value - 1e-12:
-            best = result
+        # Exact optima often tie across assignments; a tie goes to the least
+        # constraining one, with the smallest total exchange gap
+        # sum_{k,m} b(x_k, p_m) - b(x_m, p_m), whatever the enumeration order.
+        mass = float(bxp[:, list(idx)].sum() - n * bxp[np.arange(n), list(idx)].sum())
+        if best is None or result.loss_value < best.loss_value - 1e-12 or (
+            result.loss_value <= best.loss_value + 1e-12 and mass < best_mass
+        ):
+            best, best_mass = result, mass
     if best is None:
         raise InfeasibleConstraintsError("no anchor assignment is feasible")
     return best

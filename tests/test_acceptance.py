@@ -55,6 +55,7 @@ from tropkern.control import (
 
 from oracles import (
     lower_convex_envelope,
+    lp_regression,
     perm_positive_brute,
     regression_brute,
     regularity_brute_all,
@@ -433,6 +434,37 @@ class TestRepresenterPinned:
             result = regress(samples, CONV, loss=loss)
             best_loss, _, _ = regression_brute(bxp, samples.ys, loss)
             assert result.loss_value == pytest.approx(best_loss, abs=1e-3)
+
+
+def sorted_slope_instance(seed, n):
+    """Fixed-anchor conv regression: sorted integer sites, integer targets in
+    [-30, 30] and sorted slope anchors on a quarter grid, which make the
+    exchange system feasible.  Returns the samples, the anchors and the gaps
+    (x_k - x_m) p_m of the constraints y_k - y_m >= gap, written out here."""
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.choice(np.arange(-2 * n, 2 * n), n, replace=False)).astype(float)
+    ys = rng.integers(-30, 31, n).astype(float)
+    slopes = np.sort(rng.choice(np.arange(-2 * n, 2 * n), n, replace=False)) / 4.0
+    gaps = (xs[:, None] - xs[None, :]) * slopes[None, :]
+    np.fill_diagonal(gaps, NEG_INF)
+    samples = SampleSet(PointSet.make(xs), ys, PointSet.make(slopes))
+    return samples, tuple((p,) for p in slopes), gaps
+
+
+class TestRegressionMatchesLP:
+    @pytest.mark.parametrize("loss", ["sup_norm", "l1"])
+    @pytest.mark.parametrize(
+        "n, seed", [(20, 1), (20, 2), (20, 3), (50, 1), (50, 2), (200, 1)]
+    )
+    def test_fixed_anchor_fit_is_the_lp_optimum(self, n, seed, loss):
+        samples, anchors, gaps = sorted_slope_instance(seed, n)
+        result = regress(samples, CONV, loss=loss, fixed_p=anchors)
+        feasible, best, _ = lp_regression(gaps, samples.ys, loss)
+        assert feasible
+        assert abs(result.loss_value - best) <= 1e-9 * max(1.0, abs(best))
+        y = result.y_star
+        slack = y[:, None] - y[None, :] - gaps
+        assert np.all(slack >= -1e-9 * np.maximum(1.0, np.abs(gaps)))
 
 
 class TestLeastActionAccuracy:

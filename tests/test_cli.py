@@ -497,6 +497,30 @@ class TestBadPointsAreSchemaErrors:
         assert out["witnesses"] == [[1.0], [1.0]]
         assert out["loss_value"] == 0.0
 
+    @pytest.mark.parametrize(
+        "command, mode, field",
+        [
+            ("interpolate", None, "dual_candidates"),
+            ("regress", "search", "dual_candidates"),
+            ("regress", {"fixed_p": [[1.0, 0.0], [1.0, 0.0]]}, "mode.fixed_p"),
+        ],
+    )
+    def test_points_of_another_dimension(self, capsys, tmp_path, command, mode, field):
+        # A closed form has no grid to catch this: 1-D sites against 2-D
+        # candidates or anchors.
+        two_d = [[1.0, 0.0]] if field == "dual_candidates" else [[1.0]]
+        payload = {
+            "kernel": CONV,
+            "samples": {"xs": [[0.0], [1.0]], "ys": [0.0, 1.0]},
+            "dual_candidates": two_d,
+        }
+        if mode is not None:
+            payload["mode"] = mode
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == field
+
 
 class TestErrorPlumbing:
     def test_missing_input_file(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Interpolation witnesses, canonical interpolants, and constrained regression."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,17 @@ class TestDifferenceConstraints:
                 )
                 assert not (box_ok and cons_ok)
 
+    def test_zero_weight_cycle_with_float_drift_is_feasible(self):
+        # The exact sum of these gaps is 0, but summed left to right it is 2:
+        # a positive diagonal the closure meets is float drift, not a cycle.
+        gaps = [-1e16, -1.0, -1.0, 1e16 + 2]
+        assert math.fsum(gaps) == 0.0
+        assert ((gaps[0] + gaps[1]) + gaps[2]) + gaps[3] > 0.0
+        cons = tuple((i, (i + 1) % 4, c) for i, c in enumerate(gaps))
+        sol = solve_difference_constraints(DifferenceConstraintSystem(4, cons))
+        assert sol.feasible
+        assert np.isfinite(sol.assignment).all()
+
 
 class TestRegress:
     def test_exact_data_zero_loss(self):
@@ -397,6 +410,38 @@ class TestRegress:
                 continue
             result = regress(samples, kernel, loss="sup_norm", fixed_p=anchors)
             assert result.loss_value == pytest.approx(lp_loss, abs=1e-3)
+
+    def test_infeasible_anchors_carry_a_positive_cycle(self):
+        # Unsorted slope anchors for convex-kernel sites: the reported cycle
+        # is a certificate, its gaps (x_k - x_m) p_m summing exactly to > 0.
+        rng = np.random.default_rng(58)
+        infeasible = 0
+        for _ in range(20):
+            n = int(rng.integers(3, 21))
+            xs = np.sort(rng.choice(np.arange(-2 * n, 2 * n), n, replace=False))
+            slopes = rng.choice(np.arange(-2 * n, 2 * n), n, replace=False) / 4.0
+            gaps = (xs[:, None] - xs[None, :]) * slopes[None, :]
+            np.fill_diagonal(gaps, NEG_INF)
+            samples = SampleSet(
+                PointSet.make(xs.astype(float)),
+                rng.integers(-30, 31, n).astype(float),
+                PointSet.make(slopes),
+            )
+            cons = [(k, m, gaps[k, m]) for k in range(n) for m in range(n) if k != m]
+            try:
+                regress(samples, CONV, fixed_p=tuple((p,) for p in slopes))
+            except InfeasibleConstraintsError as exc:
+                cycle = exc.cycle
+                weight = math.fsum(
+                    gaps[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                )
+                assert len(set(cycle)) == len(cycle) >= 2
+                assert weight > 0.0
+                assert not lp_difference_feasible(n, cons)
+                infeasible += 1
+            else:
+                assert lp_difference_feasible(n, cons)
+        assert infeasible >= 10
 
     def test_fitted_targets_are_feasible(self):
         rng = np.random.default_rng(54)
