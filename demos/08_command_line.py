@@ -17,7 +17,8 @@ from pathlib import Path
 
 from tropkern.cli import COMMANDS, main
 
-workdir = Path(tempfile.mkdtemp(prefix="tropkern-demo-"))
+scratch = tempfile.TemporaryDirectory(prefix="tropkern-demo-")
+workdir = Path(scratch.name)
 print("subcommands:", ", ".join(sorted(COMMANDS)))
 
 
@@ -86,3 +87,5 @@ print("CSV rows:", len(csv_lines) - 1, "| first row:", csv_lines[1])
 
 # Schema problems point at the offending field and exit 2.
 run("check-tpsd", {"kernel": {"type": "gram", "points": [0, 1]}})
+
+scratch.cleanup()

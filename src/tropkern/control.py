@@ -12,6 +12,11 @@ mirrored value for t1 < t0, which makes the matrix symmetric by
 construction.  Its causal (asymmetric) variant keeps only t1 >= t0 and is
 exactly idempotent by the dynamic programming principle.
 
+The dynamic programming runs as stencil shifts: one step is the minimum of
+the |S| shifted copies of a slice plus their step costs, so a value function
+costs O(nt * ns * |S|) time and O(ns) memory per slice, and the kernels come
+from the nt - 1 powers of that step (the running cost ignores t).
+
 For state-independent convex L the continuum least action has the closed
 form -(t1 - t0) * L((r1 - r0)/(t1 - t0)); the grid kernel converges to it as
 the lattice is refined at fixed time step.
@@ -27,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,13 +46,10 @@ from .core import (
     SizeError,
     as_point,
     ext_close,
-    min_plus,
-    min_reduce,
-    upper_add_arrays,
     validate_values,
 )
 from .conjugation import ConjugationOp, apply_linear, conj_sesqui, is_in_range
-from .kernels import GramKernel
+from .kernels import GramKernel, gram_on
 from .representer import SampleSet, feasible_witnesses
 
 PAIR_GUARD = 10**6
@@ -351,34 +353,6 @@ class MaupertuisProblem:
             require_nonneg=bool(spec.get("require_nonneg", True)),
         )
 
-    # -- dynamic programming ------------------------------------------------
-
-    def step_cost_matrix(self, time_index: int) -> np.ndarray:
-        """Min-plus one-step cost matrix between consecutive time slices.
-
-        Entry [a, b] is dt * L(t_i, r_a, v/dt) when r_b - r_a = v lies in the
-        stencil (the least such cost if several displacements coincide), and
-        +inf otherwise.
-        """
-        n = self.n_space
-        shape = self.space_shape
-        cost = np.full((n, n), POS_INF)
-        flat = np.arange(n).reshape(shape)
-        for off, lag in zip(self._offsets, self._stencil_costs()):
-            src = tuple(
-                slice(max(0, -k), shape[j] - max(0, k)) for j, k in enumerate(off)
-            )
-            tgt = tuple(
-                slice(max(0, k), shape[j] - max(0, -k)) for j, k in enumerate(off)
-            )
-            if any(s.start >= s.stop for s in src):
-                continue
-            c = self.dt * lag
-            a_idx = flat[src].ravel()
-            b_idx = flat[tgt].ravel()
-            np.minimum.at(cost, (a_idx, b_idx), c)
-        return cost
-
 
 def _parse_grid(g) -> np.ndarray:
     if isinstance(g, Mapping):
@@ -386,18 +360,41 @@ def _parse_grid(g) -> np.ndarray:
     return np.asarray(list(g), dtype=float)
 
 
-def _cumulative_actions(problem: MaupertuisProblem) -> list[list[np.ndarray | None]]:
-    """actions[i][k] = minimal path cost matrix from slice i to slice k>i."""
-    nt = problem.n_time
-    steps = [problem.step_cost_matrix(i) for i in range(nt - 1)]
-    actions: list[list[np.ndarray | None]] = [[None] * nt for _ in range(nt)]
-    for i in range(nt - 1):
-        cur = steps[i]
-        actions[i][i + 1] = cur
-        for k in range(i + 2, nt):
-            cur = min_plus(cur, steps[k - 1])
-            actions[i][k] = cur
-    return actions
+def _stencil_step(
+    problem: MaupertuisProblem, costs: np.ndarray, arr: np.ndarray, sign: int
+) -> np.ndarray:
+    """One DP step over the trailing space axes of ``arr``.
+
+    out[..., r] = min over stencil displacements v of
+    arr[..., r + sign*v] + costs[v]; +inf where no displacement stays on
+    the lattice.  ``costs`` holds dt * L(v/dt), which is finite, so the
+    plain sum never meets (+inf) + (-inf).
+    """
+    shape = problem.space_shape
+    out = np.full(arr.shape, POS_INF)
+    for off, cost in zip(problem._offsets, costs):
+        dst, src = [Ellipsis], [Ellipsis]
+        for n, k in zip(shape, off):
+            k, size = sign * k, max(0, n - abs(k))
+            dst.append(slice(max(0, -k), max(0, -k) + size))
+            src.append(slice(max(0, k), max(0, k) + size))
+        view = out[tuple(dst)]
+        np.minimum(view, arr[tuple(src)] + cost, out=view)
+    return out
+
+
+def _least_actions(problem: MaupertuisProblem, upto: int) -> Iterator[np.ndarray]:
+    """Yield P_1 .. P_upto, P_k[a, b] the minimal cost of a k-step path a -> b.
+
+    Each power has shape (n_space, *space_shape).  The start is the min-plus
+    identity with -0.0, the exact additive identity, on its diagonal.
+    """
+    ns = problem.n_space
+    costs = problem.dt * problem._stencil_costs()
+    power = np.where(np.eye(ns, dtype=bool), -0.0, POS_INF).reshape(ns, *problem.space_shape)
+    for _ in range(upto):
+        power = _stencil_step(problem, costs, power, -1)
+        yield power
 
 
 def maupertuis_dp(problem: MaupertuisProblem) -> GramKernel:
@@ -416,16 +413,14 @@ def maupertuis_dp(problem: MaupertuisProblem) -> GramKernel:
         raise SizeError(
             f"{n_points}^2 spacetime pairs exceed the guard of {PAIR_GUARD}"
         )
-    actions = _cumulative_actions(problem)
     matrix = np.full((n_points, n_points), NEG_INF)
-    eye = np.full((ns, ns), NEG_INF)
-    np.fill_diagonal(eye, 0.0)
-    for i in range(nt):
-        matrix[i * ns : (i + 1) * ns, i * ns : (i + 1) * ns] = eye
-        for k in range(i + 1, nt):
-            block = -actions[i][k]  # +inf (unreachable) -> -inf
-            matrix[i * ns : (i + 1) * ns, k * ns : (k + 1) * ns] = block
-            matrix[k * ns : (k + 1) * ns, i * ns : (i + 1) * ns] = block.T
+    np.fill_diagonal(matrix, 0.0)
+    blocks = matrix.reshape(nt, ns, nt, ns)
+    for gap, power in enumerate(_least_actions(problem, nt - 1), start=1):
+        block = -power.reshape(ns, ns)  # +inf (unreachable) -> -inf
+        i = np.arange(nt - gap)
+        blocks[i, :, i + gap, :] = block
+        blocks[i + gap, :, i, :] = block.T
     return GramKernel(problem.spacetime_points(), matrix)
 
 
@@ -457,23 +452,19 @@ def value_function(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFunct
     Raises:
         ValueError: If psi_T is not on the problem's space grid.
     """
-    space = problem.space_points()
-    if psi_T.domain != space:
+    if psi_T.domain != problem.space_points():
         raise ValueError("terminal cost must live on the problem's space grid")
-    nt, ns = problem.n_time, problem.n_space
-    slices = [None] * nt
-    slices[nt - 1] = np.asarray(psi_T.values, dtype=float)
-    for i in range(nt - 2, -1, -1):
-        step = problem.step_cost_matrix(i)
-        slices[i] = min_reduce(upper_add_arrays(step, slices[i + 1][None, :]), axis=1)
-    values = np.concatenate(slices)
+    costs = problem.dt * problem._stencil_costs()
+    slices = [psi_T.values.reshape(problem.space_shape)]
+    for _ in range(problem.n_time - 1):
+        slices.append(_stencil_step(problem, costs, slices[-1], 1))
+    values = np.concatenate([s.ravel() for s in reversed(slices)])
     return GridFunction(problem.spacetime_points(), values)
 
 
 def lift_terminal(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFunction:
     """psi_T on the final slice, +inf on every earlier slice."""
-    space = problem.space_points()
-    if psi_T.domain != space:
+    if psi_T.domain != problem.space_points():
         raise ValueError("terminal cost must live on the problem's space grid")
     values = np.full(problem.n_time * problem.n_space, POS_INF)
     values[-problem.n_space :] = psi_T.values
@@ -543,14 +534,20 @@ def space_slice_kernel(
     A square (generally asymmetric, non-idempotent) kernel over the space
     lattice: minus the minimal path cost from slice ``start`` to slice
     ``stop`` (default: the final slice).
+
+    Raises:
+        SizeError: If the space grid has more than 10^6 pairs.
     """
-    nt = problem.n_time
+    nt, ns = problem.n_time, problem.n_space
     if stop is None:
         stop = nt - 1
     if not (0 <= start < stop < nt):
         raise ValueError("need time indices 0 <= start < stop < n_time")
-    actions = _cumulative_actions(problem)
-    return GramKernel(problem.space_points(), -actions[start][stop])
+    if ns * ns > PAIR_GUARD:
+        raise SizeError(f"{ns}^2 space pairs exceed the guard of {PAIR_GUARD}")
+    for power in _least_actions(problem, stop - start):
+        pass  # only the last power is kept
+    return GramKernel(problem.space_points(), -power.reshape(ns, ns))
 
 
 @dataclass(frozen=True)
@@ -594,11 +591,13 @@ def invert_terminal_cost(
     if not wit.feasible:
         return TerminalCostResult(False, None, None, None, wit.blocking_index)
     grid = space_kernel.points
+    at = np.array([grid.index_of(p) for p in wit.witnesses])
+    values = gram_on(space_kernel, samples.xs, grid)[np.arange(len(at)), at] - samples.ys
+    # Least value per witness; the stable sort keeps the earlier of 0.0 and -0.0.
+    order = np.lexsort((values, at))
+    _, first = np.unique(at[order], return_index=True)
     psi = np.full(len(grid), POS_INF)
-    for m, p in enumerate(wit.witnesses):
-        idx = grid.index_of(p)
-        value = space_kernel.eval(samples.xs.points[m], p) - float(samples.ys[m])
-        psi[idx] = min(psi[idx], value)
+    psi[at[order][first]] = values[order][first]
     return TerminalCostResult(
         True, wit.witnesses, wit.witness_indices, GridFunction(grid, psi), None
     )

@@ -391,31 +391,35 @@ def lp_difference_feasible(
 
 def min_action_matrix(
     times: np.ndarray,
-    spaces: np.ndarray,
-    offsets: list[int],
+    space_axes,
+    offsets: list[tuple[int, ...]],
     cost_of_velocity,
 ) -> np.ndarray:
-    """All-pairs minimal path cost on the layered 1-D lattice graph.
+    """All-pairs minimal path cost on the layered product-lattice graph.
 
-    Nodes are (time index, space index); directed edges step one time layer
-    with a stencil offset; edge weight dt * cost_of_velocity(offset*dr/dt).
-    Returns D[(i,a),(k,b)] (+inf when unreachable), via scipy Dijkstra.
+    Nodes are (time index, space index), the space index running over the
+    C-order product of ``space_axes``; directed edges step one time layer
+    with an integer offset tuple k, of weight dt * cost_of_velocity(v), where
+    v_j = k_j * dr_j / dt.  Returns D[(i,a),(k,b)] (+inf when unreachable),
+    via scipy Dijkstra.
     """
     times = np.asarray(times, dtype=float)
-    spaces = np.asarray(spaces, dtype=float)
-    nt, ns = len(times), len(spaces)
+    axes = [np.asarray(ax, dtype=float) for ax in space_axes]
+    shape = tuple(len(ax) for ax in axes)
+    nt, ns = len(times), int(np.prod(shape))
     dt = times[1] - times[0]
-    dr = spaces[1] - spaces[0]
+    dr = [ax[1] - ax[0] for ax in axes]
     rows, cols, weights = [], [], []
     for i in range(nt - 1):
-        for a in range(ns):
+        for a, cell in enumerate(np.ndindex(*shape)):
             for k in offsets:
-                b_idx = a + k
-                if not (0 <= b_idx < ns):
+                target = tuple(c + o for c, o in zip(cell, k))
+                if not all(0 <= c < n for c, n in zip(target, shape)):
                     continue
+                velocity = tuple(o * h / dt for o, h in zip(k, dr))
                 rows.append(i * ns + a)
-                cols.append((i + 1) * ns + b_idx)
-                weights.append(dt * cost_of_velocity(k * dr / dt))
+                cols.append((i + 1) * ns + int(np.ravel_multi_index(target, shape)))
+                weights.append(dt * cost_of_velocity(velocity))
     graph = csr_matrix(
         (weights, (rows, cols)), shape=(nt * ns, nt * ns)
     )

@@ -241,6 +241,20 @@ class TestControlCommands:
         assert code == 1
         assert out["error"]["kind"] == "precondition"
 
+    def test_slice_pair_guard_exits_one(self, capsys, tmp_path):
+        # 40 x 40 space points: the two-slice kernel would hold 2.56M pairs.
+        problem = {
+            "time_grid": [0.0, 0.25, 0.5],
+            "space_grid": {"axes": [{"start": 0.0, "stop": 9.75, "num": 40}] * 2},
+            "lagrangian": {"name": "quadratic"},
+            "stencil": [[0.0, 0.0], [0.25, 0.0], [-0.25, 0.0], [0.0, 0.25], [0.0, -0.25]],
+        }
+        payload = {"problem": problem, "samples": {"xs": [[0.0, 0.0]], "ys": [0.0]}}
+        code, out = invoke(capsys, tmp_path, "invert-terminal-cost", payload)
+        assert code == 1
+        assert out["error"]["kind"] == "precondition"
+        assert "space pairs exceed the guard" in out["error"]["message"]
+
     def test_invert_stopping_cost(self, capsys, tmp_path):
         payload = {
             "kernel": lip_gram_spec([0.0, 1.0, 2.0, 3.0]),

@@ -1,5 +1,8 @@
 """Least-action kernels, value functions, and the two inverse workflows."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,22 @@ def hopf_gap(problem):
 
 def grid_index(problem):
     return {p: i for i, p in enumerate(problem.spacetime_points().points)}
+
+
+def kernel_from_paths(dist):
+    """The symmetric least-action kernel from all-pairs path costs."""
+    forward = np.where(np.isinf(dist), NEG_INF, -dist)
+    return np.fmax(forward, forward.T)
+
+
+def plane_problem(nt, n, offsets, lagrangian, step=0.25, **kw):
+    """2-D problem on an n x n lattice of dyadic step, time step 0.25."""
+    axis = (np.arange(n) - n // 2) * step
+    stencil = [(i * step, j * step) for i, j in offsets]
+    return MaupertuisProblem(np.arange(nt) * 0.25, [axis, axis], lagrangian, stencil, **kw)
+
+
+NINE_POINT = list(itertools.product((-1, 0, 1), repeat=2))
 
 
 class TestLaxHopf:
@@ -269,6 +288,15 @@ def desk_value(desk_gram):
     return prob, psi, value_function(prob, psi)
 
 
+@pytest.fixture(scope="module")
+def wide_gram():
+    """1-D 11 x 61 quadratic problem with reach 2 (velocities k/2)."""
+    axis = np.arange(-30, 31) * 0.125
+    stencil = [(k * 0.125,) for k in range(-2, 3)]
+    prob = MaupertuisProblem(np.arange(11) * 0.25, [axis], QUAD, stencil)
+    return prob, maupertuis_dp(prob)
+
+
 class TestDPKernel:
 
     def test_diagonal_zero(self, desk_gram):
@@ -298,7 +326,7 @@ class TestDPKernel:
     def test_matches_shortest_path_oracle(self, desk_gram):
         prob, gram = desk_gram
         dist = min_action_matrix(
-            prob.time_grid, prob.space_axes[0], [-1, 0, 1], lambda v: v * v
+            prob.time_grid, prob.space_axes, [(-1,), (0,), (1,)], lambda v: v[0] * v[0]
         )
         nt, ns = prob.n_time, prob.n_space
         for i in range(nt):
@@ -340,6 +368,14 @@ class TestDPKernel:
         )
         with pytest.raises(SizeError):
             maupertuis_dp(prob)
+
+    def test_matches_shortest_path_oracle_at_11x61_reach_2(self, wide_gram):
+        prob, gram = wide_gram
+        dist = min_action_matrix(
+            prob.time_grid, prob.space_axes, [(k,) for k in range(-2, 3)],
+            lambda v: v[0] * v[0],
+        )
+        assert np.array_equal(gram.matrix, kernel_from_paths(dist))
 
 
 class TestIdempotency:
@@ -421,7 +457,7 @@ class TestValueFunction:
     def test_matches_path_oracle(self, desk_value):
         prob, psi, v = desk_value
         dist = min_action_matrix(
-            prob.time_grid, prob.space_axes[0], [-1, 0, 1], lambda v_: v_ * v_
+            prob.time_grid, prob.space_axes, [(-1,), (0,), (1,)], lambda v_: v_[0] * v_[0]
         )
         ref = backward_value_from_paths(
             dist, prob.n_time, prob.n_space, np.asarray(psi.values)
@@ -472,6 +508,47 @@ class TestValueFunction:
         )
         v2 = value_function(prob, bigger)
         assert np.all(v2.values >= v.values)
+
+    @pytest.mark.parametrize(
+        "lagrangian, offsets",
+        [
+            (ABS, NINE_POINT),
+            (
+                LagrangianSpec(
+                    "table",
+                    velocities=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)),
+                    costs=(0.5, 0.25, 1.0, 0.75, 1.5),
+                ),
+                [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1)],
+            ),
+        ],
+        ids=["absolute-9-point", "table-one-sided"],
+    )
+    def test_2d_matches_path_oracle(self, lagrangian, offsets):
+        prob = plane_problem(7, 13, offsets, lagrangian, claim_reversible=False)
+        rng = np.random.default_rng(5)
+        psi = rng.integers(-8, 9, prob.n_space) / 4.0
+        psi[rng.choice(prob.n_space, 20, replace=False)] = POS_INF
+        v = value_function(prob, GridFunction(prob.space_points(), psi))
+        dist = min_action_matrix(
+            prob.time_grid, prob.space_axes, offsets,
+            lambda vel: float(lagrangian.on_velocities(np.array([vel]))[0]),
+        )
+        ref = backward_value_from_paths(dist, prob.n_time, prob.n_space, psi)
+        assert np.array_equal(v.values, ref.reshape(-1))
+
+    def test_2d_60_squared_stays_within_memory(self):
+        prob = plane_problem(11, 60, NINE_POINT, QUAD, step=0.125)
+        r = prob.space_points().as_array()
+        psi = GridFunction(prob.space_points(), (r * r).sum(axis=1))
+        tracemalloc.start()
+        try:
+            value_function(prob, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One dense 3600 x 3600 step matrix alone would take 104 MB.
+        assert peak < 20e6
 
 
 class TestLargestSubsolution:
@@ -608,6 +685,19 @@ class TestSpaceSliceKernel:
         prob = lattice_problem(0.25, 0.25)
         assert space_slice_kernel(prob, 0, 2).points == prob.space_points()
 
+    def test_every_slice_pair_is_a_dp_block(self, wide_gram):
+        prob, gram = wide_gram
+        ns = prob.n_space
+        for start, stop in itertools.combinations(range(prob.n_time), 2):
+            block = gram.matrix[start * ns : (start + 1) * ns, stop * ns : (stop + 1) * ns]
+            assert np.array_equal(space_slice_kernel(prob, start, stop).matrix, block)
+
+    def test_pair_guard(self):
+        # 40 x 40 space points: 2.56M pairs, above the guard.
+        prob = plane_problem(3, 40, NINE_POINT, QUAD)
+        with pytest.raises(SizeError):
+            space_slice_kernel(prob)
+
 
 class TestInvertTerminalCost:
     def steep_instance(self):
@@ -704,6 +794,22 @@ class TestInvertTerminalCost:
         assert not result.feasible
         assert result.blocking_index == 1
         assert result.psi_T is None
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_coinciding_witnesses_keep_the_earlier_zero(self, order):
+        # Both samples can only anchor at 0.0, where b - y is -0.0 for the
+        # first and 0.0 for the second: the earlier sample's zero is kept.
+        grid = PointSet.make([0.0, 1.0])
+        kernel = GramKernel(grid, np.array([[-0.0, NEG_INF], [-1.0, NEG_INF]]))
+        xs, ys = [0.0, 1.0], [0.0, -1.0]
+        samples = SampleSet(
+            PointSet.make([xs[m] for m in order]), [ys[m] for m in order], grid
+        )
+        result = invert_terminal_cost(samples, kernel)
+        assert result.witness_indices == (0, 0)
+        assert result.psi_T.values[0] == 0.0
+        assert np.signbit(result.psi_T.values[0]) == (order[0] == 0)
+        assert result.psi_T.values[1] == POS_INF
 
     def test_reconstruction_lives_on_space_grid(self):
         prob, _, _, samples, slice_kernel = self.steep_instance()

@@ -33,3 +33,4 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert not list(tmp_path.glob("tropkern-demo-*"))  # temp files removed
