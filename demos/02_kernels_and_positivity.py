@@ -6,8 +6,10 @@ A kernel here is a symmetric table b(x,y) over a finite grid.  The max-plus
 analogue of positive semidefiniteness (tpsd) turns out to be purely
 pairwise: b(x,x) + b(y,y) >= 2 b(x,y) for every pair.  The same property
 can be stated through permutations (no cyclic rearrangement of diagonal
-mass ever gains), and the two verdicts always agree -- which this demo
-checks on a hand-picked matrix and a random one.
+mass ever gains).  Halving the pair inequality bounds every term of a
+permuted sum by the mean of its two diagonal entries, so the pairwise test
+decides the permutation verdict too; this demo shows the two agree on a
+hand-picked matrix and on a broken copy of it.
 """
 
 import numpy as np

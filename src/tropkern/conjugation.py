@@ -34,6 +34,7 @@ from .core import (
     max_plus,
     max_reduce,
     upper_add,
+    upper_add_arrays,
     upper_sub,
     validate_values,
 )
@@ -151,7 +152,7 @@ def is_in_range(op: ConjugationOp, g: GridFunction, tol: float = 1e-9) -> RangeV
     op._check_domain(g)
     bicon = conj_sesqui(op, conj_sesqui(op, g))
     equal = ext_close(g.values, bicon.values, tol)
-    gap = np.where(equal, 0.0, np.asarray([upper_sub(a, b) for a, b in zip(g.values, bicon.values)]))
+    gap = np.where(equal, 0.0, upper_add_arrays(g.values, -bicon.values))
     return RangeVerdict(bool(equal.all()), bicon, GridFunction(g.domain, gap))
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from .core import (
     NEG_INF,
+    PAIR_GUARD,
     POS_INF,
     GridFunction,
     Point,
@@ -51,8 +52,6 @@ from .core import (
 from .conjugation import ConjugationOp, apply_linear, conj_sesqui, is_in_range
 from .kernels import GramKernel, gram_on
 from .representer import SampleSet, feasible_witnesses
-
-PAIR_GUARD = 10**6
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ class PreconditionError(ValueError):
 class SizeError(ValueError):
     """An input exceeds a guard bound meant to keep runtimes desk-scale."""
 
+
+#: Largest element count of a dense pair table (n^2 or n^3 entries) an
+#: operation may build before it raises SizeError.
+PAIR_GUARD = 10**6
+
 #: Value of a supremum over an empty set.
 SUP_EMPTY = NEG_INF
 #: Value of an infimum over an empty set.

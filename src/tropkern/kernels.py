@@ -14,8 +14,6 @@ both constructed explicitly below.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,6 +21,7 @@ import numpy as np
 
 from .core import (
     NEG_INF,
+    PAIR_GUARD,
     POS_INF,
     GridFunction,
     Point,
@@ -32,8 +31,9 @@ from .core import (
     as_point,
     decode_values,
     encode_values,
+    ext_close,
     lower_sub,
-    max_reduce,
+    max_plus,
     validate_values,
 )
 
@@ -170,16 +170,27 @@ class TpsdVerdict:
 
 
 def _symmetry_witness(gram: np.ndarray, tol: float) -> tuple[int, int] | None:
-    """First index pair where the matrix is not symmetric, or None."""
-    n = gram.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = gram[i, j], gram[j, i]
-            if a == b:  # covers matching infinities
-                continue
-            if math.isinf(a) or math.isinf(b) or abs(a - b) > tol:
-                return (i, j)
-    return None
+    """First index pair (i, j), i < j in row-major order, where the matrix is
+    not symmetric within tol (an infinity matches only itself), or None."""
+    bad = np.argwhere(~ext_close(gram, gram.T, tol))
+    return tuple(map(int, bad[0])) if bad.size else None
+
+
+def _tpsd_verdict(gram: np.ndarray, tol: float) -> TpsdVerdict:
+    """Symmetry, then the pair inequality, on a Gram matrix without +inf.
+
+    Both violation sets are symmetric with a clean diagonal, so the first
+    row-major witness is the first pair (i, j) with i < j.
+    """
+    sym = _symmetry_witness(gram, tol)
+    if sym is not None:
+        return TpsdVerdict(False, "symmetry", sym)
+    diag = np.diag(gram)
+    lhs = diag[:, None] + diag[None, :]  # no +inf entries, so no NaN
+    bad = np.argwhere(lhs < gram + gram.T - tol)
+    if bad.size:
+        return TpsdVerdict(False, "positivity", tuple(map(int, bad[0])))
+    return TpsdVerdict(True)
 
 
 def is_tpsd_pairwise(
@@ -200,18 +211,7 @@ def is_tpsd_pairwise(
     Returns:
         A TpsdVerdict (with the violating pair and failed condition if any).
     """
-    gram = gram_on(kernel, points)
-    sym = _symmetry_witness(gram, tol)
-    if sym is not None:
-        return TpsdVerdict(False, "symmetry", sym)
-    diag = np.diag(gram)
-    lhs = diag[:, None] + diag[None, :]  # no +inf entries, so no NaN
-    rhs = gram + gram.T
-    bad = np.argwhere(lhs < rhs - tol)
-    if bad.size:
-        i, j = map(int, bad[0])
-        return TpsdVerdict(False, "positivity", (i, j))
-    return TpsdVerdict(True)
+    return _tpsd_verdict(gram_on(kernel, points), tol)
 
 
 @dataclass(frozen=True)
@@ -235,74 +235,33 @@ def check_permutation_positivity(
     gram: np.ndarray,
     m_max: int,
     tol: float = 1e-9,
-    method: str = "cycles",
 ) -> PermutationVerdict:
     """Verify the permutation inequality on all subsets of size <= m_max.
 
     For every subset {x_1..x_M} and permutation sigma the inequality
     sum_m b(x_m, x_m) >= sum_m b(x_m, x_sigma(m)) must hold (-inf absorbing).
-    Every permutation is a product of disjoint cycles and the inequality is
-    additive across them, so checking cycles over subsets is sufficient;
-    ``method="all_permutations"`` enumerates full permutations as a slow
-    cross-check oracle.
+    For a symmetric kernel it follows from the pair inequality: each term
+    obeys b(x_m, x_sigma(m)) <= (b(x_m, x_m) + b(x_sigma(m), x_sigma(m))) / 2,
+    and the halves sum to the diagonal.  Subsets of one point always pass, so
+    the verdict is symmetry and, when m_max >= 2, pairwise positivity; no
+    subset is enumerated.  With tol > 0 this is the pairwise verdict at tol:
+    a cycle of three or more points may exceed tol while no pair does.
 
     Args:
         gram: Square matrix of kernel values.
-        m_max: Largest subset size; must be <= 8.
+        m_max: Largest subset size.
         tol: Violations must exceed this.
-        method: "cycles" (sufficient) or "all_permutations" (oracle).
 
     Returns:
-        A PermutationVerdict with a witness on failure.
+        A PermutationVerdict; on failure the witness is the first asymmetric
+        or pair-violating (i, j), with the transposition (1, 0) for the latter.
     """
-    if m_max > 8:
-        raise SizeError("m_max larger than 8 is combinatorially explosive")
-    if method not in ("cycles", "all_permutations"):
-        raise ValueError(f"unknown method {method!r}")
     gram = validate_values(gram, "gram")
-    n = gram.shape[0]
-    sym = _symmetry_witness(gram, tol)
-    if sym is not None:
-        return PermutationVerdict(False, sym, None)
-    diag = np.diag(gram)
-    for size in range(1, min(m_max, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            lhs = float(np.sum(diag[list(subset)]))
-            if method == "cycles":
-                # All distinct cycles on the subset: fix the first element,
-                # order the rest.
-                rest = subset[1:]
-                for tail in itertools.permutations(rest):
-                    cycle = (subset[0],) + tail
-                    rhs = float(
-                        sum(
-                            gram[cycle[k], cycle[(k + 1) % size]]
-                            for k in range(size)
-                        )
-                    )
-                    if lhs < rhs - tol:
-                        sigma = _cycle_to_perm(subset, cycle)
-                        return PermutationVerdict(False, subset, sigma)
-            else:
-                for sigma in itertools.permutations(range(size)):
-                    rhs = float(
-                        sum(gram[subset[k], subset[sigma[k]]] for k in range(size))
-                    )
-                    if lhs < rhs - tol:
-                        return PermutationVerdict(False, subset, sigma)
-    return PermutationVerdict(True)
-
-
-def _cycle_to_perm(
-    subset: tuple[int, ...], cycle: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Express a cycle on ``subset`` as sigma over the subset positions."""
-    pos = {v: k for k, v in enumerate(subset)}
-    sigma = list(range(len(subset)))
-    for k, v in enumerate(cycle):
-        nxt = cycle[(k + 1) % len(cycle)]
-        sigma[pos[v]] = pos[nxt]
-    return tuple(sigma)
+    verdict = _tpsd_verdict(gram, tol)
+    positivity = verdict.failure == "positivity"
+    if verdict.is_tpsd or (positivity and min(m_max, gram.shape[0]) < 2):
+        return PermutationVerdict(True)
+    return PermutationVerdict(False, verdict.witness, (1, 0) if positivity else None)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +327,7 @@ class FeatureMap:
 
     def recompose(self) -> np.ndarray:
         """The kernel sup_z psi(x,z) + psi(y,z) as a dense matrix."""
-        # No +inf entries, so plain addition realizes -inf absorption.
-        return max_reduce(self.psi[:, None, :] + self.psi[None, :, :], axis=2)
+        return max_plus(self.psi, self.psi.T)
 
 
 def factorize(gram: GramKernel) -> FeatureMap:
@@ -380,11 +338,14 @@ def factorize(gram: GramKernel) -> FeatureMap:
     entries -inf.  The recomposition sup-product returns the kernel exactly.
 
     Raises:
+        SizeError: If the n x n^2 feature table exceeds PAIR_GUARD entries.
         PreconditionError: If the kernel is not tpsd.
     """
-    _require_tpsd(gram, "factorize")
     b = gram.matrix
     n = b.shape[0]
+    if n**3 > PAIR_GUARD:
+        raise SizeError(f"{n}^3 feature entries exceed the guard of {PAIR_GUARD}")
+    _require_tpsd(gram, "factorize")
     labels = tuple((i, j) for i in range(n) for j in range(n))
     psi = np.full((n, n * n), NEG_INF, dtype=float)
     for i in range(n):

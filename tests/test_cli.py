@@ -110,6 +110,16 @@ class TestPinnedVerdicts:
         assert code == 0
         assert out == {"tpsd": True, "permutation_positive": True}
 
+    def test_check_tpsd_permutation_bound_above_eight(self, capsys, tmp_path):
+        payload = {
+            "kernel": LIP,
+            "points": [[0.25 * i] for i in range(60)],
+            "permutation_m_max": 9,
+        }
+        code, out = invoke(capsys, tmp_path, "check-tpsd", payload)
+        assert code == 0
+        assert out["permutation_positive"] == out["tpsd"]
+
     def test_regularity_conv_three_points(self, capsys, tmp_path):
         payload = {"kernel": CONV, "points": [[-1.0], [0.0], [1.0]]}
         code, out = invoke(capsys, tmp_path, "regularity", payload)
@@ -410,6 +420,13 @@ class TestOtherCommands:
         )
         recomposed = (features[:, None, :] + features[None, :, :]).max(axis=2)
         assert np.array_equal(recomposed, np.array(matrix))
+
+    def test_factorize_size_guard_exits_one(self, capsys, tmp_path):
+        # 101 points: the n x n^2 feature table would hold 1.03M entries.
+        payload = {"kernel": LIP, "points": [[float(i)] for i in range(101)]}
+        code, out = invoke(capsys, tmp_path, "factorize", payload)
+        assert code == 1
+        assert out["error"]["kind"] == "precondition"
 
 
 class TestGoldenOutputs:

@@ -11,7 +11,13 @@ from tropkern.core import (
     PreconditionError,
     dirac,
 )
-from tropkern.kernels import ClosedFormKernel, GramKernel, gram_on, is_tpsd_pairwise
+from tropkern.kernels import (
+    ClosedFormKernel,
+    GramKernel,
+    _symmetry_witness,
+    gram_on,
+    is_tpsd_pairwise,
+)
 from tropkern.conjugation import (
     ConjugationOp,
     apply_linear,
@@ -212,6 +218,12 @@ class TestRangeMembership:
         op = ConjugationOp(GramKernel(pts, m), pts)
         with pytest.raises(PreconditionError):
             is_in_range(op, GridFunction(pts, np.zeros(2)))
+        # Two asymmetric pairs, (1, 2) and (0, 3): the witness is the first
+        # (i, j) with i < j in row-major order.
+        m4 = np.zeros((4, 4))
+        m4[2, 1] = -1.0
+        m4[3, 0] = NEG_INF
+        assert _symmetry_witness(m4, 1e-9) == (0, 3)
 
 
 class TestDiscrepancy:

@@ -1,5 +1,7 @@
 """Kernel families, tpsd checks, decomposition, and factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,19 +243,36 @@ class TestPermutationPositivity:
         assert not verdict.holds
         assert verdict.witness_subset == (0, 1)
 
-    def test_m_max_guard(self):
-        with pytest.raises(SizeError):
-            check_permutation_positivity(BIPARTITE_5, m_max=9)
-
     def test_cycle_method_matches_full_enumeration(self):
+        # Every subset and permutation, enumerated by the oracle, against the
+        # verdict the pair inequality gives; near-tpsd grams by lifting the
+        # diagonal, so both outcomes occur at every size.
         rng = np.random.default_rng(4)
-        for _ in range(30):
-            m = rng.integers(-3, 4, size=(4, 4)).astype(float)
-            m = np.minimum(m, m.T)
-            m[rng.random((4, 4)) < 0.15] = NEG_INF
-            m = np.minimum(m, m.T)
-            got = check_permutation_positivity(m, m_max=4).holds
-            assert got == perm_positive_brute(m, 4)
+        for n in range(2, 8):
+            for scale in (1.0, 0.125):
+                for _ in range(4):
+                    m = rng.integers(-3, 4, size=(n, n)) * scale
+                    m[rng.random((n, n)) < 0.15] = NEG_INF
+                    m = np.minimum(m, m.T)
+                    m[np.diag_indices(n)] += rng.integers(0, 3, size=n) * scale
+                    for m_max in range(1, n + 1):
+                        verdict = check_permutation_positivity(m, m_max=m_max)
+                        assert verdict.holds == perm_positive_brute(m, m_max)
+                        if not verdict.holds:
+                            i, j = verdict.witness_subset
+                            assert i < j
+                            assert m[i, i] + m[j, j] < m[i, j] + m[j, i]
+                            assert verdict.witness_perm == (1, 0)
+
+    def test_tolerance_is_the_pairwise_tolerance(self):
+        # Each pair has slack 3/4 - 1 < 0, but the 3-cycle sums 9/8 > tol
+        # over the diagonal.  The verdict is the pairwise one at tol, so it
+        # holds although the enumeration finds the cycle.
+        m = np.full((3, 3), 0.375)
+        np.fill_diagonal(m, 0.0)
+        assert check_permutation_positivity(m, m_max=3, tol=1.0).holds
+        assert perm_positive_brute(m, 2, tol=1.0)
+        assert not perm_positive_brute(m, 3, tol=1.0)
 
     def test_pairwise_equals_permutation_verdict(self):
         rng = np.random.default_rng(5)
@@ -351,6 +370,26 @@ class TestFactorize:
         b = gram_on(ClosedFormKernel("lip"), pts)
         recomposed = np.max(b[:, None, :] + b[None, :, :], axis=2)
         assert np.allclose(recomposed, b)
+
+    def test_recompose_builds_no_cubic_tensor(self):
+        pts = PointSet.make([float(i) for i in range(60)])
+        gram = GramKernel(pts, gram_on(ClosedFormKernel("lip"), pts))
+        features = factorize(gram)
+        tracemalloc.start()
+        try:
+            recomposed = features.recompose()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(recomposed, gram.matrix)
+        # The (60, 60, 3600) sum alone would take 104 MB.
+        assert peak < 10e6
+
+    def test_size_guard(self):
+        # 101^3 feature entries exceed PAIR_GUARD; nothing is allocated.
+        pts = PointSet.make([float(i) for i in range(101)])
+        with pytest.raises(SizeError):
+            factorize(GramKernel(pts, gram_on(ClosedFormKernel("lip"), pts)))
 
     def test_requires_tpsd(self):
         with pytest.raises(PreconditionError):
