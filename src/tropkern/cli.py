@@ -19,6 +19,7 @@ Extended reals are encoded as numbers, with the strings ``"inf"`` and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -514,8 +515,50 @@ _HANDLERS: dict[str, Handler] = {
 # ---------------------------------------------------------------------------
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def _dump_json(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` json falls back to its pure-Python encoder, so lists of
+    scalars, and lists of non-empty scalar lists, go through one call of the
+    C encoder (``indent=None``) with the newline and indent of ``level`` in
+    the item separator; everything else recurses.  ``obj`` is written as if
+    it sat ``level`` levels deep, so later lines carry that indent.
+    """
+    ind = "\n" + "  " * level
+    pad = ind + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(type(key) is str for key in obj):
+            # json's own key coercion (numbers, bools, None) and error.
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", ind)
+        parts = ["{"]
+        for key in sorted(obj):
+            parts += (pad, json.dumps(key), ": ", _dump_json(obj[key], level + 1), ",")
+        parts[-1] = ind + "}"
+        return "".join(parts)
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    if set(map(type, obj)) <= _SCALAR_TYPES:
+        flat = json.dumps(obj, separators=("," + pad, ": "))
+        return "".join(("[", pad, flat[1:-1], ind, "]"))
+    if all(type(row) is list and row for row in obj) and set(
+        map(type, itertools.chain.from_iterable(obj))
+    ) <= _SCALAR_TYPES:
+        # Rows joined by "]," + pad2 + "[": that text holds a newline, which
+        # ensure_ascii escapes inside every string, so it only ends a row.
+        pad2 = pad + "  "
+        body = json.dumps(obj, separators=("," + pad2, ": "))[2:-2].replace(
+            "]," + pad2 + "[", pad + "]," + pad + "[" + pad2
+        )
+        return "".join(("[", pad, "[", pad2, body, pad, "]", ind, "]"))
+    items = ("," + pad).join([_dump_json(item, level + 1) for item in obj])
+    return "".join(("[", pad, items, ind, "]"))
 
 
 def _csv_lines(fn: GridFunction) -> list[str]:
@@ -525,8 +568,8 @@ def _csv_lines(fn: GridFunction) -> list[str]:
     else:
         header = [f"x{i}" for i in range(dim)]
     lines = [",".join(header + ["value"])]
-    for p, v in zip(fn.domain, fn.values):
-        cells = [repr(float(c)) for c in p] + [str(encode_extreal(float(v)))]
+    for p, v in zip(fn.domain, encode_values(fn.values)):
+        cells = [repr(float(c)) for c in p] + [str(v)]
         lines.append(",".join(cells))
     return lines
 
@@ -535,10 +578,13 @@ def _emit(
     payload: dict, config: RunConfig, grid_fn: GridFunction | None
 ) -> None:
     text = _dump_json(payload)
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(text)
+    sys.stdout.write("\n")
     if config.output_path:
         out = Path(config.output_path)
-        out.write_text(text + "\n")
+        with out.open("w") as fh:
+            fh.write(text)
+            fh.write("\n")
         if grid_fn is not None:
             csv_path = out.with_suffix(".csv")
             csv_path.write_text("\n".join(_csv_lines(grid_fn)) + "\n")

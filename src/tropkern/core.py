@@ -391,11 +391,12 @@ def decode_extreal(obj: float | int | str) -> float:
 
 
 def encode_values(values: np.ndarray) -> list:
-    """Encode a 1-D or 2-D array of extended reals for JSON."""
+    """Encode an array of extended reals for JSON: ``encode_extreal`` per entry."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        return [encode_extreal(v) for v in arr]
-    return [encode_values(row) for row in arr]
+    out = arr.astype(object)
+    out[arr == POS_INF] = "inf"
+    out[arr == NEG_INF] = "-inf"
+    return out.tolist()
 
 
 def decode_values(obj: Sequence) -> np.ndarray:

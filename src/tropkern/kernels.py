@@ -255,11 +255,19 @@ def check_permutation_positivity(
     Returns:
         A PermutationVerdict; on failure the witness is the first asymmetric
         or pair-violating (i, j), with the transposition (1, 0) for the latter.
+
+    Raises:
+        ValueError: ``gram`` holds NaN or +inf, or is not square.
     """
     gram = validate_values(gram, "gram")
+    n = gram.shape[0] if gram.ndim else 0
+    if gram.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {gram.shape}")
+    if (gram == POS_INF).any():
+        raise ValueError("kernel values must be < +inf")
     verdict = _tpsd_verdict(gram, tol)
     positivity = verdict.failure == "positivity"
-    if verdict.is_tpsd or (positivity and min(m_max, gram.shape[0]) < 2):
+    if verdict.is_tpsd or (positivity and min(m_max, n) < 2):
         return PermutationVerdict(True)
     return PermutationVerdict(False, verdict.witness, (1, 0) if positivity else None)
 

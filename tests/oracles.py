@@ -194,27 +194,37 @@ def regularity_brute_all(grams: np.ndarray) -> np.ndarray:
     )
 
 
-def regularity_exhaustive(gram: np.ndarray, chunk: int = 200_000) -> bool:
+def regularity_exhaustive(gram: np.ndarray, chunk: int = 32) -> bool:
     """Genuine exhaustive search over all 5^9 witness matrices.
 
     Enumerates every A with entries in A_ALPHABET and reports whether any
-    satisfies B A B = B exactly.  float32 is exact on these small integers.
+    satisfies B A B = B exactly.  (BAB)_ij = max over (k, l) of
+    B_ik + A_kl + B_lj, so each (position, value) pair gives one 3x3 term and
+    a witness's product is the elementwise max of its nine terms.  The
+    products of all 5^4 choices for positions 0-3 are tabled once, as are
+    those of all 5^5 choices for positions 4-8; every pair of rows of the two
+    tables is one witness, and all pairs are compared.  float32 is exact on
+    these small integers.
     """
     b = np.asarray(gram, dtype=np.float32)
     alpha = np.array(A_ALPHABET, dtype=np.float32)
-    total = len(alpha) ** 9
-    digits = len(alpha)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        a_flat = np.empty((len(idx), 9), dtype=np.float32)
-        rem = idx.copy()
-        for pos in range(9):
-            a_flat[:, pos] = alpha[rem % digits]
-            rem //= digits
-        a = a_flat.reshape(-1, 3, 3)
-        ba = np.max(b[None, :, :, None] + a[:, None, :, :], axis=2)
-        bab = np.max(ba[:, :, :, None] + b[None, None, :, :], axis=2)
-        if np.any(np.all(bab == b[None], axis=(1, 2))):
+    # term[p][v, i, j] = B[i, k] + alpha[v] + B[l, j] for position p = 3k + l.
+    term = [
+        alpha[:, None, None] + b[None, :, k, None] + b[None, None, l, :]
+        for k in range(3)
+        for l in range(3)
+    ]
+
+    def table(positions):
+        prod = term[positions[0]]
+        for p in positions[1:]:
+            prod = np.maximum(prod[:, None], term[p][None]).reshape(-1, 3, 3)
+        return prod
+
+    low, high = table(range(4)), table(range(4, 9))
+    for start in range(0, len(low), chunk):
+        bab = np.maximum(low[start : start + chunk, None], high[None])
+        if np.any(np.all(bab == b, axis=(2, 3))):
             return True
     return False
 

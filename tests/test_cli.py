@@ -5,13 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropkern
-from tropkern.cli import COMMANDS, RunConfig, run, main
+from tropkern.cli import COMMANDS, RunConfig, _dump_json, run, main
+from tropkern.core import NEG_INF, POS_INF, encode_values
 
 BIPARTITE_5 = [
     [0, -1, 0, 0, 0],
@@ -718,3 +722,68 @@ class TestOutputsAndDeterminism:
         payload = {"kernel": LIP, "points": [[0.0], [1.0], [3.0]]}
         _, out = invoke(capsys, tmp_path, "funk", payload)
         assert json.loads(json.dumps(out)) == out
+
+
+# Scalars the writer must print as json does: the infinity strings, signed
+# zero, the extreme floats, and strings that look like the writer's own
+# separators or row boundaries.
+JSON_SCALARS = st.one_of(
+    st.sampled_from(
+        ["inf", "-inf", -0.0, 5e-324, 1e300, True, False, None,
+         ", ", "[", "]", "\n", "],\n  [", "],\n    ["]
+    ),
+    st.integers(),
+    st.floats(),
+    st.text(),
+)
+JSON_KEYS = st.one_of(st.sampled_from(["é", "ключ", "☃", "a, b", "\n"]), st.text())
+
+
+def json_payloads(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.lists(JSON_SCALARS, max_size=4), max_size=4),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+    )
+
+
+def dumps_reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    @settings(deadline=None)
+    @given(st.recursive(JSON_SCALARS, json_payloads, max_leaves=40))
+    def test_matches_json_dumps(self, payload):
+        assert _dump_json(payload) == dumps_reference(payload)
+
+    def test_pinned_shapes(self):
+        payload = {
+            "é": [[], [[]], [[1, "],\n    [", None]], [[[1.5]], [[-0.0]]]],
+            "list": [{"b": [], "a": {}}, [True, False], "x"],
+            "matrix": [[5e-324, "inf"], ["-inf", 1e300]],
+            "": [[], [2]],
+            "scalars": ["\n", ", ", "[", "]", "],\n  ["],
+        }
+        assert _dump_json(payload) == dumps_reference(payload)
+
+    def test_nonstring_keys_and_numpy_leaves(self):
+        payload = {"k": {2: [np.float64(0.5)], 1.5: None, True: (1, 2)}}
+        assert _dump_json(payload) == dumps_reference(payload)
+
+    def test_peak_memory_stays_within_four_outputs(self):
+        # A 671x671 matrix, 87% infinite, as the large least-action ops print.
+        rng = np.random.default_rng(0)
+        m = rng.integers(-50, 50, size=(671, 671)) / 4
+        u = rng.random(m.shape)
+        m[u < 0.435] = POS_INF
+        m[u >= 0.565] = NEG_INF
+        payload = {"matrix": encode_values(m)}
+        size = len(_dump_json(payload))
+        tracemalloc.start()
+        try:
+            _dump_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size

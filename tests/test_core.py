@@ -1,5 +1,6 @@
 """Extended-real arithmetic, grid functions, and JSON encoding."""
 
+import json
 import math
 
 import numpy as np
@@ -239,6 +240,19 @@ class TestJsonEncoding:
     def test_matrix_round_trip(self):
         m = np.array([[0.0, NEG_INF], [POS_INF, -2.5]])
         assert np.array_equal(decode_values(encode_values(m)), m)
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (0, 3), (4, 3), (2, 2, 2)])
+    def test_values_encode_entry_by_entry(self, shape):
+        # json.dumps tells -0.0 from 0.0 (and a float from a numpy scalar).
+        def per_entry(arr):
+            if arr.ndim == 1:
+                return [encode_extreal(v) for v in arr]
+            return [per_entry(row) for row in arr]
+
+        pool = np.array([POS_INF, NEG_INF, -0.0, 0.0, 2.5, -7.0])
+        rng = np.random.default_rng(sum(shape))
+        arr = pool[rng.integers(0, len(pool), size=shape)]
+        assert json.dumps(encode_values(arr)) == json.dumps(per_entry(arr))
 
     def test_decode_rejects_nan_strings(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tropkern.core import NEG_INF, PointSet, PreconditionError, SizeError
+from tropkern.core import NEG_INF, POS_INF, PointSet, PreconditionError, SizeError
 from tropkern.kernels import (
     ClosedFormKernel,
     GramKernel,
@@ -242,6 +242,17 @@ class TestPermutationPositivity:
         )
         assert not verdict.holds
         assert verdict.witness_subset == (0, 1)
+
+    def test_rejects_pos_inf_entry(self):
+        # +inf + -inf on the diagonal would be NaN and pass every comparison.
+        m = np.array([[POS_INF, 0.0], [0.0, NEG_INF]])
+        with pytest.raises(ValueError, match="kernel values must be < \\+inf"):
+            check_permutation_positivity(m, m_max=2)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), ()])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected a .* matrix, got shape"):
+            check_permutation_positivity(np.zeros(shape), m_max=2)
 
     def test_cycle_method_matches_full_enumeration(self):
         # Every subset and permutation, enumerated by the oracle, against the
