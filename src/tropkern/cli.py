@@ -78,23 +78,6 @@ from .representer import (
     regress,
 )
 
-COMMANDS = (
-    "check-tpsd",
-    "factorize",
-    "conjugate",
-    "membership",
-    "funk",
-    "cg-kernel",
-    "regularity",
-    "interpolate",
-    "regress",
-    "maupertuis",
-    "value-function",
-    "invert-stopping-cost",
-    "invert-terminal-cost",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One reproducible CLI invocation.
@@ -104,29 +87,41 @@ class RunConfig:
         input_path: JSON input document.
         output_path: Optional JSON output destination (CSV sibling for grid
             functions).
-        seed: Seed for any randomized check; fixed seed gives bitwise
-            identical output.
         tolerance: Numerical tolerance override for verdicts.
     """
 
     command: str
     input_path: str
     output_path: str | None = None
-    seed: int = 0
     tolerance: float = 1e-9
 
 
 class _SchemaError(Exception):
-    """Input document does not match the command's schema."""
+    """Input document cannot be read (kind ``io``) or does not match the
+    command's schema (kind ``schema``)."""
 
-    def __init__(self, field: str, message: str) -> None:
+    def __init__(self, field: str, message: str, kind: str = "schema") -> None:
         super().__init__(message)
         self.field = field
+        self.kind = kind
 
 
 # ---------------------------------------------------------------------------
 # Schema helpers.
 # ---------------------------------------------------------------------------
+
+
+def _load(path: str) -> Mapping:
+    """The input document, which must be one JSON object."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise _SchemaError("input", str(exc), kind="io") from exc
+    except json.JSONDecodeError as exc:
+        raise _SchemaError("input", str(exc)) from exc
+    if not isinstance(data, Mapping):
+        raise _SchemaError("input", "top level must be a JSON object")
+    return data
 
 
 def _need(data: Mapping, field: str, parent: str = "") -> object:
@@ -167,26 +162,27 @@ def _values(raw: object, field: str) -> np.ndarray:
         raise _SchemaError(field, str(exc)) from exc
 
 
-def _kernel(data: Mapping, field: str = "kernel"):
-    spec = _need(data, field)
+def _kernel(data: Mapping):
+    spec = _need(data, "kernel")
     if not isinstance(spec, Mapping):
-        raise _SchemaError(field, "expected a kernel object")
+        raise _SchemaError("kernel", "expected a kernel object")
     try:
         return kernel_from_spec(spec)
     except (TypeError, ValueError, KeyError) as exc:
-        raise _SchemaError(field, str(exc)) from exc
+        raise _SchemaError("kernel", str(exc)) from exc
 
 
-def _kernel_domain(data: Mapping, kernel, field: str = "points") -> PointSet:
-    """The grid a kernel-based operator acts on.
+def _kernel_domain(data: Mapping):
+    """The kernel and the grid its operator acts on.
 
     Gram kernels carry their grid; closed-form kernels need explicit points.
     """
-    if field in data:
-        return _points(data[field], field, kernel)
+    kernel = _kernel(data)
+    if "points" in data:
+        return kernel, _points(data["points"], "points", kernel)
     if isinstance(kernel, GramKernel):
-        return kernel.points
-    raise _SchemaError(field, "closed-form kernels require explicit points")
+        return kernel, kernel.points
+    raise _SchemaError("points", "closed-form kernels require explicit points")
 
 
 def _grid_function(domain: PointSet, raw: object, field: str) -> GridFunction:
@@ -198,13 +194,15 @@ def _grid_function(domain: PointSet, raw: object, field: str) -> GridFunction:
     return GridFunction(domain, values)
 
 
-def _samples(data: Mapping, kernel):
+def _samples(data: Mapping, kernel, candidates: PointSet | None = None) -> SampleSet:
+    """Samples on the kernel's grid; ``dual_candidates`` unless given."""
     raw = _need(data, "samples")
     xs = _points(_need(raw, "xs", "samples"), "samples.xs", kernel)
     ys = _values(_need(raw, "ys", "samples"), "samples.ys")
     if ys.ndim != 1 or len(ys) != len(xs):
         raise _SchemaError("samples.ys", "one finite target per sample point")
-    candidates = _points(_need(data, "dual_candidates"), "dual_candidates", kernel)
+    if candidates is None:
+        candidates = _points(_need(data, "dual_candidates"), "dual_candidates", kernel)
     if candidates.dim != xs.dim:
         raise _SchemaError(
             "dual_candidates", f"points must have dimension {xs.dim}, as samples.xs"
@@ -227,6 +225,13 @@ def _problem(data: Mapping) -> MaupertuisProblem:
         raise _SchemaError("problem", str(exc)) from exc
 
 
+def _flag(data: Mapping, field: str) -> bool:
+    value = data.get(field, False)
+    if not isinstance(value, bool):
+        raise _SchemaError(field, "expected true or false")
+    return value
+
+
 def _encode_points(points: PointSet) -> list:
     return [list(p) for p in points]
 
@@ -245,8 +250,7 @@ Handler = Callable[[Mapping, RunConfig], tuple[int, dict, GridFunction | None]]
 
 
 def _cmd_check_tpsd(data: Mapping, config: RunConfig):
-    kernel = _kernel(data)
-    points = _kernel_domain(data, kernel)
+    kernel, points = _kernel_domain(data)
     gram = GramKernel(points, gram_on(kernel, points))
     verdict = is_tpsd_pairwise(gram, tol=config.tolerance)
     payload: dict = {"tpsd": verdict.is_tpsd}
@@ -255,7 +259,7 @@ def _cmd_check_tpsd(data: Mapping, config: RunConfig):
         payload["witness"] = list(verdict.witness)
     m_max = data.get("permutation_m_max")
     if m_max is not None:
-        if not isinstance(m_max, int) or m_max < 1:
+        if type(m_max) is not int or m_max < 1:
             raise _SchemaError("permutation_m_max", "expected a positive integer")
         perm = check_permutation_positivity(
             gram.matrix, m_max=m_max, tol=config.tolerance
@@ -265,8 +269,7 @@ def _cmd_check_tpsd(data: Mapping, config: RunConfig):
 
 
 def _cmd_factorize(data: Mapping, config: RunConfig):
-    kernel = _kernel(data)
-    domain = _kernel_domain(data, kernel)
+    kernel, domain = _kernel_domain(data)
     feature_map = factorize(GramKernel(domain, gram_on(kernel, domain)))
     payload = {
         "points": _encode_points(feature_map.points),
@@ -277,8 +280,7 @@ def _cmd_factorize(data: Mapping, config: RunConfig):
 
 
 def _cmd_conjugate(data: Mapping, config: RunConfig):
-    kernel = _kernel(data)
-    domain = _kernel_domain(data, kernel)
+    kernel, domain = _kernel_domain(data)
     f = _grid_function(domain, _need(data, "values"), "values")
     direction = data.get("direction", "sesqui")
     if direction not in ("sesqui", "linear"):
@@ -293,8 +295,7 @@ def _cmd_conjugate(data: Mapping, config: RunConfig):
 
 
 def _cmd_membership(data: Mapping, config: RunConfig):
-    kernel = _kernel(data)
-    domain = _kernel_domain(data, kernel)
+    kernel, domain = _kernel_domain(data)
     g = _grid_function(domain, _need(data, "values"), "values")
     op = ConjugationOp(kernel, domain)
     verdict = is_in_range(op, g, tol=config.tolerance)
@@ -307,8 +308,7 @@ def _cmd_membership(data: Mapping, config: RunConfig):
 
 
 def _cmd_funk(data: Mapping, config: RunConfig):
-    kernel = _kernel(data)
-    domain = _kernel_domain(data, kernel)
+    kernel, domain = _kernel_domain(data)
     op = ConjugationOp(kernel, domain)
     payload = {
         "points": _encode_points(domain),
@@ -339,8 +339,7 @@ def _cmd_cg_kernel(data: Mapping, config: RunConfig):
 
 
 def _cmd_regularity(data: Mapping, config: RunConfig):
-    kernel = _kernel(data)
-    domain = _kernel_domain(data, kernel)
+    kernel, domain = _kernel_domain(data)
     gram = gram_on(kernel, domain)
     verdict = is_von_neumann_regular(gram, tol=config.tolerance)
     payload = {
@@ -385,17 +384,7 @@ def _cmd_regress(data: Mapping, config: RunConfig):
             )
     elif mode != "search":
         raise _SchemaError("mode", "expected 'search' or {'fixed_p': [...]}")
-    try:
-        result = regress(samples, kernel, loss=loss, fixed_p=fixed_p, tol=config.tolerance)
-    except InfeasibleConstraintsError as exc:
-        return (
-            1,
-            {
-                "feasible": False,
-                "negative_cycle": list(exc.cycle) if exc.cycle else None,
-            },
-            None,
-        )
+    result = regress(samples, kernel, loss=loss, fixed_p=fixed_p, tol=config.tolerance)
     payload = {
         "feasible": True,
         "witnesses": [list(p) for p in result.p_star],
@@ -409,13 +398,14 @@ def _cmd_regress(data: Mapping, config: RunConfig):
 
 def _cmd_maupertuis(data: Mapping, config: RunConfig):
     problem = _problem(data)
+    asymmetric = _flag(data, "asymmetric")
     gram = maupertuis_dp(problem)
-    if data.get("asymmetric", False):
+    if asymmetric:
         gram = asymmetrize(gram)
     payload = {
         "points": _encode_points(gram.points),
         "matrix": encode_values(gram.matrix),
-        "asymmetric": bool(data.get("asymmetric", False)),
+        "asymmetric": asymmetric,
     }
     return 0, payload, None
 
@@ -425,14 +415,15 @@ def _cmd_value_function(data: Mapping, config: RunConfig):
     psi = _grid_function(
         problem.space_points(), _need(data, "terminal_values"), "terminal_values"
     )
+    check_extremal = _flag(data, "check_extremal")
     v = value_function(problem, psi)
     payload = {
         "points": _encode_points(v.domain),
         "values": encode_values(v.values),
     }
-    if data.get("check_extremal", False):
+    if check_extremal:
         payload["largest_subsolution"] = largest_subsolution_check(
-            problem, psi, seed=config.seed, tol=config.tolerance
+            problem, psi, tol=config.tolerance
         )
     return 0, payload, v
 
@@ -441,13 +432,7 @@ def _cmd_invert_stopping_cost(data: Mapping, config: RunConfig):
     kernel = _kernel(data)
     if not isinstance(kernel, GramKernel):
         raise _SchemaError("kernel", "stopping-cost inversion needs a gram kernel")
-    raw = _need(data, "samples")
-    xs = _points(_need(raw, "xs", "samples"), "samples.xs")
-    ys = _values(_need(raw, "ys", "samples"), "samples.ys")
-    try:
-        samples = SampleSet(xs, ys, kernel.points)
-    except (TypeError, ValueError) as exc:
-        raise _SchemaError("samples", str(exc)) from exc
+    samples = _samples(data, kernel, kernel.points)
     result = reconstruct_stopping_cost(samples, kernel, tol=config.tolerance)
     out = result.stopping_cost
     payload = {
@@ -462,20 +447,11 @@ def _cmd_invert_stopping_cost(data: Mapping, config: RunConfig):
 def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
     problem = _problem(data)
     start = data.get("start_index", 0)
-    if not isinstance(start, int) or not (0 <= start < problem.n_time - 1):
+    if type(start) is not int or not (0 <= start < problem.n_time - 1):
         raise _SchemaError("start_index", "expected a time index before the last")
     kernel = space_slice_kernel(problem, start, problem.n_time - 1)
-    raw = _need(data, "samples")
-    xs = _points(_need(raw, "xs", "samples"), "samples.xs", kernel)
-    ys = _values(_need(raw, "ys", "samples"), "samples.ys")
-    if "dual_candidates" in data:
-        candidates = _points(data["dual_candidates"], "dual_candidates", kernel)
-    else:
-        candidates = problem.space_points()
-    try:
-        samples = SampleSet(xs, ys, candidates)
-    except (TypeError, ValueError) as exc:
-        raise _SchemaError("samples", str(exc)) from exc
+    candidates = None if "dual_candidates" in data else problem.space_points()
+    samples = _samples(data, kernel, candidates)
     result = invert_terminal_cost(samples, kernel, tol=config.tolerance)
     if not result.feasible:
         return (
@@ -508,6 +484,8 @@ _HANDLERS: dict[str, Handler] = {
     "invert-stopping-cost": _cmd_invert_stopping_cost,
     "invert-terminal-cost": _cmd_invert_terminal_cost,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -592,64 +570,21 @@ def _emit(
 
 def run(config: RunConfig) -> int:
     """Execute one configured invocation; returns the process exit status."""
-    if config.command not in _HANDLERS:
-        _emit(
-            {"error": {"kind": "schema", "field": "command",
-                       "message": f"unknown command {config.command!r}"}},
-            config,
-            None,
-        )
-        return 2
+    grid_fn = None
     try:
-        raw = Path(config.input_path).read_text()
-    except OSError as exc:
-        _emit(
-            {"error": {"kind": "io", "field": "input", "message": str(exc)}},
-            config,
-            None,
-        )
-        return 2
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        _emit(
-            {"error": {"kind": "schema", "field": "input", "message": str(exc)}},
-            config,
-            None,
-        )
-        return 2
-    if not isinstance(data, Mapping):
-        _emit(
-            {"error": {"kind": "schema", "field": "input",
-                       "message": "top level must be a JSON object"}},
-            config,
-            None,
-        )
-        return 2
-    try:
-        code, payload, grid_fn = _HANDLERS[config.command](data, config)
+        handler = _HANDLERS.get(config.command)
+        if handler is None:
+            raise _SchemaError("command", f"unknown command {config.command!r}")
+        code, payload, grid_fn = handler(_load(config.input_path), config)
     except _SchemaError as exc:
-        _emit(
-            {"error": {"kind": "schema", "field": exc.field, "message": str(exc)}},
-            config,
-            None,
-        )
-        return 2
+        code = 2
+        payload = {"error": {"kind": exc.kind, "field": exc.field, "message": str(exc)}}
     except (PreconditionError, SizeError) as exc:
-        _emit(
-            {"error": {"kind": "precondition", "message": str(exc)}},
-            config,
-            None,
-        )
-        return 1
+        code, payload = 1, {"error": {"kind": "precondition", "message": str(exc)}}
     except InfeasibleConstraintsError as exc:
-        _emit(
-            {"feasible": False,
-             "negative_cycle": list(exc.cycle) if exc.cycle else None},
-            config,
-            None,
-        )
-        return 1
+        code = 1
+        payload = {"feasible": False,
+                   "negative_cycle": list(exc.cycle) if exc.cycle else None}
     _emit(payload, config, grid_fn)
     return code
 
@@ -659,19 +594,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="tropkern",
         description="Max-plus kernel computations with JSON/CSV input and output.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="JSON input document")
-        p.add_argument("--output", default=None, help="JSON output destination")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND")
+    parser.add_argument("--input", required=True, help="JSON input document")
+    parser.add_argument("--output", default=None, help="JSON output destination")
+    parser.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
     args = parser.parse_args(argv)
     config = RunConfig(
         command=args.command,
         input_path=args.input,
         output_path=args.output,
-        seed=args.seed,
         tolerance=args.tol,
     )
     return run(config)

@@ -473,8 +473,6 @@ def lift_terminal(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFuncti
 def largest_subsolution_check(
     problem: MaupertuisProblem,
     psi_T: GridFunction,
-    n_random: int = 20,
-    seed: int = 0,
     tol: float = 1e-9,
 ) -> bool:
     """Verify the extremal characterization of the value function on the grid.
@@ -485,12 +483,13 @@ def largest_subsolution_check(
     1. -V lies in the max-plus range of B (double conjugation fixes it);
     2. -V equals the sesquilinear conjugate of the terminal cost lifted by
        +inf off the final slice;
-    3. every sampled range element of the causal kernel whose final slice is
-       pinned to the negated terminal cost dominates -V pointwise;
-    4. the dominance is attained (the pinned element generated from -inf off
-       the final slice equals -V).
+    3. -V is the least range element of the causal kernel whose final slice
+       is pinned to the negated terminal cost: the one generated from -inf
+       off the final slice equals -V.  Every other pinned generator lies
+       above that one, and the causal image is monotone, so every pinned
+       range element dominates -V.
 
-    Returns True iff all four hold.
+    Returns True iff all three hold.
     """
     gram = maupertuis_dp(problem)
     pts = gram.points
@@ -506,21 +505,9 @@ def largest_subsolution_check(
     if not ext_close(conj.values, neg_v.values, tol).all():
         return False
 
-    asym = asymmetrize(gram)
-    op_asym = ConjugationOp(asym, pts)
-    ns = problem.n_space
-    pinned_slice = -np.asarray(psi_T.values, dtype=float)
-    rng = np.random.default_rng(seed)
-    slop = max(tol, 1e-12)
-    for _ in range(n_random):
-        a = rng.normal(0.0, 2.0, len(pts))
-        a[-ns:] = pinned_slice
-        candidate = apply_linear(op_asym, GridFunction(pts, a))
-        if not np.all(candidate.values >= neg_v.values - slop):
-            return False
-
+    op_asym = ConjugationOp(asymmetrize(gram), pts)
     floor_gen = np.full(len(pts), NEG_INF)
-    floor_gen[-ns:] = pinned_slice
+    floor_gen[-problem.n_space:] = -np.asarray(psi_T.values, dtype=float)
     attained = apply_linear(op_asym, GridFunction(pts, floor_gen))
     return bool(ext_close(attained.values, neg_v.values, tol).all())
 

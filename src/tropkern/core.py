@@ -401,6 +401,8 @@ def encode_values(values: np.ndarray) -> list:
 
 def decode_values(obj: Sequence) -> np.ndarray:
     """Decode a (possibly nested) JSON list of extended reals."""
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"expected a list of extended reals, got {type(obj).__name__}")
     if obj and isinstance(obj[0], (list, tuple)):
         return np.array([decode_values(row) for row in obj], dtype=float)
     return np.array([decode_extreal(v) for v in obj], dtype=float)

@@ -471,7 +471,7 @@ class TestBadPointsAreSchemaErrors:
         assert out["error"]["field"] == "points"
         assert "(5.0,)" in out["error"]["message"]
 
-    @pytest.mark.parametrize("command", ["interpolate", "regress"])
+    @pytest.mark.parametrize("command", ["interpolate", "regress", "invert-stopping-cost"])
     def test_samples_off_gram_grid(self, capsys, tmp_path, command):
         payload = {
             "kernel": GRAM_3,
@@ -494,6 +494,20 @@ class TestBadPointsAreSchemaErrors:
         assert code == 2
         assert out["error"]["kind"] == "schema"
         assert out["error"]["field"] == "dual_candidates"
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("invert-stopping-cost", {"kernel": GRAM_3}),
+            ("invert-terminal-cost", {"problem": PROBLEM_4X5}),
+        ],
+    )
+    def test_inverse_targets_one_per_sample(self, capsys, tmp_path, command, payload):
+        payload = {**payload, "samples": {"xs": [[0.0]], "ys": [0.0, 0.0]}}
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "samples.ys"
 
     def test_terminal_samples_off_space_grid(self, capsys, tmp_path):
         payload = {
@@ -557,7 +571,85 @@ class TestBadPointsAreSchemaErrors:
         assert out["error"]["field"] == field
 
 
+def error_stdout(kind, message, field=None):
+    lines = ["{", '  "error": {']
+    if field is not None:
+        lines.append(f'    "field": "{field}",')
+    lines += [f'    "kind": "{kind}",', f'    "message": {json.dumps(message)}', "  }", "}", ""]
+    return "\n".join(lines)
+
+
+# Every error exit of ``run``, with its exact stdout and exit code; the input
+# is ``in.json`` in the working directory (None: the file does not exist).
+PINNED_ERRORS = {
+    "missing-file": (
+        "check-tpsd", None, 2,
+        error_stdout("io", "[Errno 2] No such file or directory: 'in.json'", "input"),
+    ),
+    "malformed-json": (
+        "check-tpsd", "{not json", 2,
+        error_stdout(
+            "schema",
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            "input",
+        ),
+    ),
+    "top-level-array": (
+        "check-tpsd", "[1, 2, 3]", 2,
+        error_stdout("schema", "top level must be a JSON object", "input"),
+    ),
+    "unknown-command": (
+        "transmogrify", "{}", 2,
+        error_stdout("schema", "unknown command 'transmogrify'", "command"),
+    ),
+    "missing-field": (
+        "check-tpsd", "{}", 2,
+        error_stdout("schema", "missing required field", "kernel"),
+    ),
+    "pair-guard": (
+        "maupertuis", json.dumps({"problem": PAIR_GUARD_PROBLEM}), 1,
+        error_stdout("precondition", "1200^2 spacetime pairs exceed the guard of 1000000"),
+    ),
+    "regress-cycle": (
+        "regress",
+        json.dumps({
+            "kernel": CONV,
+            "samples": {"xs": [[0.0], [1.0]], "ys": [0.0, 0.0]},
+            "dual_candidates": [[1.0], [-1.0]],
+            "mode": {"fixed_p": [[1.0], [-1.0]]},
+        }),
+        1,
+        '{\n  "feasible": false,\n  "negative_cycle": [\n    1,\n    0\n  ]\n}\n',
+    ),
+    "interpolate-blocked": (
+        "interpolate",
+        json.dumps({
+            "kernel": CONV,
+            "samples": {"xs": [[0.0], [1.0], [2.0]], "ys": [0.0, 1.0, 0.0]},
+            "dual_candidates": [[-1.0], [0.0], [1.0]],
+        }),
+        1,
+        '{\n  "blocking_index": 2,\n  "feasible": false\n}\n',
+    ),
+}
+
+
 class TestErrorPlumbing:
+    @pytest.mark.parametrize("case", PINNED_ERRORS)
+    def test_pinned_error_bytes(self, capsys, tmp_path, monkeypatch, case):
+        command, text, expected_code, expected = PINNED_ERRORS[case]
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            Path("in.json").write_text(text)
+        if command in COMMANDS:
+            code = main([command, "--input", "in.json", "--output", "out.json"])
+        else:
+            code = run(RunConfig(command, "in.json", output_path="out.json"))
+        out = capsys.readouterr().out
+        assert code == expected_code
+        assert out == expected
+        assert Path("out.json").read_bytes() == out.encode()
+
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(["check-tpsd", "--input", str(tmp_path / "absent.json")])
         out = json.loads(capsys.readouterr().out)
@@ -611,6 +703,62 @@ class TestErrorPlumbing:
 
         assert set(_HANDLERS) == set(COMMANDS)
         assert len(COMMANDS) == 13
+
+
+class TestJsonTypes:
+    """Fields of the wrong JSON type are schema errors naming the field."""
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("conjugate",
+             {"kernel": CONV, "points": [[0.0]], "values": {"0": 1.0}},
+             "values"),
+            ("interpolate",
+             {"kernel": CONV, "samples": {"xs": [[0.0]], "ys": {"0": 1.0}},
+              "dual_candidates": [[0.0]]},
+             "samples.ys"),
+        ],
+    )
+    def test_values_must_be_lists(self, capsys, tmp_path, command, payload, field):
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"] == {
+            "kind": "schema", "field": field,
+            "message": "expected a list of extended reals, got dict",
+        }
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("check-tpsd", {"kernel": GRAM_3, "permutation_m_max": True},
+             "permutation_m_max"),
+            ("invert-terminal-cost",
+             {"problem": PROBLEM_4X5, "samples": {"xs": [[0.0]], "ys": [0.0]},
+              "start_index": True},
+             "start_index"),
+        ],
+    )
+    def test_booleans_are_not_integers(self, capsys, tmp_path, command, payload, field):
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"]["field"] == field
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("value-function",
+             {"problem": PROBLEM_4X5, "terminal_values": [0.0] * 5, "check_extremal": "no"},
+             "check_extremal"),
+            ("maupertuis", {"problem": PROBLEM_4X5, "asymmetric": "no"}, "asymmetric"),
+        ],
+    )
+    def test_flags_must_be_booleans(self, capsys, tmp_path, command, payload, field):
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"] == {
+            "kind": "schema", "field": field, "message": "expected true or false",
+        }
 
 
 class TestOutputsAndDeterminism:
@@ -677,7 +825,7 @@ class TestOutputsAndDeterminism:
             )
         )
         cmd = [sys.executable, "-m", "tropkern", "value-function",
-               "--input", str(path), "--seed", "3"]
+               "--input", str(path)]
         first = subprocess.run(
             cmd, capture_output=True, check=True, env=module_env("1")
         )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropkern.core import (
     NEG_INF,
@@ -42,6 +44,23 @@ def conv_op() -> ConjugationOp:
 
 def dirac_op(points: PointSet) -> ConjugationOp:
     return ConjugationOp(ClosedFormKernel("dirac"), points)
+
+
+# Nonpositive kernel entries, as the least-action kernels have, and
+# generators over the whole extended line; non-dyadic floats included.
+KERNEL_ENTRIES = st.one_of(st.floats(-10.0, 0.0), st.just(NEG_INF))
+GENERATOR_ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([NEG_INF, POS_INF]))
+
+
+@st.composite
+def kernel_and_ordered_generators(draw):
+    """A nonpositive n x n kernel and generators floor <= a, entrywise."""
+    n = draw(st.integers(1, 5))
+    rows = st.lists(KERNEL_ENTRIES, min_size=n, max_size=n)
+    matrix = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
+    vector = st.lists(GENERATOR_ENTRIES, min_size=n, max_size=n)
+    floor = np.array(draw(vector), dtype=float)
+    return matrix, floor, np.maximum(floor, np.array(draw(vector), dtype=float))
 
 
 def random_integer_op(rng, n=4, density=0.2) -> ConjugationOp:
@@ -102,6 +121,18 @@ class TestApplyLinear:
             f[rng.random(4) < 0.15] = NEG_INF
             got = apply_linear(op, GridFunction(op.domain, f))
             assert np.array_equal(got.values, linear_brute(op.matrix, f))
+
+    @settings(deadline=None)
+    @given(kernel_and_ordered_generators())
+    def test_monotone_in_the_generator(self, case):
+        # Float + and max are monotone, so a >= floor gives B a >= B floor
+        # under rounding too: the largest-subsolution check relies on it.
+        matrix, floor, a = case
+        pts = PointSet.make(list(range(len(floor))))
+        op = ConjugationOp(GramKernel(pts, matrix), pts)
+        low = apply_linear(op, GridFunction(pts, floor)).values
+        high = apply_linear(op, GridFunction(pts, a)).values
+        assert np.all(high >= low)
 
 
 class TestDualityProduct:
