@@ -168,7 +168,7 @@ def _kernel(data: Mapping):
         raise _SchemaError("kernel", "expected a kernel object")
     try:
         return kernel_from_spec(spec)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise _SchemaError("kernel", str(exc)) from exc
 
 
@@ -219,7 +219,7 @@ def _problem(data: Mapping) -> MaupertuisProblem:
         raise _SchemaError("problem", "expected a problem object")
     try:
         return MaupertuisProblem.from_spec(spec)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         if isinstance(exc, SizeError):
             raise
         raise _SchemaError("problem", str(exc)) from exc
@@ -230,10 +230,6 @@ def _flag(data: Mapping, field: str) -> bool:
     if not isinstance(value, bool):
         raise _SchemaError(field, "expected true or false")
     return value
-
-
-def _encode_points(points: PointSet) -> list:
-    return [list(p) for p in points]
 
 
 def _f0_payload(interpolant) -> dict:
@@ -272,7 +268,7 @@ def _cmd_factorize(data: Mapping, config: RunConfig):
     kernel, domain = _kernel_domain(data)
     feature_map = factorize(GramKernel(domain, gram_on(kernel, domain)))
     payload = {
-        "points": _encode_points(feature_map.points),
+        "points": feature_map.points,
         "labels": [list(z) for z in feature_map.z_labels],
         "features": encode_values(feature_map.psi),
     }
@@ -288,7 +284,7 @@ def _cmd_conjugate(data: Mapping, config: RunConfig):
     op = ConjugationOp(kernel, domain)
     out = conj_sesqui(op, f) if direction == "sesqui" else apply_linear(op, f)
     payload = {
-        "points": _encode_points(out.domain),
+        "points": out.domain,
         "values": encode_values(out.values),
     }
     return 0, payload, out
@@ -311,7 +307,7 @@ def _cmd_funk(data: Mapping, config: RunConfig):
     kernel, domain = _kernel_domain(data)
     op = ConjugationOp(kernel, domain)
     payload = {
-        "points": _encode_points(domain),
+        "points": domain,
         "matrix": encode_values(funk_kernel(op)),
     }
     return 0, payload, None
@@ -331,7 +327,7 @@ def _cmd_cg_kernel(data: Mapping, config: RunConfig):
         raise _SchemaError("members", str(exc)) from exc
     cg = max_kernel_cG(family)
     payload = {
-        "points": _encode_points(domain),
+        "points": domain,
         "matrix": encode_values(cg),
         "idempotent": is_idempotent(cg, tol=config.tolerance),
     }
@@ -403,7 +399,7 @@ def _cmd_maupertuis(data: Mapping, config: RunConfig):
     if asymmetric:
         gram = asymmetrize(gram)
     payload = {
-        "points": _encode_points(gram.points),
+        "points": gram.points,
         "matrix": encode_values(gram.matrix),
         "asymmetric": asymmetric,
     }
@@ -418,7 +414,7 @@ def _cmd_value_function(data: Mapping, config: RunConfig):
     check_extremal = _flag(data, "check_extremal")
     v = value_function(problem, psi)
     payload = {
-        "points": _encode_points(v.domain),
+        "points": v.domain,
         "values": encode_values(v.values),
     }
     if check_extremal:
@@ -436,7 +432,7 @@ def _cmd_invert_stopping_cost(data: Mapping, config: RunConfig):
     result = reconstruct_stopping_cost(samples, kernel, tol=config.tolerance)
     out = result.stopping_cost
     payload = {
-        "points": _encode_points(out.domain),
+        "points": out.domain,
         "stopping_cost": encode_values(out.values),
         "y_star": encode_values(result.y_star),
         "loss_value": encode_extreal(result.loss_value),
@@ -463,7 +459,7 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
         "feasible": True,
         "witnesses": [list(p) for p in result.witnesses],
         "witness_indices": list(result.witness_indices),
-        "points": _encode_points(result.psi_T.domain),
+        "points": result.psi_T.domain,
         "psi_T": encode_values(result.psi_T.values),
     }
     return 0, payload, result.psi_T
@@ -503,10 +499,15 @@ def _dump_json(obj, level: int = 0) -> str:
     scalars, and lists of non-empty scalar lists, go through one call of the
     C encoder (``indent=None``) with the newline and indent of ``level`` in
     the item separator; everything else recurses.  ``obj`` is written as if
-    it sat ``level`` levels deep, so later lines carry that indent.
+    it sat ``level`` levels deep, so later lines carry that indent.  A
+    ``PointSet`` is written as its list of coordinate lists.
     """
     ind = "\n" + "  " * level
     pad = ind + "  "
+    if isinstance(obj, PointSet):
+        if obj.axes is not None:
+            return _lattice_json(obj.axes, level)
+        return _dump_json([list(p) for p in obj], level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -539,17 +540,52 @@ def _dump_json(obj, level: int = 0) -> str:
     return "".join(("[", pad, items, ind, "]"))
 
 
+def _lattice_text(cells: list[list[str]], sep: str, end: str) -> tuple[list[str], list[str]]:
+    """Per-axis text of a lattice: the cells of the first axis, and for each
+    point of the product of the other axes (C order) its text after the
+    first cell, each further cell led by ``sep`` and the last one followed
+    by ``end``.  ``cells`` holds the text of each axis's coordinates."""
+    rest = [end]
+    for col in reversed(cells[1:]):
+        rest = [sep + c + r for c in col for r in rest]
+    return cells[0], rest
+
+
+def _lattice_json(axes: Sequence[np.ndarray], level: int) -> str:
+    """``_dump_json`` of a lattice's points, written from per-axis text.
+
+    The text after the first coordinate is built once for the inner axes and
+    joined once for each first coordinate, so the cost is the output bytes.
+    """
+    ind = "\n" + "  " * level
+    pad = ind + "  "
+    pad2 = pad + "  "
+    # json's own number text ("Infinity" for inf), one call per axis.
+    cells = [json.dumps(ax.tolist())[1:-1].split(", ") for ax in axes]
+    firsts, rest = _lattice_text(cells, "," + pad2, pad + "]")
+    blocks = []
+    for c in firsts:
+        head = "[" + pad2 + c
+        blocks.append(head + ("," + pad + head).join(rest))
+    return "".join(("[", pad, ("," + pad).join(blocks), ind, "]"))
+
+
 def _csv_lines(fn: GridFunction) -> list[str]:
-    dim = fn.domain.dim
-    if fn.domain.has_time:
+    domain = fn.domain
+    dim = domain.dim
+    if domain.has_time:
         header = ["t"] + [f"x{i}" for i in range(1, dim)]
     else:
         header = [f"x{i}" for i in range(dim)]
-    lines = [",".join(header + ["value"])]
-    for p, v in zip(fn.domain, encode_values(fn.values)):
-        cells = [repr(float(c)) for c in p] + [str(v)]
-        lines.append(",".join(cells))
-    return lines
+    values = [str(v) for v in encode_values(fn.values)]
+    if domain.axes is None:
+        cells = [",".join([repr(float(c)) for c in p]) + "," for p in domain]
+    else:
+        firsts, rest = _lattice_text(
+            [list(map(repr, ax.tolist())) for ax in domain.axes], ",", ","
+        )
+        cells = [c + r for c in firsts for r in rest]
+    return [",".join(header + ["value"])] + list(map(str.__add__, cells, values))
 
 
 def _emit(

@@ -18,8 +18,9 @@ the absorbing rules above are the only infinity semantics in play.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,9 +59,12 @@ def ext(value: float) -> float:
         The value as a float.
 
     Raises:
-        ValueError: If the value is NaN.
+        ValueError: If the value is NaN or an integer too large for a float.
     """
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        raise ValueError("integer too large for a float") from exc
     if math.isnan(out):
         raise ValueError("NaN is not an extended real")
     return out
@@ -225,7 +229,6 @@ def as_point(p: float | Sequence[float]) -> Point:
     return tuple(ext(c) for c in p)
 
 
-@dataclass(frozen=True)
 class PointSet:
     """A finite, ordered set of pairwise-distinct points in R^d.
 
@@ -234,23 +237,26 @@ class PointSet:
     spacetime problems the first coordinate of each point is a time and
     ``has_time`` is set.
 
+    A set is built either from its points, ``PointSet(points)``, or from one
+    coordinate axis per dimension, ``PointSet.lattice(axes)``: the Cartesian
+    product of the axes in C order (first axis slowest).  A lattice answers
+    ``len``, ``dim``, ``as_array``, ``index_of``, ``in`` and ``==`` from its
+    axes; its ``points``, iteration and hash build the point tuples on first
+    use and keep them.  Equality is by points and ``has_time``, whichever
+    way either side was built.
+
     Attributes:
         points: Tuple of coordinate tuples, all of the same dimension.
         has_time: Whether coordinate 0 is a time component.
+        axes: For a lattice, its read-only coordinate axes; None otherwise.
     """
 
-    points: tuple[Point, ...]
-    has_time: bool = False
-    _index: dict[Point, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
-
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: tuple[Point, ...], has_time: bool = False) -> None:
+        if not points:
             raise ValueError("PointSet requires at least one point")
-        dim = len(self.points[0])
+        dim = len(points[0])
         index: dict[Point, int] = {}
-        for i, p in enumerate(self.points):
+        for i, p in enumerate(points):
             if len(p) != dim:
                 raise ValueError("all points must share one dimension")
             for c in p:
@@ -259,7 +265,11 @@ class PointSet:
             if p in index:
                 raise ValueError(f"points must be pairwise distinct, got {p} twice")
             index[p] = i
-        object.__setattr__(self, "_index", index)
+        self._set(_points=points, has_time=has_time, axes=None, _index=index)
+
+    def _set(self, **attrs: object) -> None:
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def make(
@@ -268,8 +278,50 @@ class PointSet:
         """Build from scalars (1-D) or coordinate sequences."""
         return cls(tuple(as_point(p) for p in points), has_time=has_time)
 
+    @classmethod
+    def lattice(
+        cls, axes: Sequence[Iterable[float]], has_time: bool = False
+    ) -> "PointSet":
+        """The C-order product of coordinate axes, held as its axes.
+
+        Raises:
+            ValueError: If there is no axis, or an axis is not a nonempty
+                1-D sequence, holds NaN or repeats a coordinate (0.0 and
+                -0.0 are one coordinate).
+        """
+        arrays = []
+        for ax in axes:
+            arr = np.array(ax, dtype=float)
+            if arr.ndim != 1 or len(arr) == 0:
+                raise ValueError("lattice axes must be nonempty 1-D sequences")
+            if np.isnan(arr).any():
+                raise ValueError("point coordinates must not be NaN")
+            if len(np.unique(arr)) != len(arr):
+                raise ValueError("points must be pairwise distinct: an axis repeats a coordinate")
+            arr.setflags(write=False)
+            arrays.append(arr)
+        if not arrays:
+            raise ValueError("a lattice needs at least one axis")
+        out = cls.__new__(cls)
+        # Per-axis lookup tables: float keys match by ==, so 0.0 finds -0.0.
+        lookups = tuple({c: i for i, c in enumerate(arr.tolist())} for arr in arrays)
+        out._set(_points=None, has_time=has_time, axes=tuple(arrays), _lookups=lookups)
+        return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PointSet is immutable; cannot set {name!r}")
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The point tuples in order (built once for a lattice)."""
+        if self._points is None:
+            self._set(_points=tuple(map(tuple, self.as_array().tolist())))
+        return self._points
+
     def __len__(self) -> int:
-        return len(self.points)
+        if self.axes is None:
+            return len(self._points)
+        return math.prod(len(ax) for ax in self.axes)
 
     def __iter__(self):
         return iter(self.points)
@@ -277,24 +329,62 @@ class PointSet:
     @property
     def dim(self) -> int:
         """Coordinate dimension d."""
-        return len(self.points[0])
+        return len(self._points[0]) if self.axes is None else len(self.axes)
 
     def index_of(self, p: float | Sequence[float]) -> int:
         """Index of a point; raises KeyError if absent."""
         key = as_point(p)
-        if key not in self._index:
-            raise KeyError(f"point {key} is not in the set")
-        return self._index[key]
+        if self.axes is None:
+            if key in self._index:
+                return self._index[key]
+        elif len(key) == len(self.axes):
+            flat = 0
+            for c, lookup in zip(key, self._lookups):
+                i = lookup.get(c)
+                if i is None:
+                    break
+                flat = flat * len(lookup) + i
+            else:
+                return flat
+        raise KeyError(f"point {key} is not in the set")
 
     def __contains__(self, p: object) -> bool:
         try:
-            return as_point(p) in self._index  # type: ignore[arg-type]
-        except (TypeError, ValueError):
+            self.index_of(p)  # type: ignore[arg-type]
+        except (KeyError, TypeError, ValueError):
             return False
+        return True
 
     def as_array(self) -> np.ndarray:
         """Coordinates as an (n, d) float array."""
-        return np.array(self.points, dtype=float)
+        if self.axes is None:
+            return np.array(self._points, dtype=float)
+        grids = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack(grids, axis=-1).reshape(-1, len(self.axes))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        if self is other:
+            return True
+        if self.has_time != other.has_time or len(self) != len(other) or self.dim != other.dim:
+            return False
+        if self.axes is None and other.axes is None:
+            return self._points == other._points
+        if self.axes is not None and other.axes is not None and all(
+            len(a) == len(b) for a, b in zip(self.axes, other.axes)
+        ):
+            return all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
+        return bool((self.as_array() == other.as_array()).all())
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.has_time))
+
+    def __repr__(self) -> str:
+        if self.axes is None:
+            return f"PointSet(points={self._points!r}, has_time={self.has_time!r})"
+        axes = [ax.tolist() for ax in self.axes]
+        return f"PointSet.lattice(axes={axes!r}, has_time={self.has_time!r})"
 
 
 @dataclass(frozen=True)
@@ -393,16 +483,54 @@ def decode_extreal(obj: float | int | str) -> float:
 def encode_values(values: np.ndarray) -> list:
     """Encode an array of extended reals for JSON: ``encode_extreal`` per entry."""
     arr = np.asarray(values, dtype=float)
-    out = arr.astype(object)
+    # Python floats for the finite entries only: the least-action kernels
+    # are mostly infinite, and a float made for each entry and then dropped
+    # leaves the allocator's arenas fragmented.
+    out = np.empty(arr.shape, dtype=object)
+    finite = np.isfinite(arr)
+    out[finite] = arr[finite]
     out[arr == POS_INF] = "inf"
     out[arr == NEG_INF] = "-inf"
     return out.tolist()
 
 
 def decode_values(obj: Sequence) -> np.ndarray:
-    """Decode a (possibly nested) JSON list of extended reals."""
+    """Decode a (possibly nested) JSON list of extended reals.
+
+    The entry types of a list, or of a list of lists, are checked in one
+    pass and one ``np.array`` converts the entries, "inf" and "-inf"
+    included; deeper lists are decoded row by row.
+
+    Raises:
+        TypeError: If ``obj`` or one of its rows is not a list.
+        ValueError: For a bool or other non-number entry, a string other
+            than "inf" and "-inf", NaN, rows of unequal lengths, or an
+            integer too large for a float.
+    """
     if not isinstance(obj, (list, tuple)):
         raise TypeError(f"expected a list of extended reals, got {type(obj).__name__}")
+    entries = obj
     if obj and isinstance(obj[0], (list, tuple)):
-        return np.array([decode_values(row) for row in obj], dtype=float)
-    return np.array([decode_extreal(v) for v in obj], dtype=float)
+        for row in obj:
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(
+                    f"expected a list of extended reals, got {type(row).__name__}"
+                )
+        if any(row and isinstance(row[0], (list, tuple)) for row in obj):
+            return np.array([decode_values(row) for row in obj], dtype=float)
+        entries = list(itertools.chain.from_iterable(obj))
+    types = set(map(type, entries))
+    if not types <= {int, float, str}:
+        bad = next(v for v in entries if type(v) not in (int, float, str))
+        raise ValueError(f"invalid extended-real value {bad!r}")
+    if str in types:
+        bad = next((v for v in entries if type(v) is str and v not in ("inf", "-inf")), None)
+        if bad is not None:
+            raise ValueError(f"invalid extended-real string {bad!r}")
+    try:
+        arr = np.array(obj, dtype=float)
+    except OverflowError as exc:
+        raise ValueError("integer too large for a float") from exc
+    if np.isnan(arr).any():
+        raise ValueError("NaN is not an extended real")
+    return arr

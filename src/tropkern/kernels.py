@@ -136,7 +136,8 @@ def gram_on(
 
     ``cols`` defaults to ``rows``, and ``rows`` to a Gram kernel's own
     points.  A Gram kernel is read by index and raises KeyError for a point
-    off its grid; a closed form is evaluated by its array formula.
+    off its grid (on its own grid, as a writable copy of its matrix); a
+    closed form is evaluated by its array formula.
     """
     if rows is None:
         if not isinstance(kernel, GramKernel):
@@ -144,6 +145,8 @@ def gram_on(
         rows = kernel.points
     cols = rows if cols is None else cols
     if isinstance(kernel, GramKernel):
+        if rows == kernel.points and cols == kernel.points:
+            return kernel.matrix.copy()
         at = kernel.points.index_of
         return kernel.matrix[np.ix_([at(p) for p in rows], [at(p) for p in cols])]
     return kernel.table(rows.as_array(), cols.as_array())

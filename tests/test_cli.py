@@ -1,6 +1,7 @@
 """End-to-end command-line tests: JSON in, JSON/CSV out, exit codes."""
 
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import tropkern
 from tropkern.cli import COMMANDS, RunConfig, _dump_json, run, main
-from tropkern.core import NEG_INF, POS_INF, encode_values
+from tropkern.core import NEG_INF, POS_INF, PointSet, encode_values
 
 BIPARTITE_5 = [
     [0, -1, 0, 0, 0],
@@ -442,6 +443,18 @@ class TestGoldenOutputs:
         assert code == expected_codes[command]
         assert out.encode() == (GOLDEN / f"{command}.stdout").read_bytes()
 
+    def test_lattice_value_function_json_and_csv_bytes(self, capsys, tmp_path):
+        # A 5 x 9 x 9 spacetime lattice; the second space axis holds
+        # non-dyadic coordinates such as 0.20000000000000007.
+        out_path = tmp_path / "v.json"
+        code = main(["value-function", "--input", str(GOLDEN / "value-function-2d.json"),
+                     "--output", str(out_path)])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert out == (GOLDEN / "value-function-2d.stdout").read_bytes()
+        assert out_path.read_bytes() == out
+        assert (tmp_path / "v.csv").read_bytes() == (GOLDEN / "value-function-2d.csv").read_bytes()
+
 
 class TestBadPointsAreSchemaErrors:
     """Points a kernel cannot be read at exit 2 and name the field."""
@@ -761,6 +774,53 @@ class TestJsonTypes:
         }
 
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {**PROBLEM_4X5, "reversible": "no"},
+            {**PROBLEM_4X5, "require_nonneg": "no"},
+            {**PROBLEM_4X5, "reversible": 1},
+            {**PROBLEM_4X5, "lagrangian": {
+                "name": "table", "velocities": [[-1.0], [0.0], [1.0]],
+                "costs": [1.0, 0.0, 1.0], "convex": "no"}},
+        ],
+    )
+    def test_problem_flags_must_be_booleans(self, capsys, tmp_path, problem):
+        payload = {"problem": problem, "terminal_values": [0.0] * 5}
+        code, out = invoke(capsys, tmp_path, "value-function", payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "problem"
+        assert "must be true or false" in out["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("conjugate",
+             {"kernel": CONV, "points": [[0.0]], "values": [10**400]},
+             "values"),
+            ("check-tpsd",
+             {"kernel": {**GRAM_3, "matrix": [[0, -1, -2], [-1, 0, -(10**400)], [-2, -1, 0]]}},
+             "kernel"),
+            ("interpolate",
+             {"kernel": CONV, "samples": {"xs": [[0.0]], "ys": [10**400]},
+              "dual_candidates": [[0.0]]},
+             "samples.ys"),
+            ("conjugate",
+             {"kernel": CONV, "points": [[10**400]], "values": [0.0]},
+             "points"),
+        ],
+    )
+    def test_integers_beyond_float_are_schema_errors(
+        self, capsys, tmp_path, command, payload, field
+    ):
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == field
+        assert "too large for a float" in out["error"]["message"]
+
+
 class TestOutputsAndDeterminism:
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "result.json"
@@ -935,3 +995,35 @@ class TestJsonWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * size
+
+
+# Lattice axes: distinct coordinates with signed zero, negative and
+# non-dyadic values, linspace axes and single-point axes.
+LATTICE_COORDS = st.one_of(
+    st.sampled_from([-0.0, -1.0, 0.1, -1.0 / 3.0, 5e-324, -1e300, float("inf")]),
+    st.floats(allow_nan=False),
+)
+LATTICE_AXES = st.one_of(
+    st.lists(LATTICE_COORDS, min_size=1, max_size=4, unique=True),
+    st.tuples(st.integers(-5, 5), st.integers(1, 7), st.integers(1, 6)).map(
+        lambda t: np.linspace(t[0] / 3, t[0] / 3 + t[1] / 7, t[2]).tolist()
+    ),
+)
+
+
+class TestLatticeWriter:
+    @settings(deadline=None)
+    @given(st.lists(LATTICE_AXES, min_size=1, max_size=3), st.integers(0, 3))
+    def test_matches_json_dumps_of_the_points(self, axes, level):
+        points = [list(p) for p in itertools.product(*axes)]
+        expected = dumps_reference(points).replace("\n", "\n" + "  " * level)
+        assert _dump_json(PointSet.lattice(axes), level) == expected
+
+    def test_lattice_inside_a_payload(self):
+        axes = [[0.0, 0.5], [-0.0, 1.0 / 3.0, 1.0]]
+        points = [list(p) for p in itertools.product(*axes)]
+        lattice = PointSet.lattice(axes, has_time=True)
+        explicit = PointSet(tuple(map(tuple, points)))
+        payload = {"points": lattice, "nested": [{"grid": explicit}], "values": [1.0]}
+        reference = {"points": points, "nested": [{"grid": points}], "values": [1.0]}
+        assert _dump_json(payload) == dumps_reference(reference)

@@ -1,6 +1,7 @@
 """Least-action kernels, value functions, and the two inverse workflows."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,12 @@ class TestLagrangianSpec:
         assert LagrangianSpec.from_spec(table.to_spec()) == table
         assert LagrangianSpec.from_spec(QUAD.to_spec()) == QUAD
 
+    @pytest.mark.parametrize("convex", ["no", "false", 0, 1, None])
+    def test_spec_convex_must_be_boolean(self, convex):
+        spec = {"name": "table", "velocities": [[0.0]], "costs": [0.0], "convex": convex}
+        with pytest.raises(ValueError, match="convex must be true or false"):
+            LagrangianSpec.from_spec(spec)
+
 
 class TestProblemValidation:
     def test_nonuniform_time_grid_rejected(self):
@@ -247,6 +254,20 @@ class TestProblemValidation:
             [(-1.0,), (0.0,), (1.0,)], require_nonneg=False,
         )
         assert prob.n_time == 2
+
+    @pytest.mark.parametrize("key", ["reversible", "require_nonneg"])
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None])
+    def test_spec_flags_must_be_booleans(self, key, value):
+        spec = {"time_grid": [0.0, 1.0], "space_grid": [0.0, 1.0],
+                "stencil": [[-1.0], [0.0], [1.0]], key: value}
+        with pytest.raises(ValueError, match=f"{key} must be true or false"):
+            MaupertuisProblem.from_spec(spec)
+
+    def test_spec_flags_read_booleans(self):
+        spec = {"time_grid": [0.0, 1.0], "space_grid": [0.0, 1.0],
+                "stencil": [[0.0], [1.0]], "reversible": False, "require_nonneg": True}
+        prob = MaupertuisProblem.from_spec(spec)
+        assert not prob.claim_reversible and prob.require_nonneg
 
     def test_stencil_velocities_scale_by_time_step(self):
         prob = lattice_problem(0.25, 0.25)
@@ -549,6 +570,27 @@ class TestValueFunction:
             tracemalloc.stop()
         # One dense 3600 x 3600 step matrix alone would take 104 MB.
         assert peak < 20e6
+
+    def test_2d_101_by_200_squared_runs_on_the_lattice(self):
+        prob = plane_problem(101, 200, NINE_POINT, QUAD, step=0.125)
+        r = prob.space_points().as_array()
+        psi = GridFunction(prob.space_points(), (r * r).sum(axis=1))
+        start = time.perf_counter()
+        v = value_function(prob, psi)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            value_function(prob, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4.04M spacetime points: one tuple per point alone would take about
+        # 500 MB; the values themselves take 32 MB.
+        assert elapsed < 1.0
+        assert peak < 150e6
+        assert len(v.domain) == 101 * 200 * 200
+        assert v.domain.index_of((25.0, -12.5, 12.375)) == ((100 * 200) + 0) * 200 + 199
+        assert np.array_equal(v.values[-prob.n_space:], psi.values)
 
 
 class TestLargestSubsolution:

@@ -1,5 +1,6 @@
 """Extended-real arithmetic, grid functions, and JSON encoding."""
 
+import itertools
 import json
 import math
 
@@ -226,6 +227,81 @@ class TestPointSetAndGridFunction:
         assert f.value_at(1) == 3.0
 
 
+def lattice_and_explicit(axes, has_time=False):
+    """A lattice and the explicit PointSet of the same points in C order."""
+    points = tuple(itertools.product(*[[float(c) for c in ax] for ax in axes]))
+    return PointSet.lattice(axes, has_time=has_time), PointSet(points, has_time=has_time)
+
+
+class TestLatticePointSet:
+    """A lattice behaves as the explicit PointSet of its C-order product."""
+
+    AXES = ([0.0, 0.25, 0.5], [-1.0, -0.0, 1.0 / 3.0], [2.0, 7.5])
+
+    @pytest.mark.parametrize("n_axes", [1, 2, 3])
+    def test_matches_explicit_points(self, n_axes):
+        lattice, explicit = lattice_and_explicit(self.AXES[:n_axes])
+        assert len(lattice) == len(explicit)
+        assert lattice.dim == explicit.dim == n_axes
+        assert list(lattice) == list(explicit)
+        assert lattice.points == explicit.points
+        assert np.array_equal(lattice.as_array(), explicit.as_array())
+        assert lattice.as_array().shape == (len(explicit), n_axes)
+        for i, p in enumerate(explicit):
+            assert lattice.index_of(p) == explicit.index_of(p) == i
+            assert p in lattice
+        assert lattice == explicit and explicit == lattice
+        assert hash(lattice) == hash(explicit)
+
+    def test_first_axis_is_slowest(self):
+        lattice = PointSet.lattice([[0.0, 1.0], [5.0, 6.0, 7.0]])
+        assert lattice.points[:4] == ((0.0, 5.0), (0.0, 6.0), (0.0, 7.0), (1.0, 5.0))
+
+    def test_index_of_signed_zero(self):
+        lattice, explicit = lattice_and_explicit([[-0.0, 1.0], [0.0, 2.0]])
+        for p in [(0.0, -0.0), (-0.0, 0.0), (0, 0)]:
+            assert lattice.index_of(p) == explicit.index_of(p) == 0
+        assert lattice.index_of((1.0, -0.0)) == 2
+
+    @pytest.mark.parametrize(
+        "point", [(0.1, 0.0), (0.0, 0.0, 0.0), (0.0,), (1.0, 3.0), (1.0 + 1e-15, 2.0)]
+    )
+    def test_off_grid_points(self, point):
+        lattice, explicit = lattice_and_explicit([[0.0, 1.0], [0.0, 2.0]])
+        for ps in (lattice, explicit):
+            with pytest.raises(KeyError):
+                ps.index_of(point)
+            assert point not in ps
+        assert "x" not in lattice and [0.0, "y"] not in lattice
+
+    def test_equality_needs_points_order_and_time(self):
+        lattice, explicit = lattice_and_explicit([[0.0, 1.0], [0.0, 2.0]])
+        assert lattice != PointSet(explicit.points[::-1])
+        assert lattice != PointSet(explicit.points, has_time=True)
+        assert lattice != PointSet.lattice([[0.0, 1.0], [0.0, 3.0]])
+        assert lattice != PointSet.lattice([[0.0, 1.0]])
+        assert lattice == PointSet.lattice([np.array([0.0, 1.0]), (-0.0, 2.0)])
+        assert lattice != PointSet.lattice([[0.0, 1.0], [0.0, 2.0]], has_time=True)
+
+    def test_axes_are_read_only_copies(self):
+        axis = np.array([0.0, 1.0])
+        lattice = PointSet.lattice([axis])
+        axis[0] = 5.0
+        assert lattice.points == ((0.0,), (1.0,))
+        with pytest.raises(ValueError):
+            lattice.axes[0][0] = 2.0
+        with pytest.raises(AttributeError):
+            lattice.has_time = True
+
+    @pytest.mark.parametrize(
+        "axes",
+        [[], [[]], [0.0], [[[0.0, 1.0]]], [[0.0, math.nan]], [[0.0, 1.0, 0.0]], [[0.0, -0.0]]],
+    )
+    def test_bad_axes(self, axes):
+        with pytest.raises(ValueError):
+            PointSet.lattice(axes)
+
+
 class TestJsonEncoding:
     @given(ext_reals)
     def test_round_trip(self, v):
@@ -257,3 +333,36 @@ class TestJsonEncoding:
     def test_decode_rejects_nan_strings(self):
         with pytest.raises(ValueError):
             decode_extreal("nan")
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            ([1.0, True], ValueError),
+            ([[1.0], [None]], ValueError),
+            (["inf", "Infinity"], ValueError),
+            ([["-inf", "nan"]], ValueError),
+            ([math.nan], ValueError),
+            ([[1.0, 2.0], [3.0]], ValueError),
+            ([[1.0], 2.0], TypeError),
+            ([1.0, [2.0]], ValueError),
+            ({"0": 1.0}, TypeError),
+            ("inf", TypeError),
+        ],
+    )
+    def test_decode_rejects(self, obj, error):
+        with pytest.raises(error):
+            decode_values(obj)
+
+    @pytest.mark.parametrize("obj", [[10**400], [[1.0, -(10**400)]]])
+    def test_decode_rejects_integers_beyond_float(self, obj):
+        with pytest.raises(ValueError, match="too large for a float"):
+            decode_values(obj)
+
+    def test_decode_keeps_shape_and_signed_zero(self):
+        out = decode_values([[-0.0, "inf", 3], ["-inf", 2**53, 0.5]])
+        assert out.shape == (2, 3)
+        assert math.copysign(1.0, out[0, 0]) == -1.0
+        assert out.tolist() == [[0.0, POS_INF, 3.0], [NEG_INF, 2.0**53, 0.5]]
+        assert decode_values([[[1, 2]], [[3, "inf"]]]).shape == (2, 1, 2)
+        assert decode_values([[]]).shape == (1, 0)
+        assert decode_values([]).shape == (0,)
