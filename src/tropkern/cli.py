@@ -13,7 +13,11 @@ Exit codes:
        (the JSON names the offending field).
 
 Extended reals are encoded as numbers, with the strings ``"inf"`` and
-``"-inf"`` for the two infinities, in both JSON and CSV.
+``"-inf"`` for the two infinities, in both JSON and CSV.  Handlers put
+arrays in their payloads; the writer prints each one from the text of its
+distinct values, with the bytes ``json.dumps(encode_values(array),
+indent=2, sort_keys=True)`` would give.  ``--tol`` must be a finite
+number >= 0.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +50,8 @@ from .control import (
     value_function,
 )
 from .core import (
+    NEG_INF,
+    POS_INF,
     GridFunction,
     Point,
     PointSet,
@@ -53,7 +60,6 @@ from .core import (
     as_point,
     decode_values,
     encode_extreal,
-    encode_values,
 )
 from .kernels import (
     GramKernel,
@@ -270,7 +276,7 @@ def _cmd_factorize(data: Mapping, config: RunConfig):
     payload = {
         "points": feature_map.points,
         "labels": [list(z) for z in feature_map.z_labels],
-        "features": encode_values(feature_map.psi),
+        "features": feature_map.psi,
     }
     return 0, payload, None
 
@@ -285,7 +291,7 @@ def _cmd_conjugate(data: Mapping, config: RunConfig):
     out = conj_sesqui(op, f) if direction == "sesqui" else apply_linear(op, f)
     payload = {
         "points": out.domain,
-        "values": encode_values(out.values),
+        "values": out.values,
     }
     return 0, payload, out
 
@@ -297,8 +303,8 @@ def _cmd_membership(data: Mapping, config: RunConfig):
     verdict = is_in_range(op, g, tol=config.tolerance)
     payload = {
         "in_range": verdict.in_range,
-        "gap": encode_values(verdict.gap.values),
-        "biconjugate": encode_values(verdict.biconjugate.values),
+        "gap": verdict.gap.values,
+        "biconjugate": verdict.biconjugate.values,
     }
     return 0, payload, None
 
@@ -308,7 +314,7 @@ def _cmd_funk(data: Mapping, config: RunConfig):
     op = ConjugationOp(kernel, domain)
     payload = {
         "points": domain,
-        "matrix": encode_values(funk_kernel(op)),
+        "matrix": funk_kernel(op),
     }
     return 0, payload, None
 
@@ -328,7 +334,7 @@ def _cmd_cg_kernel(data: Mapping, config: RunConfig):
     cg = max_kernel_cG(family)
     payload = {
         "points": domain,
-        "matrix": encode_values(cg),
+        "matrix": cg,
         "idempotent": is_idempotent(cg, tol=config.tolerance),
     }
     return 0, payload, None
@@ -357,7 +363,7 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
         "witnesses": [list(p) for p in wit.witnesses],
         "witness_indices": list(wit.witness_indices),
         "f0": _f0_payload(f0),
-        "values_at_xs": encode_values(f0.on_grid(samples.xs).values),
+        "values_at_xs": f0.on_grid(samples.xs).values,
     }
     return 0, payload, None
 
@@ -384,7 +390,7 @@ def _cmd_regress(data: Mapping, config: RunConfig):
     payload = {
         "feasible": True,
         "witnesses": [list(p) for p in result.p_star],
-        "y_star": encode_values(result.y_star),
+        "y_star": result.y_star,
         "loss_value": encode_extreal(result.loss_value),
         "exact": result.exact,
         "f0": _f0_payload(result.interpolant),
@@ -400,7 +406,7 @@ def _cmd_maupertuis(data: Mapping, config: RunConfig):
         gram = asymmetrize(gram)
     payload = {
         "points": gram.points,
-        "matrix": encode_values(gram.matrix),
+        "matrix": gram.matrix,
         "asymmetric": asymmetric,
     }
     return 0, payload, None
@@ -415,7 +421,7 @@ def _cmd_value_function(data: Mapping, config: RunConfig):
     v = value_function(problem, psi)
     payload = {
         "points": v.domain,
-        "values": encode_values(v.values),
+        "values": v.values,
     }
     if check_extremal:
         payload["largest_subsolution"] = largest_subsolution_check(
@@ -433,8 +439,8 @@ def _cmd_invert_stopping_cost(data: Mapping, config: RunConfig):
     out = result.stopping_cost
     payload = {
         "points": out.domain,
-        "stopping_cost": encode_values(out.values),
-        "y_star": encode_values(result.y_star),
+        "stopping_cost": out.values,
+        "y_star": result.y_star,
         "loss_value": encode_extreal(result.loss_value),
     }
     return 0, payload, out
@@ -460,7 +466,7 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
         "witnesses": [list(p) for p in result.witnesses],
         "witness_indices": list(result.witness_indices),
         "points": result.psi_T.domain,
-        "psi_T": encode_values(result.psi_T.values),
+        "psi_T": result.psi_T.values,
     }
     return 0, payload, result.psi_T
 
@@ -500,10 +506,13 @@ def _dump_json(obj, level: int = 0) -> str:
     C encoder (``indent=None``) with the newline and indent of ``level`` in
     the item separator; everything else recurses.  ``obj`` is written as if
     it sat ``level`` levels deep, so later lines carry that indent.  A
-    ``PointSet`` is written as its list of coordinate lists.
+    ``PointSet`` is written as its list of coordinate lists, and a 1-D or
+    2-D ``np.ndarray`` as ``encode_values`` of it (``_array_parts``).
     """
     ind = "\n" + "  " * level
     pad = ind + "  "
+    if isinstance(obj, np.ndarray):
+        return "".join(_array_parts(obj, level))
     if isinstance(obj, PointSet):
         if obj.axes is not None:
             return _lattice_json(obj.axes, level)
@@ -516,7 +525,14 @@ def _dump_json(obj, level: int = 0) -> str:
             return json.dumps(obj, indent=2, sort_keys=True).replace("\n", ind)
         parts = ["{"]
         for key in sorted(obj):
-            parts += (pad, json.dumps(key), ": ", _dump_json(obj[key], level + 1), ",")
+            parts += (pad, json.dumps(key), ": ")
+            value = obj[key]
+            # An array's parts join the dict's, so its text is copied once.
+            if isinstance(value, np.ndarray):
+                parts += _array_parts(value, level + 1)
+            else:
+                parts.append(_dump_json(value, level + 1))
+            parts.append(",")
         parts[-1] = ind + "}"
         return "".join(parts)
     if not isinstance(obj, (list, tuple)):
@@ -538,6 +554,84 @@ def _dump_json(obj, level: int = 0) -> str:
         return "".join(("[", pad, "[", pad2, body, pad, "]", ind, "]"))
     items = ("," + pad).join([_dump_json(item, level + 1) for item in obj])
     return "".join(("[", pad, items, ind, "]"))
+
+
+# Entries per block of the array writer, so that its codes and lookups stay
+# small next to the text it writes whatever the array's size.
+_BLOCK = 1 << 16
+
+# The text of +inf, -inf and NaN, as json and str write encode_values'
+# "inf", "-inf" and None.
+_JSON_NONFINITE = ('"inf"', '"-inf"', "null")
+_CSV_NONFINITE = ("inf", "-inf", "None")
+
+
+def _entry_texts(
+    values: np.ndarray,
+    nonfinite: tuple[str, str, str],
+    sep: str = "",
+    row_len: int = 0,
+    row_sep: str = "",
+) -> list[str]:
+    """The text of each entry of ``values`` in C order, followed by ``sep``,
+    or by ``row_sep`` if it ends a row of ``row_len`` entries.
+
+    A finite value is written by ``float.__repr__``, as json writes it, once
+    per distinct bit pattern (so -0.0 stays apart from 0.0) in each block of
+    ``_BLOCK`` entries; +inf, -inf and NaN by ``nonfinite``.  The entries
+    are mapped to their texts through integer codes.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    # Filled in place: a list grown block by block left the allocator
+    # holding more of the process's peak resident set.
+    out = [""] * flat.size
+    for start in range(0, flat.size, _BLOCK):
+        chunk = flat[start:start + _BLOCK]
+        finite = np.isfinite(chunk)
+        bits, finite_codes = np.unique(chunk[finite].view(np.int64), return_inverse=True)
+        texts = list(map(float.__repr__, bits.view(float).tolist()))
+        texts += nonfinite
+        codes = np.full(chunk.size, len(texts) - 1)
+        codes[chunk == POS_INF] = len(texts) - 3
+        codes[chunk == NEG_INF] = len(texts) - 2
+        codes[finite] = finite_codes
+        table = [t + sep for t in texts]
+        if row_len:
+            table += [t + row_sep for t in texts]
+            codes[(row_len - 1 - start) % row_len::row_len] += len(texts)
+        out[start:start + _BLOCK] = np.array(table, dtype=object)[codes].tolist()
+    return out
+
+
+def _array_parts(arr: np.ndarray, level: int) -> list[str]:
+    """Texts that join to ``_dump_json(encode_values(arr), level)`` for a
+    1-D or 2-D array.
+
+    Each entry's text carries the separator that follows it, so the array
+    is one list of per-entry texts and is joined once, with the payload
+    around it.
+    """
+    if arr.ndim not in (1, 2):
+        raise TypeError(f"cannot write a {arr.ndim}-D array as JSON")
+    ind = "\n" + "  " * level
+    pad = ind + "  "
+    if not arr.size:
+        if arr.ndim == 1 or not len(arr):
+            return ["[]"]
+        return ["[", pad, ("," + pad).join(["[]"] * len(arr)), ind, "]"]
+    if arr.ndim == 1:
+        head, row_sep, tail = "[" + pad, "," + pad, ind + "]"
+        parts = _entry_texts(arr, _JSON_NONFINITE, row_sep)
+    else:
+        pad2 = pad + "  "
+        head, tail = "[" + pad + "[" + pad2, pad + "]" + ind + "]"
+        row_sep = pad + "]," + pad + "[" + pad2
+        parts = _entry_texts(arr, _JSON_NONFINITE, "," + pad2, arr.shape[1], row_sep)
+    # The last entry ends a row: the closing text takes the place of its
+    # row separator.
+    parts[0] = head + parts[0]
+    parts[-1] = parts[-1][: -len(row_sep)] + tail
+    return parts
 
 
 def _lattice_text(cells: list[list[str]], sep: str, end: str) -> tuple[list[str], list[str]]:
@@ -577,7 +671,7 @@ def _csv_lines(fn: GridFunction) -> list[str]:
         header = ["t"] + [f"x{i}" for i in range(1, dim)]
     else:
         header = [f"x{i}" for i in range(dim)]
-    values = [str(v) for v in encode_values(fn.values)]
+    values = _entry_texts(fn.values, _CSV_NONFINITE)
     if domain.axes is None:
         cells = [",".join([repr(float(c)) for c in p]) + "," for p in domain]
     else:
@@ -625,6 +719,17 @@ def run(config: RunConfig) -> int:
     return code
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number >= 0 (NaN would pass every comparison)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tropkern",
@@ -633,7 +738,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS, metavar="COMMAND")
     parser.add_argument("--input", required=True, help="JSON input document")
     parser.add_argument("--output", default=None, help="JSON output destination")
-    parser.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="numerical tolerance")
     args = parser.parse_args(argv)
     config = RunConfig(
         command=args.command,

@@ -135,6 +135,8 @@ class LagrangianSpec:
         """Build from a JSON-style mapping {"name": ..., ...}."""
         if isinstance(spec, LagrangianSpec):
             return spec
+        if not isinstance(spec, Mapping):
+            raise TypeError("a running cost must be a JSON object")
         name = spec.get("name")
         if name == "table":
             return cls(

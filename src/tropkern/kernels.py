@@ -14,8 +14,10 @@ both constructed explicitly below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+import math
+import numbers
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +39,24 @@ from .core import (
     validate_values,
 )
 
+if TYPE_CHECKING:
+    from .control import LagrangianSpec
+
 CLOSED_FORM_NAMES = ("conv", "sconv", "lip", "dirac", "power_distance", "lax_hopf")
+
+
+def _number_param(params: Mapping[str, object], key: str) -> float:
+    """The finite number ``params[key]`` (default 1); booleans are refused."""
+    value = params.get(key, 1.0)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"param {key!r} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"param {key!r} must be finite")
+    return number
 
 
 @dataclass(frozen=True)
@@ -85,15 +104,37 @@ class ClosedFormKernel:
         lax_hopf:        least-action cost between spacetime points for a
                          convex state-independent running cost
                          (param ``lagrangian``: a running-cost spec mapping).
+
+    The params are checked when the kernel is built: ``alpha`` and ``p``
+    must be finite numbers and ``p`` nonnegative (a negative power divides
+    by the zero distance on the diagonal), and ``lagrangian`` must be a
+    running-cost spec.
+
+    Raises:
+        TypeError, ValueError, KeyError: For an unknown name or a bad param.
     """
 
     name: str
     params: Mapping[str, object] = None  # type: ignore[assignment]
+    _lagrangian: LagrangianSpec | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.name not in CLOSED_FORM_NAMES:
             raise ValueError(f"unknown closed-form kernel {self.name!r}")
-        object.__setattr__(self, "params", dict(self.params or {}))
+        params = dict(self.params or {})
+        object.__setattr__(self, "params", params)
+        if self.name == "lip":
+            _number_param(params, "alpha")
+        elif self.name == "power_distance" and _number_param(params, "p") < 0:
+            raise ValueError("param 'p' must be >= 0")
+        elif self.name == "lax_hopf":
+            # Local import: the control module imports this one.
+            from .control import LagrangianSpec
+
+            spec = params.get("lagrangian", {"name": "quadratic"})
+            object.__setattr__(self, "_lagrangian", LagrangianSpec.from_spec(spec))
 
     def eval(self, x: float | Sequence[float], y: float | Sequence[float]) -> float:
         """b(x, y): the 1x1 case of ``table``."""
@@ -108,11 +149,9 @@ class ClosedFormKernel:
         if self.name == "dirac":
             return np.where((xs[:, None, :] == ys[None, :, :]).all(axis=2), 0.0, NEG_INF)
         if self.name == "lax_hopf":
-            # Defer to the control module (local import avoids a cycle).
-            from .control import LagrangianSpec, lax_hopf_table
+            from .control import lax_hopf_table
 
-            lag = LagrangianSpec.from_spec(self.params.get("lagrangian", {"name": "quadratic"}))
-            return lax_hopf_table(lag, xs, ys)
+            return lax_hopf_table(self._lagrangian, xs, ys)
         diff = xs[:, None, :] - ys[None, :, :]
         if self.name == "sconv":
             return -np.sum(diff * diff, axis=2)

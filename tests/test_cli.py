@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropkern
-from tropkern.cli import COMMANDS, RunConfig, _dump_json, run, main
+from tropkern.cli import _BLOCK, COMMANDS, RunConfig, _csv_lines, _dump_json, run, main
 from tropkern.core import NEG_INF, POS_INF, PointSet, encode_values
 
 BIPARTITE_5 = [
@@ -455,6 +456,17 @@ class TestGoldenOutputs:
         assert out_path.read_bytes() == out
         assert (tmp_path / "v.csv").read_bytes() == (GOLDEN / "value-function-2d.csv").read_bytes()
 
+    def test_stopping_cost_csv_with_infinity_and_signed_zero(self, capsys, tmp_path):
+        # The stopping cost is [-0.0, inf, 2.0].
+        out_path = tmp_path / "s.json"
+        code = main(["invert-stopping-cost", "--input",
+                     str(GOLDEN / "invert-stopping-cost.json"), "--output", str(out_path)])
+        out = capsys.readouterr().out.encode()
+        assert code == 0
+        assert out_path.read_bytes() == out == (GOLDEN / "invert-stopping-cost.stdout").read_bytes()
+        expected = (GOLDEN / "invert-stopping-cost.csv").read_bytes()
+        assert (tmp_path / "s.csv").read_bytes() == expected
+
 
 class TestBadPointsAreSchemaErrors:
     """Points a kernel cannot be read at exit 2 and name the field."""
@@ -711,6 +723,44 @@ class TestErrorPlumbing:
         assert code == 2
         assert out["error"]["field"] == "command"
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("lip", '{"alpha": "abc"}'),
+            ("lip", '{"alpha": 1e400}'),
+            ("lip", '{"alpha": true}'),
+            ("lip", '{"alpha": 1' + "0" * 400 + "}"),
+            ("power_distance", '{"p": -1}'),
+            ("power_distance", '{"p": NaN}'),
+            ("lax_hopf", '{"lagrangian": {"name": "bogus"}}'),
+            ("lax_hopf", '{"lagrangian": "quadratic"}'),
+        ],
+        ids=["alpha-str", "alpha-1e400", "alpha-bool", "alpha-400-digits", "p-negative",
+             "p-nan", "lagrangian-bogus", "lagrangian-str"],
+    )
+    def test_bad_closed_form_params(self, capsys, tmp_path, name, params):
+        path = tmp_path / "in.json"
+        path.write_text(
+            f'{{"kernel": {{"type": "closed_form", "name": "{name}", "params": {params}}},'
+            ' "points": [[0.0, 0.0], [1.0, 1.0]]}'
+        )
+        code = main(["check-tpsd", "--input", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "kernel"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tmp_path, tol):
+        # [[0, 5], [5, 0]] is not positive; a NaN tolerance called it tpsd.
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kernel": {
+            "type": "gram", "points": [[0.0], [1.0]], "matrix": [[0, 5], [5, 0]]}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["check-tpsd", "--input", str(path), "--tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_all_commands_registered(self):
         from tropkern.cli import _HANDLERS
 
@@ -792,6 +842,13 @@ class TestJsonTypes:
         assert out["error"]["kind"] == "schema"
         assert out["error"]["field"] == "problem"
         assert "must be true or false" in out["error"]["message"]
+
+    @pytest.mark.parametrize("lagrangian", ["quadratic", ["quadratic"], None])
+    def test_running_cost_must_be_an_object(self, capsys, tmp_path, lagrangian):
+        payload = {"problem": {**PROBLEM_4X5, "lagrangian": lagrangian}}
+        code, out = invoke(capsys, tmp_path, "maupertuis", payload)
+        assert code == 2
+        assert out["error"]["field"] == "problem"
 
     @pytest.mark.parametrize(
         "command, payload, field",
@@ -980,21 +1037,93 @@ class TestJsonWriter:
         assert _dump_json(payload) == dumps_reference(payload)
 
     def test_peak_memory_stays_within_four_outputs(self):
-        # A 671x671 matrix, 87% infinite, as the large least-action ops print.
-        rng = np.random.default_rng(0)
-        m = rng.integers(-50, 50, size=(671, 671)) / 4
-        u = rng.random(m.shape)
-        m[u < 0.435] = POS_INF
-        m[u >= 0.565] = NEG_INF
-        payload = {"matrix": encode_values(m)}
-        size = len(_dump_json(payload))
-        tracemalloc.start()
-        try:
-            _dump_json(payload)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * size
+        assert peak_over_output({"matrix": encode_values(least_action_like_matrix())}) <= 4
+
+
+def least_action_like_matrix():
+    """A 671x671 matrix, 87% infinite, as the large least-action ops print."""
+    rng = np.random.default_rng(0)
+    m = rng.integers(-50, 50, size=(671, 671)) / 4
+    u = rng.random(m.shape)
+    m[u < 0.435] = POS_INF
+    m[u >= 0.565] = NEG_INF
+    return m
+
+
+def peak_over_output(payload):
+    """The traced peak of writing ``payload``, over the output's length."""
+    size = len(_dump_json(payload))
+    tracemalloc.start()
+    try:
+        _dump_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / size
+
+
+# Array entries: signed zeros, infinities, NaN, subnormals, huge and
+# non-dyadic values.
+SPECIAL_VALUES = [0.0, -0.0, POS_INF, NEG_INF, float("nan"), 5e-324, -2.5e-320,
+                  1e300, -1e300, 1 / 3, 0.1, -2.0]
+ARRAY_VALUES = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+SMALL_ARRAYS = st.one_of(
+    st.lists(ARRAY_VALUES, max_size=7).map(np.array),
+    st.integers(0, 7).flatmap(
+        lambda m: st.lists(st.lists(ARRAY_VALUES, min_size=m, max_size=m), max_size=7)
+        .map(lambda rows: np.array(rows).reshape(len(rows), m))
+    ),
+)
+# Shapes at a block edge: empty arrays, one entry short of and past a
+# block, rows longer than a block, and rows that straddle block edges at
+# different offsets.
+EDGE_SHAPES = [(0,), (0, 3), (4, 0), (_BLOCK - 1,), (_BLOCK + 1,), (2, _BLOCK + 1),
+               (3, _BLOCK // 3 + 1), (_BLOCK // 7 + 1, 7)]
+
+
+def edge_array(shape):
+    rng = np.random.default_rng(len(shape) * _BLOCK + shape[-1])
+    return rng.choice(np.array(SPECIAL_VALUES), size=shape)
+
+
+def csv_values(values):
+    """The value column ``_csv_lines`` writes for ``values``."""
+    fn = SimpleNamespace(domain=PointSet.lattice([np.arange(len(values), dtype=float)]),
+                         values=values)
+    lines = _csv_lines(fn)
+    assert lines[0] == "x0,value"
+    return [line.split(",")[1] for line in lines[1:]]
+
+
+def check_array_text(arr, level):
+    # Compared line by line: a failure names its first line, where a diff
+    # of two megabyte strings would take minutes.
+    expected = dumps_reference(encode_values(arr)).replace("\n", "\n" + "  " * level)
+    assert _dump_json(arr, level).split("\n") == expected.split("\n")
+    if arr.ndim == 1 and arr.size:
+        assert csv_values(arr) == [str(v) for v in encode_values(arr)]
+
+
+class TestArrayWriter:
+    @settings(deadline=None)
+    @given(SMALL_ARRAYS, st.integers(0, 3))
+    def test_matches_json_dumps_and_str_of_encoded_values(self, arr, level):
+        check_array_text(arr, level)
+
+    @pytest.mark.parametrize("level", [0, 3])
+    @pytest.mark.parametrize("shape", EDGE_SHAPES)
+    def test_block_edges(self, shape, level):
+        check_array_text(edge_array(shape), level)
+
+    def test_arrays_inside_a_payload(self):
+        m = np.array([[-0.0, POS_INF], [NEG_INF, 0.1]])
+        payload = {"m": m, "rows": [m[0], {"v": m[:, 1]}], "empty": np.zeros((2, 0))}
+        reference = {"m": encode_values(m), "rows": [encode_values(m[0]), {"v": encode_values(m[:, 1])}],
+                     "empty": [[], []]}
+        assert _dump_json(payload) == dumps_reference(reference)
+
+    def test_peak_memory_stays_within_two_and_a_half_outputs(self):
+        assert peak_over_output({"matrix": least_action_like_matrix()}) <= 2.5
 
 
 # Lattice axes: distinct coordinates with signed zero, negative and

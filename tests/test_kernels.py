@@ -169,6 +169,26 @@ class TestClosedFormEval:
         with pytest.raises(ValueError):
             ClosedFormKernel("nope")
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("lip", {"alpha": "abc"}),
+            ("lip", {"alpha": POS_INF}),
+            ("lip", {"alpha": True}),
+            ("lip", {"alpha": 10**400}),
+            ("power_distance", {"p": -0.5}),
+            ("power_distance", {"p": float("nan")}),
+            ("lax_hopf", {"lagrangian": {"name": "bogus"}}),
+            ("lax_hopf", {"lagrangian": {"name": "table"}}),
+        ],
+    )
+    def test_bad_params_rejected_when_built(self, name, params):
+        with pytest.raises((TypeError, ValueError, KeyError)):
+            ClosedFormKernel(name, params)
+
+    def test_zero_power_is_allowed(self):
+        assert ClosedFormKernel("power_distance", {"p": 0}).eval(0.0, 0.0) == -1.0
+
 
 class TestTpsd:
     def test_bipartite_matrix(self):
