@@ -80,8 +80,6 @@ from .linear_theory import (
 )
 from .representer import (
     CanonicalInterpolant,
-    DCSolution,
-    DifferenceConstraintSystem,
     InfeasibleConstraintsError,
     RegressionResult,
     SampleSet,
@@ -91,7 +89,6 @@ from .representer import (
     feasible_witnesses,
     reconstruct_stopping_cost,
     regress,
-    solve_difference_constraints,
 )
 from .control import (
     LagrangianSpec,

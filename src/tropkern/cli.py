@@ -502,9 +502,10 @@ def _dump_json(obj, level: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     With ``indent`` json falls back to its pure-Python encoder, so lists of
-    scalars, and lists of non-empty scalar lists, go through one call of the
-    C encoder (``indent=None``) with the newline and indent of ``level`` in
-    the item separator; everything else recurses.  ``obj`` is written as if
+    scalars, lists of non-empty scalar lists, and lists of pairs
+    [non-empty scalar list, scalar] go through one call of the C encoder
+    (``indent=None``) with the newline and indent of ``level`` in the item
+    separator; everything else recurses.  ``obj`` is written as if
     it sat ``level`` levels deep, so later lines carry that indent.  A
     ``PointSet`` is written as its list of coordinate lists, and a 1-D or
     2-D ``np.ndarray`` as ``encode_values`` of it (``_array_parts``).
@@ -552,6 +553,18 @@ def _dump_json(obj, level: int = 0) -> str:
             "]," + pad2 + "[", pad + "]," + pad + "[" + pad2
         )
         return "".join(("[", pad, "[", pad2, body, pad, "]", ind, "]"))
+    if all(type(item) is list and len(item) == 2 and type(item[0]) is list and item[0]
+           for item in obj) and set(map(type, itertools.chain.from_iterable(
+               [*item[0], item[1]] for item in obj))) <= _SCALAR_TYPES:
+        # Pairs [scalar list, scalar], as the f0 terms.  A separator after a
+        # list ("]," + pad3) is followed by "[" between pairs and by the
+        # scalar inside a pair.
+        pad2, pad3 = pad + "  ", pad + "    "
+        body = json.dumps(obj, separators=("," + pad3, ": "))[3:-2]
+        body = body.replace(
+            "]," + pad3 + "[[", pad + "]," + pad + "[" + pad2 + "[" + pad3
+        ).replace("]," + pad3, pad2 + "]," + pad2)
+        return "".join(("[", pad, "[", pad2, "[", pad3, body, pad, "]", ind, "]"))
     items = ("," + pad).join([_dump_json(item, level + 1) for item in obj])
     return "".join(("[", pad, items, ind, "]"))
 

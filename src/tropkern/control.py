@@ -33,6 +33,7 @@ witness search over the final slice).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -142,7 +143,7 @@ class LagrangianSpec:
             return cls(
                 "table",
                 velocities=tuple(as_point(v) for v in spec["velocities"]),
-                costs=tuple(float(c) for c in spec["costs"]),
+                costs=tuple(_cost(c) for c in spec["costs"]),
                 convex_flag=_spec_flag(spec, "convex", False),
             )
         return cls(str(name))
@@ -350,6 +351,13 @@ class MaupertuisProblem:
             claim_reversible=_spec_flag(spec, "reversible", True),
             require_nonneg=_spec_flag(spec, "require_nonneg", True),
         )
+
+
+def _cost(value: object) -> float:
+    """A table cost: a JSON number; booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"table costs must be numbers, got {type(value).__name__}")
+    return float(value)
 
 
 def _spec_flag(spec: Mapping[str, object], key: str, default: bool) -> bool:

@@ -91,6 +91,10 @@ class GramKernel:
         return GramKernel(self.points, self.matrix.T)
 
 
+# The params each closed form reads; any other key is an error.
+_CLOSED_FORM_PARAMS = {"lip": ("alpha",), "power_distance": ("p",), "lax_hopf": ("lagrangian",)}
+
+
 @dataclass(frozen=True)
 class ClosedFormKernel:
     """A named closed-form kernel evaluated on demand.
@@ -105,10 +109,10 @@ class ClosedFormKernel:
                          convex state-independent running cost
                          (param ``lagrangian``: a running-cost spec mapping).
 
-    The params are checked when the kernel is built: ``alpha`` and ``p``
-    must be finite numbers and ``p`` nonnegative (a negative power divides
-    by the zero distance on the diagonal), and ``lagrangian`` must be a
-    running-cost spec.
+    The params are checked when the kernel is built: a form takes no param
+    but its own, ``alpha`` and ``p`` must be finite numbers and ``p``
+    nonnegative (a negative power divides by the zero distance on the
+    diagonal), and ``lagrangian`` must be a running-cost spec.
 
     Raises:
         TypeError, ValueError, KeyError: For an unknown name or a bad param.
@@ -125,6 +129,9 @@ class ClosedFormKernel:
             raise ValueError(f"unknown closed-form kernel {self.name!r}")
         params = dict(self.params or {})
         object.__setattr__(self, "params", params)
+        unknown = sorted(set(params) - set(_CLOSED_FORM_PARAMS.get(self.name, ())), key=str)
+        if unknown:
+            raise ValueError(f"unknown param(s) {unknown} for kernel {self.name!r}")
         if self.name == "lip":
             _number_param(params, "alpha")
         elif self.name == "power_distance" and _number_param(params, "p") < 0:

@@ -14,19 +14,26 @@ section can reproduce y_m.  The canonical interpolant is then
 the largest function below the data that this form can produce, and it
 matches the data exactly.
 
+Every anchor decision is read from the one table b(x_k, p) over the samples
+and the dual candidates.  Whether p can serve sample m depends on p alone
+through the principal solution min_k (y_k - b(x_k, p)) of the max-plus
+column span of b(., p) (Cuninghame-Green, Minimax Algebra, 1979; Butkovic,
+Max-linear Systems, 2010), so all samples are decided at once.
+
 With anchors fixed, the exchange inequalities are difference constraints
 y_n - y_m >= c on the targets, so regression (minimally perturbing the y's
 into feasibility) reduces to one max-plus closure D of the constraint gaps.
 A cycle whose gaps sum, exactly, to more than 0 certifies infeasibility;
 otherwise both fits are read off D exactly: the sup-norm fit in closed
-form, the l1 fit as the potentials of a min-cost flow on the dual.
+form, the l1 fit as the potentials of a min-cost flow on the dual.  An
+anchor search drops the assignments with a positive two-cycle before it
+closes any system.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,34 +114,33 @@ class WitnessResult:
 def feasible_witnesses(
     samples: SampleSet, kernel: KernelRep, tol: float = 1e-9
 ) -> WitnessResult:
-    """Search candidate anchors for each sample and report feasibility.
+    """Choose one anchor per sample from the candidates, or report the first
+    sample that none can serve.
 
-    For sample m, candidate p is valid when b(x_m, p) is finite and
-    y_n - y_m >= b(x_n, p) - b(x_m, p) - tol for every n (lower difference);
-    the constraint set decomposes across m because the anchor of sample m
-    only enters constraints with m on the right.  Among valid candidates the
-    one with the smallest total slack
-    sum_n [(y_n - y_m) - (b(x_n, p) - b(x_m, p))] is chosen, ties broken by
-    lowest candidate index.  If some sample has no valid candidate the result
-    is infeasible and reports the first such sample.
+    With u[k, p] = y_k - b(x_k, p) (+inf where b is -inf, a vacuous
+    constraint), candidate p is valid for sample m when b(x_m, p) is finite
+    and y_k - y_m >= b(x_k, p) - b(x_m, p) - tol for every k, that is
+    min_k u[k, p] - u[m, p] >= -tol.  The constraint set decomposes across m
+    because the anchor of sample m only enters constraints with m on the
+    right.  Among valid candidates the one with the smallest total slack
+    sum_k u[k, p] - n u[m, p] is chosen, ties (also at +inf) broken by
+    lowest candidate index.  In exact arithmetic this is the per-sample
+    rule on y_k - y_m - (b(x_k, p) - b(x_m, p)); on floats that are not
+    exact (neither integers nor dyadic) a candidate within rounding of the
+    -tol boundary, or a near-tie of totals, may resolve either way.
     """
     n = len(samples)
     bxp = gram_on(kernel, samples.xs, samples.dual_candidates)  # (n, n_cand)
-    y = samples.ys
-    chosen: list[int] = []
-    for m in range(n):
-        # need[k, p] = b(x_k, p) - b(x_m, p), lower difference.
-        need = lower_add_arrays(bxp, -bxp[m][None, :])
-        slack = (y - y[m])[:, None] - need
-        valid = (slack.min(axis=0) >= -tol) & (bxp[m] > NEG_INF)
-        valid_idx = np.flatnonzero(valid)
-        if len(valid_idx) == 0:
-            return WitnessResult(False, None, None, m)
-        # Valid columns have every slack >= -tol, so each sum is finite or
-        # +inf (vacuous constraints), never NaN; argmin keeps the lowest
-        # index on ties, including the all-vacuous case.
-        totals = np.array([slack[:, j].sum() for j in valid_idx])
-        chosen.append(int(valid_idx[int(np.argmin(totals))]))
+    u = samples.ys[:, None] - bxp
+    # NaN (inf - inf) only where b(x_m, p) is -inf, which is never valid.
+    with np.errstate(invalid="ignore"):
+        valid = (bxp > NEG_INF) & (u.min(axis=0) - u >= -tol)
+        totals = u.sum(axis=0) - n * u
+    blocked = np.flatnonzero(~valid.any(axis=1))
+    if blocked.size:
+        return WitnessResult(False, None, None, int(blocked[0]))
+    least = np.where(valid, totals, POS_INF).min(axis=1, keepdims=True)
+    chosen = np.argmax(valid & (totals == least), axis=1).tolist()
     points = tuple(samples.dual_candidates.points[k] for k in chosen)
     return WitnessResult(True, points, tuple(chosen), None)
 
@@ -180,12 +186,10 @@ def _sections(
     return table[:, [column[p] for p in points]]
 
 
-def _exchange_gaps(
-    samples: SampleSet, kernel: KernelRep, anchors: tuple[Point, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+def _exchange_gaps(sections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Self-evaluations b(x_m, p_m) and gaps[k, m] = b(x_k, p_m) - b(x_m, p_m)
-    (lower difference; meaningful where the self-evaluation is finite)."""
-    sections = _sections(kernel, samples.xs, anchors)
+    (lower difference; meaningful where the self-evaluation is finite) from
+    sections[k, m] = b(x_k, p_m)."""
     self_eval = np.diag(sections)
     return self_eval, lower_add_arrays(sections, -self_eval)
 
@@ -206,7 +210,7 @@ def build_f0(
     if len(witnesses) != n:
         raise ValueError("one witness per sample is required")
     y = samples.ys
-    self_eval, need = _exchange_gaps(samples, kernel, witnesses)
+    self_eval, need = _exchange_gaps(_sections(kernel, samples.xs, witnesses))
     finite = np.isfinite(self_eval)
     violated = y[:, None] - y[None, :] < need - tol  # [k, m]
     failing = np.flatnonzero(~finite | violated.any(axis=0))
@@ -222,114 +226,6 @@ def build_f0(
         )
     offsets = tuple(float(v) for v in y - self_eval)
     return CanonicalInterpolant(kernel, tuple(witnesses), offsets)
-
-
-@dataclass(frozen=True)
-class DifferenceConstraintSystem:
-    """Constraints y_n - y_m >= c with optional per-variable boxes.
-
-    Attributes:
-        n_vars: Number of variables.
-        constraints: Triples (n, m, c) encoding y_n - y_m >= c.  A +inf gap
-            is rejected (unsatisfiable by finite values); -inf gaps are
-            vacuous and dropped.
-        lower: Per-variable lower bounds (-inf where absent).
-        upper: Per-variable upper bounds (+inf where absent).
-    """
-
-    n_vars: int
-    constraints: tuple[tuple[int, int, float], ...]
-    lower: np.ndarray = field(default=None)  # type: ignore[assignment]
-    upper: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.n_vars <= 0:
-            raise ValueError("at least one variable is required")
-        kept = []
-        for n, m, c in self.constraints:
-            if not (0 <= n < self.n_vars and 0 <= m < self.n_vars):
-                raise ValueError("constraint index out of range")
-            c = float(c)
-            if np.isnan(c):
-                raise ValueError("constraint gap must not be NaN")
-            if c == POS_INF:
-                raise ValueError(
-                    "a +inf gap admits no finite solution; reject at construction"
-                )
-            if c == NEG_INF or (n == m and c <= 0):
-                continue
-            if n == m:
-                raise ValueError("self-constraint with positive gap is infeasible")
-            kept.append((int(n), int(m), c))
-        object.__setattr__(self, "constraints", tuple(kept))
-        lower = self._coerce_bound(self.lower, NEG_INF)
-        upper = self._coerce_bound(self.upper, POS_INF)
-        if (lower == POS_INF).any():
-            raise ValueError("lower bounds must be < +inf")
-        if (upper == NEG_INF).any():
-            raise ValueError("upper bounds must be > -inf")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    def _coerce_bound(self, bound, default: float) -> np.ndarray:
-        if bound is None:
-            arr = np.full(self.n_vars, default)
-        else:
-            arr = np.asarray(bound, dtype=float).reshape(-1).copy()
-            if len(arr) != self.n_vars:
-                raise ValueError("one bound per variable is required")
-            if np.isnan(arr).any():
-                raise ValueError("bounds must not be NaN")
-        arr.setflags(write=False)
-        return arr
-
-
-@dataclass(frozen=True)
-class DCSolution:
-    """Solver outcome for a difference constraint system.
-
-    Attributes:
-        feasible: Whether a solution exists.
-        assignment: If feasible, a finite solution; componentwise greatest
-            among solutions respecting the boxes (coordinates the system
-            leaves unbounded above are anchored at a finite level derived
-            from the data, as documented on the solver).
-        negative_cycle: If infeasible, variable indices along a cycle whose
-            constraint gaps sum exactly (math.fsum) to more than 0, so they
-            cannot all hold; -1 stands for the box node when the conflict
-            involves box bounds.
-    """
-
-    feasible: bool
-    assignment: np.ndarray | None
-    negative_cycle: list[int] | None
-
-
-def solve_difference_constraints(system: DifferenceConstraintSystem) -> DCSolution:
-    """Solve y_n - y_m >= c with boxes through the max-plus closure.
-
-    The boxes become arcs to one extra node z held at 0: lo_i <= y_i is
-    y_i - y_z >= lo_i and y_i <= hi_i is y_z - y_i >= -hi_i.  The closure D
-    on the n + 1 nodes gives the componentwise-greatest solution
-    y_i = -D[z, i]; a cycle of positive exact weight certifies
-    infeasibility.  A coordinate without an upper bound is capped at
-    1 + sum|finite bounds| + 2 sum|c|, above every level a bound chain can
-    force, so the returned assignment is finite; any larger value would also
-    be feasible on the coordinates that cap reaches.
-    """
-    n = system.n_vars
-    gaps = np.full((n + 1, n + 1), NEG_INF)
-    for a, m, c in system.constraints:
-        gaps[a, m] = max(gaps[a, m], c)
-    bounds = np.concatenate([system.lower, system.upper])
-    cap = (1.0 + np.abs(bounds[np.isfinite(bounds)]).sum()
-           + 2.0 * sum(abs(c) for _, _, c in system.constraints))
-    gaps[:n, n] = system.lower
-    gaps[n, :n] = -np.where(system.upper < POS_INF, system.upper, cap)
-    closure, cycle = _closure(gaps)
-    if cycle is not None:
-        return DCSolution(False, None, [(-1 if v == n else v) for v in cycle])
-    return DCSolution(True, -closure[n, :n], None)
 
 
 def _closure(gaps: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
@@ -402,6 +298,13 @@ def _fit_sup_norm(closure: np.ndarray, ybar: np.ndarray) -> np.ndarray:
     keeps eps* >= 0)."""
     eps = 0.5 * float(np.max(closure - np.subtract.outer(ybar, ybar)))
     return _greatest_below(closure, ybar + eps)
+
+
+def _fit(closure: np.ndarray, ybar: np.ndarray, loss: str) -> tuple[np.ndarray, float]:
+    """The fitted targets for ``loss`` and their distance from ``ybar``."""
+    fitted = (_fit_sup_norm if loss == "sup_norm" else _fit_l1)(closure, ybar)
+    deviation = np.abs(fitted - ybar)
+    return fitted, float(deviation.max() if loss == "sup_norm" else deviation.sum())
 
 
 def _fit_l1(closure: np.ndarray, ybar: np.ndarray) -> np.ndarray:
@@ -501,12 +404,17 @@ def regress(
     (ybar_k - ybar_m)), the l1 fit solves a min-cost flow on n + 1 nodes.
 
     Without ``fixed_p`` the anchors are searched over the candidate set.
-    When the number of anchor assignments is within a fixed budget every
-    assignment is fitted and the best kept (a tie goes to the least
-    constraining assignment); otherwise each sample starts at the candidate
-    minimizing its total constraint violation against the raw targets, then
-    anchor choice and fit alternate until stable and the best visited
-    configuration is returned.  Either way ``exact`` is False.
+    When the number of anchor assignments is within a fixed budget
+    (SEARCH_ENUMERATION_BUDGET, counted over all candidates), every
+    assignment of usable anchors is taken from one table b(x_k, p); those
+    with a positive two-cycle, gaps[k, m] + gaps[m, k] > 0, are dropped
+    unfitted, since the closure would reject them, and each other one is
+    closed and fitted.  The best is kept (a tie within 1e-12 goes to the
+    least constraining assignment) and refitted once through the fixed-anchor
+    path.  Beyond the budget each sample starts at the candidate minimizing
+    its total constraint violation against the raw targets, then anchor
+    choice and fit alternate until stable and the best visited configuration
+    is returned.  Either way ``exact`` is False.
 
     Raises InfeasibleConstraintsError when no configuration is feasible.
     """
@@ -538,7 +446,7 @@ def _regress_fixed(
 ) -> RegressionResult:
     if len(anchors) != len(samples):
         raise ValueError("one anchor per sample is required")
-    self_eval, gaps = _exchange_gaps(samples, kernel, anchors)
+    self_eval, gaps = _exchange_gaps(_sections(kernel, samples.xs, anchors))
     np.fill_diagonal(gaps, NEG_INF)
     if not np.isfinite(self_eval).all() or (gaps == POS_INF).any():
         raise InfeasibleConstraintsError(
@@ -549,10 +457,7 @@ def _regress_fixed(
         raise InfeasibleConstraintsError(
             "exchange constraints admit no solution", cycle=cycle
         )
-    y = samples.ys
-    fitted = (_fit_sup_norm if loss == "sup_norm" else _fit_l1)(closure, y)
-    deviation = np.abs(fitted - y)
-    loss_value = float(deviation.max() if loss == "sup_norm" else deviation.sum())
+    fitted, loss_value = _fit(closure, samples.ys, loss)
     fitted_samples = SampleSet(samples.xs, fitted, samples.dual_candidates)
     interp = build_f0(fitted_samples, anchors, kernel, tol=max(tol, 1e-6))
     return RegressionResult(
@@ -561,13 +466,11 @@ def _regress_fixed(
     )
 
 
-def _violation_scores(
-    samples: SampleSet, kernel: KernelRep, y: np.ndarray
-) -> np.ndarray:
-    """scores[m, p] = total violation of candidate p for sample m (inf bad)."""
-    bxp = gram_on(kernel, samples.xs, samples.dual_candidates)
-    n = len(samples)
-    scores = np.zeros((n, len(samples.dual_candidates)))
+def _violation_scores(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """scores[m, p] = total violation of candidate p for sample m (inf bad),
+    from bxp[k, p] = b(x_k, p)."""
+    n = len(y)
+    scores = np.zeros(bxp.shape)
     for m in range(n):
         need = lower_add_arrays(bxp, -bxp[m][None, :])
         violation = np.maximum(need - (y - y[m])[:, None], 0.0)
@@ -583,53 +486,81 @@ SEARCH_ENUMERATION_BUDGET = 20_000
 the alternating heuristic below is used instead."""
 
 
+def _assignments(usable: list[np.ndarray]) -> np.ndarray:
+    """Every anchor assignment, one row of candidate indices per assignment,
+    in ``itertools.product(*usable)`` order."""
+    sizes = [len(u) for u in usable]
+    return np.stack([
+        np.tile(np.repeat(u, math.prod(sizes[m + 1:])), math.prod(sizes[:m]))
+        for m, u in enumerate(usable)
+    ], axis=1)
+
+
+def _drop_two_cycles(bxp: np.ndarray, assignments: np.ndarray) -> np.ndarray:
+    """The assignments without a positive two-cycle: for k < m, the gaps
+    w = (b(x_k, p_m) - b(x_m, p_m)) + (b(x_m, p_k) - b(x_k, p_k)) may not
+    exceed 0.
+
+    Every anchor is usable (b(x_m, p_m) finite), so the plain differences
+    below are the gaps' lower differences, and a rounded sum of two floats
+    is positive exactly when their exact sum is: the closure rejects every
+    assignment dropped here.
+    """
+    keep = assignments
+    for k in range(len(bxp) - 1):
+        # t[i, p] = b(x_k, p) - b(x_{k+1+i}, p); NaN (both -inf) is never
+        # read, and -t is the gap of sample k+1+i against an anchor of k.
+        with np.errstate(invalid="ignore"):
+            t = bxp[k] - bxp[k + 1:]
+        rows = np.arange(len(t))
+        w = t[rows, keep[:, k + 1:]] - t[rows, keep[:, k, None]]
+        keep = keep[~(w > 0).any(axis=1)]
+    return keep
+
+
 def _regress_enumerate(
     samples: SampleSet, kernel: KernelRep, loss: str, tol: float
 ) -> RegressionResult:
     candidates = samples.dual_candidates
     bxp = gram_on(kernel, samples.xs, candidates)
-    usable = [np.flatnonzero(bxp[m] > NEG_INF) for m in range(len(samples))]
+    usable = [np.flatnonzero(row > NEG_INF) for row in bxp]
     if any(len(u) == 0 for u in usable):
         raise InfeasibleConstraintsError("some sample admits no usable anchor")
     n = len(samples)
-    best: RegressionResult | None = None
-    best_mass = POS_INF
-    for combo in itertools.product(*usable):
-        idx = tuple(int(k) for k in combo)
-        anchors = tuple(candidates.points[k] for k in idx)
-        try:
-            result = _regress_fixed(samples, kernel, loss, anchors, idx, tol)
-        except InfeasibleConstraintsError:
+    best: np.ndarray | None = None
+    best_loss = best_mass = POS_INF
+    for idx in _drop_two_cycles(bxp, _assignments(usable)):
+        sections = bxp[:, idx]
+        self_eval, gaps = _exchange_gaps(sections)
+        np.fill_diagonal(gaps, NEG_INF)
+        closure, cycle = _closure(gaps)
+        if cycle is not None:
             continue
+        _, loss_value = _fit(closure, samples.ys, loss)
         # Exact optima often tie across assignments; a tie goes to the least
         # constraining one, with the smallest total exchange gap
         # sum_{k,m} b(x_k, p_m) - b(x_m, p_m), whatever the enumeration order.
-        mass = float(bxp[:, list(idx)].sum() - n * bxp[np.arange(n), list(idx)].sum())
-        if best is None or result.loss_value < best.loss_value - 1e-12 or (
-            result.loss_value <= best.loss_value + 1e-12 and mass < best_mass
+        mass = float(sections.sum() - n * self_eval.sum())
+        if best is None or loss_value < best_loss - 1e-12 or (
+            loss_value <= best_loss + 1e-12 and mass < best_mass
         ):
-            best, best_mass = result, mass
+            best, best_loss, best_mass = idx, loss_value, mass
     if best is None:
         raise InfeasibleConstraintsError("no anchor assignment is feasible")
-    return best
+    chosen = tuple(best.tolist())
+    anchors = tuple(candidates.points[k] for k in chosen)
+    return _regress_fixed(samples, kernel, loss, anchors, chosen, tol)
 
 
 def _regress_search(
     samples: SampleSet, kernel: KernelRep, loss: str, tol: float
 ) -> RegressionResult:
     candidates = samples.dual_candidates
-    y0 = np.asarray(samples.ys, dtype=float)
     if len(candidates) ** len(samples) <= SEARCH_ENUMERATION_BUDGET:
-        best = _regress_enumerate(samples, kernel, loss, tol)
-        return RegressionResult(
-            best.y_star,
-            best.p_star,
-            best.p_indices,
-            best.loss_value,
-            best.interpolant,
-            exact=False,
-        )
-    scores = _violation_scores(samples, kernel, y0)
+        return replace(_regress_enumerate(samples, kernel, loss, tol), exact=False)
+    bxp = gram_on(kernel, samples.xs, candidates)
+    y0 = samples.ys
+    scores = _violation_scores(bxp, y0)
     if not np.isfinite(scores.min(axis=1)).all():
         raise InfeasibleConstraintsError("some sample admits no usable anchor")
     current = tuple(int(np.argmin(row)) for row in scores)
@@ -647,18 +578,11 @@ def _regress_search(
         if result is not None and (best is None or result.loss_value < best.loss_value):
             best = result
         probe_y = result.y_star if result is not None else y0
-        scores = _violation_scores(samples, kernel, probe_y)
+        scores = _violation_scores(bxp, probe_y)
         current = tuple(int(np.argmin(row)) for row in scores)
     if best is None:
         raise InfeasibleConstraintsError("anchor search found no feasible anchors")
-    return RegressionResult(
-        best.y_star,
-        best.p_star,
-        best.p_indices,
-        best.loss_value,
-        best.interpolant,
-        exact=False,
-    )
+    return replace(best, exact=False)
 
 
 @dataclass(frozen=True)

@@ -361,6 +361,55 @@ def regression_brute(
     return best
 
 
+def witnesses_per_sample(
+    bxp: np.ndarray, ybar: np.ndarray, tol: float = 1e-9
+) -> tuple[bool, tuple[int, ...] | None, int | None]:
+    """The interpolation anchor rule, one pass per sample m.
+
+    Candidate j is valid for m when bxp[m, j] > -inf and every slack
+    (y_k - y_m) - (bxp[k, j] - bxp[m, j]) (lower difference) is >= -tol;
+    the valid candidate with the least slack sum wins, the lowest index on
+    ties.
+
+    Returns:
+        (feasible, chosen index per sample or None, first sample with no
+        valid candidate or None).
+    """
+    bxp = np.asarray(bxp, dtype=float)
+    y = np.asarray(ybar, dtype=float)
+    chosen = []
+    for m in range(len(y)):
+        with np.errstate(invalid="ignore"):
+            need = bxp - bxp[m][None, :]
+        need[np.isnan(need)] = NEG
+        slack = (y - y[m])[:, None] - need
+        valid = np.flatnonzero((slack.min(axis=0) >= -tol) & (bxp[m] > NEG))
+        if len(valid) == 0:
+            return False, None, m
+        totals = [slack[:, j].sum() for j in valid]
+        chosen.append(int(valid[int(np.argmin(totals))]))
+    return True, tuple(chosen), None
+
+
+def two_cycle_free_assignments(bxp: np.ndarray) -> list[tuple[int, ...]]:
+    """Assignments of usable anchors (bxp[m, j] > -inf), in product order,
+    in which no pair k, m has exchange gaps
+    lo_sub(bxp[k, j_m], bxp[m, j_m]) + lo_sub(bxp[m, j_k], bxp[k, j_k])
+    summing, exactly, to more than 0."""
+    bxp = np.asarray(bxp, dtype=float)
+    n, n_p = bxp.shape
+    usable = [[j for j in range(n_p) if bxp[m, j] != NEG] for m in range(n)]
+    kept = []
+    for combo in itertools.product(*usable):
+        if all(
+            math.fsum([lo_sub(bxp[k, combo[m]], bxp[m, combo[m]]),
+                       lo_sub(bxp[m, combo[k]], bxp[k, combo[k]])]) <= 0
+            for k in range(n) for m in range(k + 1, n)
+        ):
+            kept.append(combo)
+    return kept
+
+
 def lp_difference_feasible(
     n_vars: int,
     constraints: list[tuple[int, int, float]],

@@ -734,9 +734,13 @@ class TestErrorPlumbing:
             ("power_distance", '{"p": NaN}'),
             ("lax_hopf", '{"lagrangian": {"name": "bogus"}}'),
             ("lax_hopf", '{"lagrangian": "quadratic"}'),
+            ("lip", '{"alpah": 5}'),
+            ("power_distance", '{"alpha": 2}'),
+            ("sconv", '{"p": 2}'),
         ],
         ids=["alpha-str", "alpha-1e400", "alpha-bool", "alpha-400-digits", "p-negative",
-             "p-nan", "lagrangian-bogus", "lagrangian-str"],
+             "p-nan", "lagrangian-bogus", "lagrangian-str", "alpha-misspelt",
+             "power-alpha", "sconv-p"],
     )
     def test_bad_closed_form_params(self, capsys, tmp_path, name, params):
         path = tmp_path / "in.json"
@@ -749,6 +753,16 @@ class TestErrorPlumbing:
         assert code == 2
         assert out["error"]["kind"] == "schema"
         assert out["error"]["field"] == "kernel"
+
+    def test_misspelt_param_is_not_ignored(self, capsys, tmp_path):
+        # With the typo ignored, alpha fell back to 1 and funk printed 1.0s.
+        payload = {"kernel": {**LIP, "params": {"alpah": 5}}, "points": [[0.0], [1.0]]}
+        code, out = invoke(capsys, tmp_path, "funk", payload)
+        assert code == 2
+        assert out["error"] == {
+            "kind": "schema", "field": "kernel",
+            "message": "unknown param(s) ['alpah'] for kernel 'lip'",
+        }
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tmp_path, tol):
@@ -842,6 +856,17 @@ class TestJsonTypes:
         assert out["error"]["kind"] == "schema"
         assert out["error"]["field"] == "problem"
         assert "must be true or false" in out["error"]["message"]
+
+    @pytest.mark.parametrize("cost", [True, "1.0", None])
+    def test_table_costs_must_be_numbers(self, capsys, tmp_path, cost):
+        # float(True) read a JSON true as a cost of 1.
+        lagrangian = {"name": "table", "velocities": [[-1.0], [0.0], [1.0]],
+                      "costs": [cost, 0.0, 1.0], "convex": True}
+        payload = {"problem": {**PROBLEM_4X5, "lagrangian": lagrangian}}
+        code, out = invoke(capsys, tmp_path, "maupertuis", payload)
+        assert code == 2
+        assert out["error"]["field"] == "problem"
+        assert "table costs must be numbers" in out["error"]["message"]
 
     @pytest.mark.parametrize("lagrangian", ["quadratic", ["quadratic"], None])
     def test_running_cost_must_be_an_object(self, capsys, tmp_path, lagrangian):
@@ -1008,6 +1033,8 @@ def json_payloads(children):
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(st.lists(JSON_SCALARS, max_size=4), max_size=4),
+        st.lists(st.tuples(st.lists(JSON_SCALARS, max_size=3), JSON_SCALARS).map(list),
+                 max_size=4),
         st.dictionaries(JSON_KEYS, children, max_size=4),
     )
 
@@ -1029,6 +1056,9 @@ class TestJsonWriter:
             "matrix": [[5e-324, "inf"], ["-inf", 1e300]],
             "": [[], [2]],
             "scalars": ["\n", ", ", "[", "]", "],\n  ["],
+            "terms": [[[0.5, -1.0], "inf"], [["]],[["], "],\n      [["]],
+            "not terms": [[[0.5], 1], [[], 2], [[2], []], [[1], 2, 3]],
+            "f0": {"terms": [[[float(i)], i / 4] for i in range(3)]},
         }
         assert _dump_json(payload) == dumps_reference(payload)
 

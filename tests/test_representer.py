@@ -1,5 +1,6 @@
 """Interpolation witnesses, canonical interpolants, and constrained regression."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,16 +15,18 @@ from tropkern.core import (
 )
 from tropkern.conjugation import ConjugationOp, is_in_range
 from tropkern.kernels import ClosedFormKernel, GramKernel, gram_on
+import tropkern.representer as representer
 from tropkern.representer import (
     CanonicalInterpolant,
-    DifferenceConstraintSystem,
     InfeasibleConstraintsError,
     SampleSet,
+    _closure,
+    _greatest_below,
+    _regress_fixed,
     build_f0,
     feasible_witnesses,
     reconstruct_stopping_cost,
     regress,
-    solve_difference_constraints,
 )
 
 from oracles import (
@@ -32,7 +35,9 @@ from oracles import (
     lp_difference_feasible,
     lp_regression,
     regression_brute,
+    two_cycle_free_assignments,
     up_sub,
+    witnesses_per_sample,
 )
 
 CAND3 = PointSet.make([-1.0, 0.0, 1.0])
@@ -64,6 +69,83 @@ def random_instance(rng, n_samples=4, n_cand=5, bottom_density=0.15):
     kernel = GramKernel(all_points, matrix)
     ys = rng.integers(-4, 5, size=n_samples).astype(float)
     return SampleSet(xs, ys, cands), kernel, bxp
+
+
+def _grid_points(rng, count, dim, scale, low=-6, high=7):
+    """``count`` distinct points of the integer grid times ``scale``."""
+    pts = set()
+    while len(pts) < count:
+        pts.add(tuple(float(c) * scale for c in rng.integers(low, high, dim)))
+    return PointSet.make(sorted(pts))
+
+
+def _closed_case(name, dim=1, span=6, **params):
+    """Up to 6 sites and 5 candidates in [-span, span]^dim times the scale."""
+    def build(rng, scale):
+        n, n_cand = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        kernel = ClosedFormKernel(name, params)
+        return kernel, *(_grid_points(rng, count, dim, scale, -span, span + 1)
+                         for count in (n, n_cand))
+    return build
+
+
+def _lax_hopf_case(rng, scale):
+    # Sites at t = 0, anchors at t in {0, 1, 2, 4}: dyadic actions, and -inf
+    # between distinct simultaneous points.
+    n, n_cand = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    xs = PointSet.make([(0.0, x) for x in sorted({float(v) for v in rng.integers(-4, 5, n)})])
+    cands = sorted({(float(rng.choice([0, 1, 2, 4])), float(v) * scale)
+                    for v in rng.integers(-4, 5, n_cand)})
+    return ClosedFormKernel("lax_hopf"), xs, PointSet.make(cands)
+
+
+def _gram_case(rng, scale):
+    samples, kernel, _ = random_instance(
+        rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), bottom_density=0.25
+    )
+    if scale != 1.0:
+        kernel = GramKernel(kernel.points, kernel.matrix * scale)
+    return kernel, samples.xs, samples.dual_candidates
+
+
+WITNESS_CASES = {
+    "conv": _closed_case("conv"),
+    "conv-2d": _closed_case("conv", dim=2),
+    "sconv": _closed_case("sconv"),
+    "lip": _closed_case("lip", alpha=0.5),
+    "dirac": _closed_case("dirac", dim=2, span=1),
+    "power_distance": _closed_case("power_distance", p=2),
+    "lax_hopf": _lax_hopf_case,
+    "gram": _gram_case,
+}
+
+
+def unpruned_search(samples: SampleSet, kernel, loss: str, tol: float = 1e-9):
+    """Fit every assignment of usable anchors through ``_regress_fixed`` and
+    keep the least loss, a tie within 1e-12 going to the least exchange-gap
+    mass."""
+    candidates = samples.dual_candidates
+    bxp = gram_on(kernel, samples.xs, candidates)
+    n = len(samples)
+    usable = [np.flatnonzero(bxp[m] > NEG_INF) for m in range(n)]
+    if any(len(u) == 0 for u in usable):
+        raise InfeasibleConstraintsError("some sample admits no usable anchor")
+    best, best_mass = None, POS_INF
+    for combo in itertools.product(*usable):
+        idx = tuple(int(k) for k in combo)
+        anchors = tuple(candidates.points[k] for k in idx)
+        try:
+            result = _regress_fixed(samples, kernel, loss, anchors, idx, tol)
+        except InfeasibleConstraintsError:
+            continue
+        mass = float(bxp[:, list(idx)].sum() - n * bxp[np.arange(n), list(idx)].sum())
+        if best is None or result.loss_value < best.loss_value - 1e-12 or (
+            result.loss_value <= best.loss_value + 1e-12 and mass < best_mass
+        ):
+            best, best_mass = result, mass
+    if best is None:
+        raise InfeasibleConstraintsError("no anchor assignment is feasible")
+    return best
 
 
 def witness_oracle(samples: SampleSet, bxp: np.ndarray) -> bool:
@@ -136,6 +218,32 @@ class TestFeasibleWitnesses:
             if base.feasible:
                 expected = tuple(base.witness_indices[i] for i in perm)
                 assert other.witness_indices == expected
+
+    @pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+    def test_matches_per_sample_rule(self, case):
+        # Integer and dyadic data: the column-minimum rule and the per-sample
+        # rule agree exactly, on feasibility, indices and blocking sample.
+        rng = np.random.default_rng(list(map(ord, case)))
+        outcomes = set()
+        for trial in range(60):
+            scale = 1.0 if trial % 2 else 0.25
+            kernel, xs, cands = WITNESS_CASES[case](rng, scale)
+            bxp = gram_on(kernel, xs, cands)
+            ys = rng.integers(-6, 7, len(xs)) * scale
+            if trial % 3:
+                # Targets in the span of a few sections, so some are feasible.
+                cols = rng.choice(len(cands), size=min(3, len(cands)), replace=False)
+                heights = rng.integers(-4, 5, len(cols)) * scale
+                spanned = np.max(bxp[:, cols] + heights, axis=1)
+                ys = np.where(np.isfinite(spanned), spanned, ys)
+            samples = SampleSet(xs, ys, cands)
+            for tol in (0.0, 1e-9):
+                got = feasible_witnesses(samples, kernel, tol=tol)
+                feasible, indices, blocking = witnesses_per_sample(bxp, ys, tol)
+                assert (got.feasible, got.witness_indices, got.blocking_index) == (
+                    feasible, indices, blocking)
+            outcomes.add(feasible)
+        assert outcomes == {True, False}
 
 
 class TestBuildF0:
@@ -231,70 +339,75 @@ class TestBuildF0:
 
 
 class TestDifferenceConstraints:
+    """The exchange systems' solver: ``_closure`` of gaps[k, m], the
+    constraints y_k - y_m >= gaps[k, m], and the fixed-anchor fit on it."""
+
     def test_two_cycle_infeasible(self):
-        system = DifferenceConstraintSystem(2, ((1, 0, 1.0), (0, 1, 0.0)))
-        sol = solve_difference_constraints(system)
-        assert not sol.feasible
-        assert sol.negative_cycle is not None
-        assert set(sol.negative_cycle) >= {0, 1}
+        # y_1 - y_0 >= 1 and y_0 - y_1 >= 0.
+        gaps = np.array([[NEG_INF, 0.0], [1.0, NEG_INF]])
+        _, cycle = _closure(gaps)
+        assert cycle is not None
+        assert set(cycle) == {0, 1}
 
     def test_slack_constraint_with_point_boxes(self):
-        system = DifferenceConstraintSystem(
-            2, ((1, 0, -1.0),), lower=np.zeros(2), upper=np.zeros(2)
-        )
-        sol = solve_difference_constraints(system)
-        assert sol.feasible
-        assert np.array_equal(sol.assignment, np.zeros(2))
+        # y_1 - y_0 >= -1 holds at 0, the greatest point below the box top 0.
+        gaps = np.array([[NEG_INF, NEG_INF], [-1.0, NEG_INF]])
+        closure, cycle = _closure(gaps)
+        assert cycle is None
+        assert np.array_equal(_greatest_below(closure, np.zeros(2)), np.zeros(2))
 
     def test_convex_regression_system_exact_boxes(self):
-        ys = np.array([0.0, 0.0, 1.0])
-        xs = [0.0, 1.0, 2.0]
-        anchors = [0.0, 0.0, 1.0]
-        constraints = []
-        for m, p in enumerate(anchors):
-            for k in range(3):
-                if k != m:
-                    constraints.append((k, m, xs[k] * p - xs[m] * p))
-        system = DifferenceConstraintSystem(
-            3, tuple(constraints), lower=ys, upper=ys
-        )
-        sol = solve_difference_constraints(system)
-        assert sol.feasible
-        assert np.array_equal(sol.assignment, ys)
+        samples = convex_samples()
+        anchors = ((0.0,), (0.0,), (1.0,))
+        for loss in ("sup_norm", "l1"):
+            result = _regress_fixed(samples, CONV, loss, anchors, (1, 1, 2), 1e-9)
+            assert result.loss_value == 0.0
+            assert np.array_equal(result.y_star, samples.ys)
 
     def test_top_bound_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            DifferenceConstraintSystem(2, ((1, 0, POS_INF),))
+        # A -inf self-evaluation makes the sample's gaps +inf, which no
+        # finite targets satisfy: refused before any closure.
+        pts = PointSet.make([0, 1])
+        kernel = GramKernel(pts, np.array([[NEG_INF, 0.0], [0.0, 0.0]]))
+        samples = SampleSet(PointSet.make([0, 1]), np.array([0.0, 0.0]), pts)
+        with pytest.raises(InfeasibleConstraintsError, match="infinite") as exc:
+            _regress_fixed(samples, kernel, "sup_norm", ((0.0,), (1.0,)), (0, 1), 1e-9)
+        assert exc.value.cycle is None
 
     def test_bottom_bounds_dropped(self):
-        system = DifferenceConstraintSystem(2, ((1, 0, NEG_INF),))
-        sol = solve_difference_constraints(system)
-        assert sol.feasible
+        closure, cycle = _closure(np.full((2, 2), NEG_INF))
+        assert cycle is None
+        assert np.array_equal(closure, [[0.0, NEG_INF], [NEG_INF, 0.0]])
 
     def test_feasibility_matches_lp(self):
+        # Boxes lo <= y <= hi enter as arcs to an extra node z held at 0:
+        # y_i - y_z >= lo_i and y_z - y_i >= -hi_i.
         rng = np.random.default_rng(51)
+        verdicts = set()
         for _ in range(40):
             n = int(rng.integers(2, 5))
-            n_cons = int(rng.integers(1, 7))
             cons = []
-            for _ in range(n_cons):
+            for _ in range(int(rng.integers(1, 7))):
                 a, b = rng.integers(0, n, size=2)
-                if a == b:
-                    continue
-                cons.append((int(a), int(b), float(rng.integers(-3, 4))))
+                if a != b:
+                    cons.append((int(a), int(b), float(rng.integers(-3, 4))))
             lower = rng.integers(-5, 0, size=n).astype(float)
             upper = lower + rng.integers(0, 8, size=n)
-            system = DifferenceConstraintSystem(
-                n, tuple(cons), lower=lower, upper=upper
-            )
-            got = solve_difference_constraints(system)
+            gaps = np.full((n + 1, n + 1), NEG_INF)
+            for a, b, c in cons:
+                gaps[a, b] = max(gaps[a, b], c)
+            gaps[:n, n], gaps[n, :n] = lower, -upper
+            closure, cycle = _closure(gaps)
             expected = lp_difference_feasible(n, cons, lower, upper)
-            assert got.feasible == expected
-            if got.feasible:
-                y = got.assignment
+            assert (cycle is None) == expected
+            verdicts.add(expected)
+            if expected:
+                y = _greatest_below(closure, np.append(upper, 0.0))
+                y = y[:n] - y[n]
                 assert (y >= lower - 1e-9).all() and (y <= upper + 1e-9).all()
                 for a, b, c in cons:
                     assert y[a] - y[b] >= c - 1e-9
+        assert verdicts == {True, False}
 
     def test_assignment_componentwise_maximal(self):
         rng = np.random.default_rng(52)
@@ -306,14 +419,16 @@ class TestDifferenceConstraints:
                 a, b = rng.integers(0, n, size=2)
                 if a != b:
                     cons.append((int(a), int(b), float(rng.integers(-3, 4))))
-            lower = np.full(n, -10.0)
-            upper = rng.integers(0, 5, size=n).astype(float)
-            system = DifferenceConstraintSystem(n, tuple(cons), lower=lower, upper=upper)
-            sol = solve_difference_constraints(system)
-            if not sol.feasible:
+            gaps = np.full((n, n), NEG_INF)
+            for a, b, c in cons:
+                gaps[a, b] = max(gaps[a, b], c)
+            closure, cycle = _closure(gaps)
+            if cycle is not None:
                 continue
             checked += 1
-            y = sol.assignment
+            upper = rng.integers(0, 5, size=n).astype(float)
+            y = _greatest_below(closure, upper)
+            assert (y <= upper).all()
             for i in range(n):
                 bumped = y.copy()
                 bumped[i] += 0.5
@@ -329,10 +444,12 @@ class TestDifferenceConstraints:
         gaps = [-1e16, -1.0, -1.0, 1e16 + 2]
         assert math.fsum(gaps) == 0.0
         assert ((gaps[0] + gaps[1]) + gaps[2]) + gaps[3] > 0.0
-        cons = tuple((i, (i + 1) % 4, c) for i, c in enumerate(gaps))
-        sol = solve_difference_constraints(DifferenceConstraintSystem(4, cons))
-        assert sol.feasible
-        assert np.isfinite(sol.assignment).all()
+        matrix = np.full((4, 4), NEG_INF)
+        for i, c in enumerate(gaps):
+            matrix[i, (i + 1) % 4] = c
+        closure, cycle = _closure(matrix)
+        assert cycle is None
+        assert np.isfinite(_greatest_below(closure, np.zeros(4))).all()
 
 
 class TestRegress:
@@ -455,6 +572,61 @@ class TestRegress:
             f0 = build_f0(refit, result.p_star, kernel, tol=1e-6)
             for x, y in zip(refit.xs, result.y_star):
                 assert f0(x) == pytest.approx(y, abs=1e-6)
+
+    @pytest.mark.parametrize("loss", ["sup_norm", "l1"])
+    def test_search_matches_unpruned_enumeration(self, loss):
+        rng = np.random.default_rng(59)
+        raised = 0
+        for trial in range(80):
+            if trial % 2:
+                samples, kernel, _ = random_instance(
+                    rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)), 0.2
+                )
+            else:
+                n = int(rng.integers(2, 6))
+                xs = np.sort(rng.choice(np.arange(-10, 11), n, replace=False))
+                cands = np.sort(rng.choice(np.arange(-4, 5), 3, replace=False))
+                samples = SampleSet(PointSet.make(xs * 0.5), rng.integers(-10, 11, n) * 0.5,
+                                    PointSet.make(cands.astype(float)))
+                kernel = CONV
+            try:
+                expected = unpruned_search(samples, kernel, loss)
+            except InfeasibleConstraintsError as exc:
+                with pytest.raises(InfeasibleConstraintsError, match=str(exc)):
+                    regress(samples, kernel, loss=loss)
+                raised += 1
+                continue
+            got = regress(samples, kernel, loss=loss)
+            assert np.array_equal(got.y_star, expected.y_star)
+            assert got.p_star == expected.p_star
+            assert got.p_indices == expected.p_indices
+            assert got.loss_value == expected.loss_value
+            assert got.interpolant.offsets == expected.interpolant.offsets
+            assert not got.exact
+        assert raised >= 5
+
+    def test_search_closes_only_two_cycle_free_assignments(self, monkeypatch):
+        # The fixed l1 search input of the regression benchmark: 243
+        # assignments, of which 21 have no positive two-cycle.  Each of those
+        # is closed once, and the winner once more by its fixed-anchor fit.
+        samples = SampleSet(
+            PointSet.make([-8.0, -4.0, -1.0, 3.0, 7.0]),
+            np.array([-3.0, 8.0, -9.0, -9.0, -6.0]),
+            PointSet.make([-3.0, 0.0, 1.0]),
+        )
+        bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
+        assert len(two_cycle_free_assignments(bxp)) == 21
+        calls = []
+
+        def counting_closure(gaps):
+            calls.append(gaps)
+            return _closure(gaps)
+
+        monkeypatch.setattr(representer, "_closure", counting_closure)
+        result = regress(samples, CONV, loss="l1")
+        assert len(calls) == 21 + 1
+        assert result.p_indices in two_cycle_free_assignments(bxp)
+        assert result.loss_value == unpruned_search(samples, CONV, "l1").loss_value
 
 
 class TestEquivalenceInvariant:
