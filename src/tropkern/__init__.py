@@ -76,6 +76,7 @@ from .linear_theory import (
     max_kernel_cG,
     mp_apply,
     mp_matmul,
+    regularity,
     right_residual,
 )
 from .representer import (

@@ -72,8 +72,8 @@ from .kernels import (
 from .linear_theory import (
     FunctionFamily,
     is_idempotent,
-    is_von_neumann_regular,
     max_kernel_cG,
+    regularity,
 )
 from .representer import (
     InfeasibleConstraintsError,
@@ -341,14 +341,10 @@ def _cmd_cg_kernel(data: Mapping, config: RunConfig):
 
 
 def _cmd_regularity(data: Mapping, config: RunConfig):
+    """The verdicts of ``is_idempotent`` and ``is_von_neumann_regular``, via ``regularity``."""
     kernel, domain = _kernel_domain(data)
-    gram = gram_on(kernel, domain)
-    verdict = is_von_neumann_regular(gram, tol=config.tolerance)
-    payload = {
-        "idempotent": is_idempotent(gram, tol=config.tolerance),
-        "von_neumann_regular": verdict.regular,
-    }
-    return 0, payload, None
+    idempotent, regular = regularity(gram_on(kernel, domain), tol=config.tolerance)
+    return 0, {"idempotent": idempotent, "von_neumann_regular": regular}, None
 
 
 def _cmd_interpolate(data: Mapping, config: RunConfig):

@@ -17,7 +17,13 @@ f with f(x) <= f(y) - c_G(y, x) for all x, y (upper difference).
 A square matrix B is *von Neumann regular* if B (x) A (x) B = B for some A.
 Since the product is monotone in A, it suffices to test the residuated
 greatest candidate A* = largest A with B A B <= B, computed by left/right
-residuation (the adjoints of the max-plus product).
+residuation (the adjoints of the max-plus product).  An idempotent B is its
+own witness; if the exact square has the infinities of B and is within d of
+it elsewhere, A = B - 2d gives B A B <= B, so B A* B lies in [B - 4d, B].
+``regularity`` takes d = delta + eps M from the computed square S (delta =
+max |S - B|, M = max |B| over finite entries, eps = 2**-52) and answers True
+when 4 delta + 32 eps M <= tol, a margin that also covers the rounding of
+the residuation (about 7 eps M); otherwise it residuates.
 """
 
 from __future__ import annotations
@@ -113,6 +119,21 @@ def is_von_neumann_regular(gram: np.ndarray, tol: float = 1e-9) -> RegularityVer
     product = mp_matmul(mp_matmul(b, a_star), b)
     regular = bool(ext_close(product, b, tol).all())
     return RegularityVerdict(regular, a_star, product)
+
+
+def regularity(gram: np.ndarray, tol: float = 1e-9) -> tuple[bool, bool]:
+    """``(is_idempotent, is_von_neumann_regular(...).regular)``, see the module docstring."""
+    b = validate_values(gram, "gram")
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValueError("regularity is defined for square matrices")
+    square = mp_matmul(b, b)
+    idempotent = bool(ext_close(square, b, tol).all())
+    finite = np.isfinite(b)
+    if np.isfinite(square[finite]).all() and (square[~finite] == b[~finite]).all():
+        delta = np.abs(square[finite] - b[finite]).max(initial=0.0)
+        if 4 * delta + 32 * np.finfo(float).eps * np.abs(b[finite]).max(initial=0.0) <= tol:
+            return idempotent, True
+    return idempotent, is_von_neumann_regular(b, tol).regular
 
 
 @dataclass(frozen=True)

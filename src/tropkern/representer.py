@@ -33,7 +33,7 @@ closes any system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,13 +151,19 @@ class CanonicalInterpolant:
 
     Attributes:
         kernel: The kernel whose sections are combined.
-        anchor_points: The section centres p_m.
+        anchor_points: The section centres p_m, as given.
         offsets: Finite shifts, offset_m = y_m - b(x_m, p_m).
+        points: The centres through ``as_point``; derived unless given.
     """
 
     kernel: KernelRep
     anchor_points: tuple[Point, ...]
     offsets: tuple[float, ...]
+    points: tuple[Point, ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.points is None:
+            object.__setattr__(self, "points", tuple(as_point(p) for p in self.anchor_points))
 
     @property
     def terms(self) -> tuple[tuple[Point, float], ...]:
@@ -168,7 +174,7 @@ class CanonicalInterpolant:
         return float(self.on_grid(PointSet((as_point(x),))).values[0])
 
     def on_grid(self, domain: PointSet) -> GridFunction:
-        sections = _sections(self.kernel, domain, self.anchor_points)
+        sections = _sections(self.kernel, domain, self.points)
         terms = lower_add_arrays(sections, np.array(self.offsets))
         # The first maximal term, as a running max keeps it (a tie of 0.0
         # and -0.0 resolves by order, not by the reduction's lane layout).
@@ -178,12 +184,11 @@ class CanonicalInterpolant:
 def _sections(
     kernel: KernelRep, xs: PointSet, anchors: tuple[Point, ...]
 ) -> np.ndarray:
-    """[b(x, p_m)] for x in ``xs`` and each anchor p_m; repeated anchors are
-    read once."""
-    points = [as_point(p) for p in anchors]
-    column = {p: j for j, p in enumerate(dict.fromkeys(points))}
+    """[b(x, p_m)] for x in ``xs`` and each anchor p_m (normalized points);
+    repeated anchors are read once."""
+    column = {p: j for j, p in enumerate(dict.fromkeys(anchors))}
     table = gram_on(kernel, xs, PointSet(tuple(column)))
-    return table[:, [column[p] for p in points]]
+    return table[:, [column[p] for p in anchors]]
 
 
 def _exchange_gaps(sections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +214,9 @@ def build_f0(
     n = len(samples)
     if len(witnesses) != n:
         raise ValueError("one witness per sample is required")
+    points = tuple(as_point(p) for p in witnesses)
     y = samples.ys
-    self_eval, need = _exchange_gaps(_sections(kernel, samples.xs, witnesses))
+    self_eval, need = _exchange_gaps(_sections(kernel, samples.xs, points))
     finite = np.isfinite(self_eval)
     violated = y[:, None] - y[None, :] < need - tol  # [k, m]
     failing = np.flatnonzero(~finite | violated.any(axis=0))
@@ -225,7 +231,7 @@ def build_f0(
             f"against sample {int(np.argmax(violated[:, m]))}"
         )
     offsets = tuple(float(v) for v in y - self_eval)
-    return CanonicalInterpolant(kernel, tuple(witnesses), offsets)
+    return CanonicalInterpolant(kernel, tuple(witnesses), offsets, points)
 
 
 def _closure(gaps: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
@@ -422,8 +428,9 @@ def regress(
     if loss not in ("sup_norm", "l1"):
         raise ValueError("loss must be 'sup_norm' or 'l1'")
     if fixed_p is not None:
-        idx = _indices_in(samples.dual_candidates, tuple(fixed_p))
-        return _regress_fixed(samples, kernel, loss, tuple(fixed_p), idx, tol)
+        fixed_p = tuple(as_point(p) for p in fixed_p)
+        idx = _indices_in(samples.dual_candidates, fixed_p)
+        return _regress_fixed(samples, kernel, loss, fixed_p, idx, tol)
     return _regress_search(samples, kernel, loss, tol)
 
 

@@ -132,6 +132,29 @@ class TestPinnedVerdicts:
         assert code == 0
         assert out == {"idempotent": False, "von_neumann_regular": False}
 
+    def test_regularity_idempotent_within_tol_yet_not_regular(self, capsys, tmp_path):
+        # The scaled C has a squaring defect of 9e-10 <= tol, but its best
+        # candidate misses it by 1.35e-9 > tol.
+        c = np.array([[1.0, -1.0, -3.0], [-2.0, -1.0, 0.0], [-4.0, -4.0, 1.0]]) * 4.5e-10
+        payload = {
+            "kernel": {"type": "gram", "points": [[0.0], [1.0], [2.0]], "matrix": c.tolist()}
+        }
+        code, out = invoke(capsys, tmp_path, "regularity", payload, tol=1e-9)
+        assert code == 0
+        assert out == {"idempotent": True, "von_neumann_regular": False}
+
+    def test_regularity_of_a_large_lip_gram_from_its_square(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def refuse(x, y):
+            raise AssertionError("the square should decide regularity")
+
+        monkeypatch.setattr("tropkern.linear_theory.left_residual", refuse)
+        payload = {"kernel": LIP, "points": [[i % 16, i // 16] for i in range(240)]}
+        code, out = invoke(capsys, tmp_path, "regularity", payload)
+        assert code == 0
+        assert out == {"idempotent": True, "von_neumann_regular": True}
+
     def test_interpolate_concave_blocked(self, capsys, tmp_path):
         payload = {
             "kernel": CONV,

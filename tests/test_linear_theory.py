@@ -1,5 +1,7 @@
 """Maximal kernels of function families, closures, idempotency, regularity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,10 @@ from tropkern.linear_theory import (
     max_kernel_cG,
     mp_apply,
     mp_matmul,
+    regularity,
     right_residual,
 )
+import tropkern.linear_theory as linear_theory
 
 from oracles import regularity_brute_all
 
@@ -276,6 +280,109 @@ class TestRegularity:
         brute = regularity_brute_all(grams)
         for g, expected in zip(grams, brute):
             assert is_von_neumann_regular(g).regular == bool(expected)
+
+
+def noisy_distance_grams(rng, count):
+    """-alpha |x - y| Grams of float points in 1 to 3 dimensions at coordinate
+    scales 1 to 1e6, most with noise of 1e-13 to 1e-9, some masked by -inf."""
+    for _ in range(count):
+        n, dim = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        points = rng.random((n, dim)) * 10.0 ** rng.integers(0, 7)
+        gram = -rng.choice([0.5, 1.0, 3.0]) * np.linalg.norm(
+            points[:, None] - points[None], axis=-1
+        )
+        noise = 10.0 ** rng.uniform(-13, -9)
+        gram += rng.uniform(-noise, noise, gram.shape) * (rng.random() < 0.7)
+        gram[rng.random(gram.shape) < rng.choice([0.0, 0.0, 0.1, 0.5])] = NEG_INF
+        yield gram
+
+
+def small_alphabet_matrices(rng):
+    """Every 2x2 matrix over {0, -1, 1, inf, -inf}, and random 1x1, 3x3, 4x4."""
+    alphabet = np.array([0.0, -1.0, 1.0, POS_INF, NEG_INF])
+    for codes in itertools.product(range(5), repeat=4):
+        yield alphabet[list(codes)].reshape(2, 2)
+    for n in (1, 3, 4):
+        for _ in range(200):
+            yield alphabet[rng.integers(0, 5, (n, n))]
+
+
+class TestRegularityFromSquare:
+    """``regularity`` returns the flags of ``is_idempotent`` and
+    ``is_von_neumann_regular``, skipping the residuation when the square
+    decides it."""
+
+    @pytest.fixture
+    def residuations(self, monkeypatch):
+        """Counts the calls ``regularity`` makes to the residuation."""
+        calls = []
+
+        def counted(gram, tol):
+            calls.append(tol)
+            return is_von_neumann_regular(gram, tol)
+
+        monkeypatch.setattr(linear_theory, "is_von_neumann_regular", counted)
+        return calls
+
+    @staticmethod
+    def assert_same_flags(matrices, tols):
+        verdicts = 0
+        for b in matrices:
+            for tol in tols:
+                expected = (is_idempotent(b, tol), is_von_neumann_regular(b, tol).regular)
+                assert regularity(b, tol) == expected, (b, tol)
+                verdicts += 1
+        return verdicts
+
+    def test_equals_residuation_on_noisy_distance_grams(self, residuations):
+        grams = noisy_distance_grams(np.random.default_rng(7), 300)
+        verdicts = self.assert_same_flags(grams, (0.0, 1e-12, 1e-9, 1e-6))
+        assert 200 < verdicts - len(residuations) < verdicts
+
+    def test_equals_residuation_on_small_alphabet(self, residuations):
+        matrices = small_alphabet_matrices(np.random.default_rng(8))
+        verdicts = self.assert_same_flags(matrices, (0.0, 1e-12, 1e-9, 1e-6, 0.5))
+        assert 500 < verdicts - len(residuations) < verdicts
+
+    def test_square_alone_decides_a_rounded_lip_gram(self, monkeypatch):
+        # 240 integer points of a 2-D box, as the benchmark's regularity op
+        # reads them: the square roots round, so B (x) B exceeds B by a few
+        # ulps in some entries and B is idempotent only within tol.
+        rng = np.random.default_rng(1)
+        cells = np.sort(rng.choice(22 * 22, 240, replace=False))
+        grid = PointSet.make(np.stack([cells // 22 - 11, cells % 22 - 11], axis=1).tolist())
+        gram = gram_on(ClosedFormKernel("lip"), grid)
+        assert (mp_matmul(gram, gram) > gram).any()
+
+        def refuse(gram, tol):
+            raise AssertionError("the square should decide regularity")
+
+        monkeypatch.setattr(linear_theory, "is_von_neumann_regular", refuse)
+        flags = regularity(gram, 1e-9)
+        assert flags == (True, True)
+        assert all(type(flag) is bool for flag in flags)
+
+    def test_margin_is_four_times_the_defect(self):
+        # delta = 2 for C, and B (x) A* (x) B misses C by 3 in one entry, so
+        # a rule of "idempotent within tol" would call the scaled C regular.
+        c = np.array([[1.0, -1.0, -3.0], [-2.0, -1.0, 0.0], [-4.0, -4.0, 1.0]])
+        assert np.abs(mp_matmul(c, c) - c).max() == 2.0
+        b = c * 4.5e-10
+        assert regularity(b, 1e-9) == (True, False)
+        assert regularity(b, 4e-9) == (True, True)
+
+    def test_rounding_margin_keeps_the_verdict_at_tol_zero(self):
+        # The float square of this lip Gram equals it exactly, but the float
+        # residuation misses it by an ulp, so at tol 0 the verdict is False.
+        gram = gram_on(ClosedFormKernel("lip"), PointSet.make([0.1, 0.2, 0.5]))
+        assert (mp_matmul(gram, gram) == gram).all()
+        assert not is_von_neumann_regular(gram, 0.0).regular
+        assert regularity(gram, 0.0) == (True, False)
+        assert regularity(gram, 1e-12) == (True, True)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            regularity(np.zeros((2, 3)))
 
 
 class TestMaximality:

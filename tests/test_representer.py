@@ -337,6 +337,19 @@ class TestBuildF0:
         ]
         assert rebuilt == [f0(-2.0), f0(0.3), f0(4.0)]
 
+    def test_anchors_normalized_once(self, monkeypatch):
+        samples = convex_samples()
+        f0 = build_f0(samples, (0.0, 0, 1.0), CONV)
+        assert f0.anchor_points == (0.0, 0, 1.0)
+        assert f0.points == ((0.0,), (0.0,), (1.0,))
+        assert all(type(c) is float for p in f0.points for c in p)
+
+        def refuse(p):
+            raise AssertionError("anchors are normalized by build_f0")
+
+        monkeypatch.setattr(representer, "as_point", refuse)
+        assert np.array_equal(f0.on_grid(samples.xs).values, samples.ys)
+
 
 class TestDifferenceConstraints:
     """The exchange systems' solver: ``_closure`` of gaps[k, m], the
