@@ -47,7 +47,7 @@ print("\nconcave data feasible:", blocked.feasible,
 # sup-norm fit flattens the bump to its average, at distance 0.5.
 fit = regress(concave, conv, loss="sup_norm")
 print("\nsup-norm fit:", np.round(fit.y_star, 6), "| loss:", fit.loss_value)
-print("certified optimal for these anchors:", fit.exact)
+print("optimal over all candidate anchors:", fit.exact)
 
 # The l1 fit of each anchor assignment is exact too (a min-cost flow); here
 # it keeps the two outer targets and lowers the bump to them, at distance 1.

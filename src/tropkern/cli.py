@@ -722,8 +722,11 @@ def run(config: RunConfig) -> int:
         code, payload = 1, {"error": {"kind": "precondition", "message": str(exc)}}
     except InfeasibleConstraintsError as exc:
         code = 1
-        payload = {"feasible": False,
-                   "negative_cycle": list(exc.cycle) if exc.cycle else None}
+        if exc.blocking_index is not None:
+            payload = {"feasible": False, "blocking_index": exc.blocking_index + 1}
+        else:
+            payload = {"feasible": False,
+                       "negative_cycle": list(exc.cycle) if exc.cycle else None}
     _emit(payload, config, grid_fn)
     return code
 

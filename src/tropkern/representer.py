@@ -25,15 +25,17 @@ y_n - y_m >= c on the targets, so regression (minimally perturbing the y's
 into feasibility) reduces to one max-plus closure D of the constraint gaps.
 A cycle whose gaps sum, exactly, to more than 0 certifies infeasibility;
 otherwise both fits are read off D exactly: the sup-norm fit in closed
-form, the l1 fit as the potentials of a min-cost flow on the dual.  An
-anchor search drops the assignments with a positive two-cycle before it
-closes any system.
+form, the l1 fit as the potentials of a min-cost flow on the dual.  Over
+all anchors, the targets some assignment reproduces form the column span
+itself, so the best sup-norm fit is the Chebyshev distance to it, read from
+the same principal solution.  An l1 anchor search enumerates assignments,
+dropping those with a positive two-cycle before it closes any system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,11 +54,17 @@ from .linear_theory import is_idempotent
 
 
 class InfeasibleConstraintsError(RuntimeError):
-    """Raised when a task requires a feasible system but none exists."""
+    """Raised when a task requires a feasible system but none exists.
 
-    def __init__(self, message: str, cycle: list[int] | None = None) -> None:
+    ``cycle`` lists constraints whose gaps sum, exactly, to more than 0;
+    ``blocking_index`` is the first sample (0-based) no candidate can serve.
+    """
+
+    def __init__(self, message: str, cycle: list[int] | None = None,
+                 blocking_index: int | None = None) -> None:
         super().__init__(message)
         self.cycle = cycle
+        self.blocking_index = blocking_index
 
 
 @dataclass(frozen=True)
@@ -131,10 +139,10 @@ def feasible_witnesses(
     """
     n = len(samples)
     bxp = gram_on(kernel, samples.xs, samples.dual_candidates)  # (n, n_cand)
+    valid = _projection(bxp, samples.ys)[0] >= -tol
     u = samples.ys[:, None] - bxp
     # NaN (inf - inf) only where b(x_m, p) is -inf, which is never valid.
     with np.errstate(invalid="ignore"):
-        valid = (bxp > NEG_INF) & (u.min(axis=0) - u >= -tol)
         totals = u.sum(axis=0) - n * u
     blocked = np.flatnonzero(~valid.any(axis=1))
     if blocked.size:
@@ -143,6 +151,23 @@ def feasible_witnesses(
     chosen = np.argmax(valid & (totals == least), axis=1).tolist()
     points = tuple(samples.dual_candidates.points[k] for k in chosen)
     return WitnessResult(True, points, tuple(chosen), None)
+
+
+def _projection(bxp: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slack s[k, p] = a_p - u[k, p] <= 0 of the principal solution
+    a_p = min_j u[j, p], u = y - b(x, p) (+inf, and s -inf, where b is -inf),
+    and per sample the candidate attaining max_p s[k, p], ties going to the
+    least exchange-gap mass sum_j b(x_j, p) - n b(x_k, p), then the lowest
+    index.  z = y + max_p s is the greatest point of the column span below y.
+    """
+    n = len(y)
+    u = y[:, None] - bxp
+    # inf - inf only where b(x_k, p) is -inf, which both results mask.
+    with np.errstate(invalid="ignore"):
+        slack = np.where(bxp > NEG_INF, u.min(axis=0) - u, NEG_INF)
+        mass = bxp.sum(axis=0) - n * bxp
+    attained = slack == slack.max(axis=1, keepdims=True)
+    return slack, np.where(attained, mass, POS_INF).argmin(axis=1)
 
 
 @dataclass(frozen=True)
@@ -378,12 +403,11 @@ class RegressionResult:
             it).
         loss_value: sup-norm or l1 distance between fitted and given targets.
         interpolant: Canonical interpolant through the fitted targets.
-        exact: True for a fixed-anchor sup_norm fit, whose loss is the
-            closed-form optimum for those anchors.  False otherwise,
-            including fits that are optimal all the same: a fixed-anchor l1
-            fit (min-cost flow) and an anchor search that enumerated every
-            assignment.  Only the alternating search used beyond
-            SEARCH_ENUMERATION_BUDGET assignments has no optimality proof.
+        exact: True for a sup_norm fit, whose loss is the closed-form
+            optimum: over the fixed anchors, or in a search over all
+            candidate anchors.  False for an l1 fit, although the fit is
+            optimal for its anchors (a min-cost flow) and, within
+            SEARCH_ENUMERATION_BUDGET assignments, over all of them.
     """
 
     y_star: np.ndarray
@@ -409,20 +433,17 @@ def regress(
     greatest feasible point at radius eps* = 1/2 max_{k,m} (D[k, m] -
     (ybar_k - ybar_m)), the l1 fit solves a min-cost flow on n + 1 nodes.
 
-    Without ``fixed_p`` the anchors are searched over the candidate set.
-    When the number of anchor assignments is within a fixed budget
-    (SEARCH_ENUMERATION_BUDGET, counted over all candidates), every
-    assignment of usable anchors is taken from one table b(x_k, p); those
-    with a positive two-cycle, gaps[k, m] + gaps[m, k] > 0, are dropped
-    unfitted, since the closure would reject them, and each other one is
-    closed and fitted.  The best is kept (a tie within 1e-12 goes to the
-    least constraining assignment) and refitted once through the fixed-anchor
-    path.  Beyond the budget each sample starts at the candidate minimizing
-    its total constraint violation against the raw targets, then anchor
-    choice and fit alternate until stable and the best visited configuration
-    is returned.  Either way ``exact`` is False.
+    Without ``fixed_p`` the anchors come from the candidate set.  The
+    sup_norm fit is the max-plus projection of ybar onto the column span of
+    b(x_k, p): z, the greatest span point below ybar, raised by
+    eps* = 1/2 max_k (ybar_k - z_k), optimal over all anchors; its anchors
+    attain z, a tie going to the least exchange-gap mass.  The l1 search
+    fits every assignment without a positive two-cycle, keeping the best
+    (a tie within 1e-12 to the least constraining), when there are at most
+    SEARCH_ENUMERATION_BUDGET; beyond it, it fits the projection's anchors.
 
-    Raises InfeasibleConstraintsError when no configuration is feasible.
+    Raises InfeasibleConstraintsError when fixed anchors admit no fit (with
+    a positive cycle) or no candidate can serve a sample (with its index).
     """
     loss = {"sup": "sup_norm"}.get(loss, loss)
     if loss not in ("sup_norm", "l1"):
@@ -473,24 +494,9 @@ def _regress_fixed(
     )
 
 
-def _violation_scores(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """scores[m, p] = total violation of candidate p for sample m (inf bad),
-    from bxp[k, p] = b(x_k, p)."""
-    n = len(y)
-    scores = np.zeros(bxp.shape)
-    for m in range(n):
-        need = lower_add_arrays(bxp, -bxp[m][None, :])
-        violation = np.maximum(need - (y - y[m])[:, None], 0.0)
-        violation = np.where(np.isnan(violation), 0.0, violation)
-        scores[m] = violation.sum(axis=0)
-        scores[m, bxp[m] == NEG_INF] = POS_INF
-        scores[m, (need == POS_INF).any(axis=0)] = POS_INF
-    return scores
-
-
 SEARCH_ENUMERATION_BUDGET = 20_000
-"""Anchor assignments up to this count are searched exhaustively; beyond it
-the alternating heuristic below is used instead."""
+"""An l1 anchor search enumerates the assignments when there are at most
+this many; beyond it the l1 fit takes the sup-norm projection's anchors."""
 
 
 def _assignments(usable: list[np.ndarray]) -> np.ndarray:
@@ -525,15 +531,11 @@ def _drop_two_cycles(bxp: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _regress_enumerate(
-    samples: SampleSet, kernel: KernelRep, loss: str, tol: float
-) -> RegressionResult:
-    candidates = samples.dual_candidates
-    bxp = gram_on(kernel, samples.xs, candidates)
+def _enumerate_l1(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The anchors of the least l1 fit over every assignment of usable
+    anchors (each sample has one), from bxp[k, p] = b(x_k, p)."""
+    n = len(y)
     usable = [np.flatnonzero(row > NEG_INF) for row in bxp]
-    if any(len(u) == 0 for u in usable):
-        raise InfeasibleConstraintsError("some sample admits no usable anchor")
-    n = len(samples)
     best: np.ndarray | None = None
     best_loss = best_mass = POS_INF
     for idx in _drop_two_cycles(bxp, _assignments(usable)):
@@ -543,7 +545,7 @@ def _regress_enumerate(
         closure, cycle = _closure(gaps)
         if cycle is not None:
             continue
-        _, loss_value = _fit(closure, samples.ys, loss)
+        _, loss_value = _fit(closure, y, "l1")
         # Exact optima often tie across assignments; a tie goes to the least
         # constraining one, with the smallest total exchange gap
         # sum_{k,m} b(x_k, p_m) - b(x_m, p_m), whatever the enumeration order.
@@ -554,42 +556,37 @@ def _regress_enumerate(
             best, best_loss, best_mass = idx, loss_value, mass
     if best is None:
         raise InfeasibleConstraintsError("no anchor assignment is feasible")
-    chosen = tuple(best.tolist())
-    anchors = tuple(candidates.points[k] for k in chosen)
-    return _regress_fixed(samples, kernel, loss, anchors, chosen, tol)
+    return best
 
 
 def _regress_search(
     samples: SampleSet, kernel: KernelRep, loss: str, tol: float
 ) -> RegressionResult:
     candidates = samples.dual_candidates
-    if len(candidates) ** len(samples) <= SEARCH_ENUMERATION_BUDGET:
-        return replace(_regress_enumerate(samples, kernel, loss, tol), exact=False)
     bxp = gram_on(kernel, samples.xs, candidates)
-    y0 = samples.ys
-    scores = _violation_scores(bxp, y0)
-    if not np.isfinite(scores.min(axis=1)).all():
-        raise InfeasibleConstraintsError("some sample admits no usable anchor")
-    current = tuple(int(np.argmin(row)) for row in scores)
-    best: RegressionResult | None = None
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(20):
-        if current in seen:
-            break
-        seen.add(current)
-        anchors = tuple(candidates.points[k] for k in current)
-        try:
-            result = _regress_fixed(samples, kernel, loss, anchors, current, tol)
-        except InfeasibleConstraintsError:
-            result = None
-        if result is not None and (best is None or result.loss_value < best.loss_value):
-            best = result
-        probe_y = result.y_star if result is not None else y0
-        scores = _violation_scores(bxp, probe_y)
-        current = tuple(int(np.argmin(row)) for row in scores)
-    if best is None:
-        raise InfeasibleConstraintsError("anchor search found no feasible anchors")
-    return replace(best, exact=False)
+    y = samples.ys
+    slack, chosen = _projection(bxp, y)
+    shortfall = slack.max(axis=1)  # -inf exactly where b(x_k, .) is all -inf
+    blocked = np.flatnonzero(shortfall == NEG_INF)
+    if blocked.size:
+        raise InfeasibleConstraintsError(
+            "some sample admits no usable anchor", blocking_index=int(blocked[0])
+        )
+    if loss == "l1" and len(candidates) ** len(samples) <= SEARCH_ENUMERATION_BUDGET:
+        chosen = _enumerate_l1(bxp, y)
+    indices = tuple(chosen.tolist())
+    anchors = tuple(candidates.points[k] for k in indices)
+    if loss == "l1":
+        return _regress_fixed(samples, kernel, loss, anchors, indices, tol)
+    # z + eps*, as the closure of these anchors gives it, but never meeting a
+    # positive cycle that only the rounding of their gaps makes.
+    z = y + shortfall
+    fitted = z + 0.5 * float((y - z).max())
+    interp = build_f0(
+        SampleSet(samples.xs, fitted, candidates), anchors, kernel, tol=max(tol, 1e-6)
+    )
+    loss_value = float(np.abs(fitted - y).max())
+    return RegressionResult(fitted, anchors, indices, loss_value, interp, exact=True)
 
 
 @dataclass(frozen=True)

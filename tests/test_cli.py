@@ -191,7 +191,7 @@ class TestRegressCommand:
         code, out = invoke(capsys, tmp_path, "regress", payload)
         assert code == 0
         assert out["feasible"] is True
-        assert out["exact"] is False
+        assert out["exact"] is True
         assert out["loss_value"] == pytest.approx(0.5, abs=1e-9)
         assert set(out) == {
             "feasible", "witnesses", "y_star", "loss_value", "exact", "f0",
@@ -668,6 +668,16 @@ PINNED_ERRORS = {
         }),
         1,
         '{\n  "feasible": false,\n  "negative_cycle": [\n    1,\n    0\n  ]\n}\n',
+    ),
+    "regress-search-blocked": (
+        "regress",
+        json.dumps({
+            "kernel": {"type": "closed_form", "name": "dirac"},
+            "samples": {"xs": [[0.0], [1.0], [2.0]], "ys": [0.0, 1.0, 0.0]},
+            "dual_candidates": [[0.0], [2.0]],
+        }),
+        1,
+        '{\n  "blocking_index": 2,\n  "feasible": false\n}\n',
     ),
     "interpolate-blocked": (
         "interpolate",

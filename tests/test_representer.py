@@ -148,6 +148,15 @@ def unpruned_search(samples: SampleSet, kernel, loss: str, tol: float = 1e-9):
     return best
 
 
+def anchor_gaps(bxp: np.ndarray, indices) -> np.ndarray:
+    """gaps[k, m] = b(x_k, p_m) - b(x_m, p_m) for the anchors ``indices``
+    (all finite), with the diagonal vacuous."""
+    sections = bxp[:, list(indices)]
+    gaps = sections - np.diag(sections)[None, :]
+    np.fill_diagonal(gaps, NEG_INF)
+    return gaps
+
+
 def witness_oracle(samples: SampleSet, bxp: np.ndarray) -> bool:
     """Independent feasibility decision: raise each candidate section as high
     as the data allows (residuated height), then test whether the max of the
@@ -480,7 +489,7 @@ class TestRegress:
         best_loss, best_y, _ = regression_brute(bxp, samples.ys, "sup_norm")
         assert best_loss == pytest.approx(0.5, abs=1e-9)
         assert result.loss_value == pytest.approx(best_loss, abs=1e-3)
-        assert not result.exact
+        assert result.exact
 
     def test_concave_search_l1_matches_brute(self):
         samples = concave_samples()
@@ -610,12 +619,22 @@ class TestRegress:
                 raised += 1
                 continue
             got = regress(samples, kernel, loss=loss)
-            assert np.array_equal(got.y_star, expected.y_star)
-            assert got.p_star == expected.p_star
-            assert got.p_indices == expected.p_indices
             assert got.loss_value == expected.loss_value
-            assert got.interpolant.offsets == expected.interpolant.offsets
-            assert not got.exact
+            assert got.exact == (loss == "sup_norm")
+            if loss == "l1":
+                assert np.array_equal(got.y_star, expected.y_star)
+                assert got.p_star == expected.p_star
+                assert got.p_indices == expected.p_indices
+                assert got.interpolant.offsets == expected.interpolant.offsets
+                continue
+            # The greatest optimal sup-norm fit, which the enumeration need not
+            # pick: the max-plus projection z of the targets onto the column
+            # span of b(x_k, p), raised by half the largest remaining gap.
+            bxp = gram_on(kernel, samples.xs, samples.dual_candidates)
+            bxp = bxp[:, (bxp > NEG_INF).any(axis=0)]
+            z = (bxp + (samples.ys[:, None] - bxp).min(axis=0)).max(axis=1)
+            assert np.array_equal(got.y_star, z + 0.5 * (samples.ys - z).max())
+            assert np.array_equal(got.interpolant.on_grid(samples.xs).values, got.y_star)
         assert raised >= 5
 
     def test_search_closes_only_two_cycle_free_assignments(self, monkeypatch):
@@ -640,6 +659,55 @@ class TestRegress:
         assert len(calls) == 21 + 1
         assert result.p_indices in two_cycle_free_assignments(bxp)
         assert result.loss_value == unpruned_search(samples, CONV, "l1").loss_value
+
+    def test_search_sup_norm_at_scale_is_lp_optimal(self):
+        # 200 samples and 200 candidates, far beyond any enumeration.
+        rng = np.random.default_rng(60)
+        samples = SampleSet(
+            PointSet.make(np.sort(rng.choice(np.arange(-400, 401), 200, replace=False)) * 0.5),
+            rng.integers(-400, 401, 200) * 0.5,
+            PointSet.make(np.sort(rng.choice(np.arange(-400, 401), 200, replace=False)) * 0.25),
+        )
+        result = regress(samples, CONV, loss="sup_norm")
+        bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
+        z = (bxp + (samples.ys[:, None] - bxp).min(axis=0)).max(axis=1)
+        assert result.loss_value == 0.5 * (samples.ys - z).max()
+        feasible, lp_loss, _ = lp_regression(
+            anchor_gaps(bxp, result.p_indices), samples.ys, "sup_norm"
+        )
+        assert feasible and result.loss_value == pytest.approx(lp_loss, abs=1e-6)
+        refit = SampleSet(samples.xs, result.y_star, samples.dual_candidates)
+        build_f0(refit, result.p_star, CONV)
+
+    def test_search_sup_norm_on_decimal_data_matches_brute(self):
+        # Collinear decimal targets: some optimal anchors have a cycle of
+        # gaps whose weight is 0 before rounding and 1.1e-16 after it.
+        xs = np.array([-2.0, -1.7, 0.5, 1.7, 2.2, 2.7])
+        samples = SampleSet(PointSet.make(xs), 0.3 * xs + 0.1, PointSet.make([-3.0, -0.3]))
+        result = regress(samples, CONV, loss="sup_norm")
+        bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
+        best_loss, _, _ = regression_brute(bxp, samples.ys, "sup_norm")
+        assert result.loss_value == pytest.approx(best_loss, abs=1e-9)
+        fitted = result.interpolant.on_grid(samples.xs).values
+        assert fitted == pytest.approx(result.y_star, abs=1e-12)
+
+    def test_search_beyond_budget_fits_every_usable_instance(self):
+        # 4 ** 9 assignments exceed the enumeration budget, and every sample
+        # has a usable anchor, so both losses return a fit.
+        rng = np.random.default_rng(0)
+        xs = np.sort(rng.choice(np.arange(-20, 21), 9, replace=False)) * 0.5
+        cands = np.sort(rng.choice(np.arange(-8, 9), 4, replace=False)) * 0.5
+        samples = SampleSet(
+            PointSet.make(xs), rng.integers(-20, 21, 9) * 0.5, PointSet.make(cands)
+        )
+        assert 4 ** 9 > representer.SEARCH_ENUMERATION_BUDGET
+        bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
+        for loss in ("sup_norm", "l1"):
+            result = regress(samples, CONV, loss=loss)
+            feasible, lp_loss, _ = lp_regression(
+                anchor_gaps(bxp, result.p_indices), samples.ys, loss
+            )
+            assert feasible and result.loss_value == pytest.approx(lp_loss, abs=1e-6)
 
 
 class TestEquivalenceInvariant:
