@@ -3,12 +3,14 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tropkern.core as core
 from tropkern.core import (
     NEG_INF,
     POS_INF,
@@ -49,6 +51,18 @@ ext_integers = st.one_of(
     st.just(NEG_INF),
     st.integers(min_value=-1_000_000, max_value=1_000_000).map(float),
 )
+
+
+def assert_products_match_broadcast_forms(a, b):
+    """Both products equal their (m, k, n) broadcast forms byte for byte, +0.0 for zeros."""
+    cases = [
+        (max_plus(a, b), max_reduce(lower_add_arrays(a[:, :, None], b[None, :, :]), axis=1)),
+        (min_plus(a, b), min_reduce(upper_add_arrays(a[:, :, None], b[None, :, :]), axis=1)),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert got.tobytes() == (want + 0.0).tobytes()
+        assert got.size == 0 or got.ctypes.data % 64 == 0
 
 
 class TestScalarArithmetic:
@@ -149,16 +163,50 @@ class TestArrayArithmetic:
 
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
     def test_tropical_products_match_broadcast_forms(self, m, k, n, data):
+        # b is drawn as a general factor or as one of the two mirrored shapes.
+        mode = data.draw(st.sampled_from(["general", "a.T", "-a.T"]))
+        # (_LONG_K, _TERM_BLOCK) overrides: small inputs then also take the
+        # k-last block order, whose mirrored shapes compute one triangle,
+        # and cross many block boundaries.
+        long_k, term_block = data.draw(st.sampled_from([(None, None), (0, None), (0, 8), (None, 8)]))
         entries = st.lists(ext_integers | st.just(-0.0), min_size=m * k + k * n, max_size=m * k + k * n)
         flat = np.array(data.draw(entries), dtype=float)
         a, b = flat[: m * k].reshape(m, k), flat[m * k :].reshape(k, n)
-        cases = [
-            (max_plus(a, b), max_reduce(lower_add_arrays(a[:, :, None], b[None, :, :]), axis=1)),
-            (min_plus(a, b), min_reduce(upper_add_arrays(a[:, :, None], b[None, :, :]), axis=1)),
-        ]
-        for got, want in cases:
-            assert got.shape == (m, n)
-            assert np.array_equal(got, want)
+        if mode != "general":
+            b = a.T if mode == "a.T" else -a.T
+        with pytest.MonkeyPatch.context() as patch:
+            if long_k is not None:
+                patch.setattr(core, "_LONG_K", long_k)
+            if term_block is not None:
+                patch.setattr(core, "_TERM_BLOCK", term_block)
+            assert_products_match_broadcast_forms(a, b)
+
+    @pytest.mark.parametrize("mode", ["general", "a.T", "-a.T"])
+    @pytest.mark.parametrize(
+        "m, k",
+        [
+            (70, 70),  # k first: several row blocks, the last one partial
+            (70, 150),  # k last: mirrored shapes in several triangle blocks
+            (3, 30_000),  # one row's terms exceed a block
+            (4, 0),  # no terms: every entry is the empty value
+        ],
+    )
+    def test_tropical_products_across_block_boundaries(self, mode, m, k):
+        rng = np.random.default_rng(m + k)
+        pool = np.array([POS_INF, NEG_INF, -0.0, 0.0, 1.0, -1.0, 2.0, -3.0])
+        a, b = rng.choice(pool, (m, k)), rng.choice(pool, (k, m))
+        if mode != "general":
+            b = a.T if mode == "a.T" else -a.T
+        assert_products_match_broadcast_forms(a, b)
+
+    def test_zero_entries_are_positive_zero(self):
+        # Every entry is the max (or min) of the same two terms, +0.0 and
+        # -0.0, so a SIMD lane that kept -0.0 would show at some position.
+        a = np.array([[0.0, -0.0]] * 3)
+        b = np.array([[-0.0] * 3] * 2)
+        for product in (max_plus, min_plus):
+            got = product(a, b)
+            assert got.tobytes() == np.zeros((3, 3)).tobytes()
 
     def test_tropical_products_absorb_like_their_additions(self):
         a = np.array([[POS_INF, 0.0]])
@@ -169,6 +217,16 @@ class TestArrayArithmetic:
         assert min_plus(np.empty((2, 0)), np.empty((0, 3))).tolist() == [[POS_INF] * 3] * 2
         with pytest.raises(ValueError, match="inner dimensions"):
             max_plus(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.zeros(3), np.zeros(3)), (np.zeros((2, 2, 2)), np.zeros((2, 2))), (np.zeros((2, 2)), 1.0)],
+    )
+    def test_tropical_products_reject_factors_that_are_not_2d(self, a, b):
+        shapes = f"{np.shape(a)} and {np.shape(b)}"
+        for product in (max_plus, min_plus):
+            with pytest.raises(ValueError, match=re.escape(f"factors must be 2-D: shapes {shapes}")):
+                product(a, b)
 
     def test_tropical_products_on_transposed_views(self):
         rng = np.random.default_rng(7)

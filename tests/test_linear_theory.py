@@ -205,6 +205,10 @@ class TestIdempotency:
         with pytest.raises(ValueError):
             is_idempotent(np.zeros((2, 3)))
 
+    def test_mp_matmul_rejects_vectors(self):
+        with pytest.raises(ValueError, match=r"2-D: shapes \(3,\) and \(3,\)"):
+            mp_matmul(np.zeros(3), np.zeros(3))
+
 
 class TestResiduation:
     def test_left_adjunction(self):
