@@ -18,7 +18,11 @@ costs O(nt * ns * |S|) time and O(ns) memory per slice, and the kernels come
 from the nt - 1 powers of that step (the running cost ignores t).  The space and
 spacetime grids are lattice PointSets held as their axes, so no grid builds
 one tuple per point: at 101 x 200^2 a value function takes about 0.1 s and
-65 MB, most of it the values themselves.
+65 MB, most of it the values themselves.  The largest-subsolution check
+runs on the same steps, as backward and forward sweeps over the spacetime
+grid, so it too costs O(nt * ns * |S|) time and is bounded by no pair
+guard; only the dense kernels (``maupertuis_dp``, ``space_slice_kernel``)
+keep one.
 
 For state-independent convex L the continuum least action has the closed
 form -(t1 - t0) * L((r1 - r0)/(t1 - t0)); the grid kernel converges to it as
@@ -52,7 +56,6 @@ from .core import (
     ext_close,
     validate_values,
 )
-from .conjugation import ConjugationOp, apply_linear, conj_sesqui, is_in_range
 from .kernels import GramKernel, gram_on
 from .representer import SampleSet, feasible_witnesses
 
@@ -485,6 +488,35 @@ def lift_terminal(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFuncti
     return GridFunction(problem.spacetime_points(), values)
 
 
+def _sweep(
+    problem: MaupertuisProblem, costs: np.ndarray, g: np.ndarray, sign: int
+) -> np.ndarray:
+    """Min-plus sweep of ``g`` (shape (n_time, *space_shape)) along time.
+
+    h_i = min(g_i, step(h_{i+sign})) with ``_stencil_step`` in direction
+    ``sign``, starting from the last slice for sign = +1 (backward: h_i is
+    the least of g_j plus the path cost from (t_i, r) to (t_j, s), j >= i)
+    and from the first slice for sign = -1 (forward: the same over paths
+    from (t_j, s) to (t_i, r), j <= i).  Returns a new array.
+    """
+    h = np.array(g, dtype=float)
+    steps = range(len(h) - 2, -1, -1) if sign > 0 else range(1, len(h))
+    for i in steps:
+        np.minimum(h[i], _stencil_step(problem, costs, h[i + sign], sign), out=h[i])
+    return h
+
+
+def _conjugate(problem: MaupertuisProblem, costs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sesquilinear conjugate of ``g`` under the symmetric least-action kernel.
+
+    max_y b(x, y) - g(y) with b(x, y) = -(least path cost between x and y)
+    in either time order is -min(backward sweep, forward sweep) of g.
+    """
+    out = _sweep(problem, costs, g, 1)
+    np.minimum(out, _sweep(problem, costs, g, -1), out=out)
+    return np.negative(out, out=out)
+
+
 def largest_subsolution_check(
     problem: MaupertuisProblem,
     psi_T: GridFunction,
@@ -504,27 +536,45 @@ def largest_subsolution_check(
        above that one, and the causal image is monotone, so every pinned
        range element dominates -V.
 
+    No kernel is built: the conjugate under B is -min of a backward and a
+    forward ``_stencil_step`` sweep, and the causal kernel's linear map of
+    f is -(backward sweep of -f), so the check costs O(nt * ns * |S|) time
+    and a few spacetime-sized arrays.  Conditions 2 and 3 reduce to sweep
+    identities: the forward sweep of the lifted terminal cost is the lifted
+    cost itself, and both backward sweeps are the recursion of
+    ``value_function``.  The dense composition over ``maupertuis_dp``,
+    ``conj_sesqui`` and ``apply_linear`` survives as the test oracle.
+
     Returns True iff all three hold.
+
+    Raises:
+        PreconditionError: After conditions 1 and 2 hold, if some path of
+            1 .. nt-1 steps has negative cost (the causal kernel then has a
+            positive entry, which ``asymmetrize`` refuses).
     """
-    gram = maupertuis_dp(problem)
-    pts = gram.points
-    op = ConjugationOp(gram, pts)
-    v = value_function(problem, psi_T)
-    neg_v = GridFunction(pts, -v.values)
+    costs = problem.dt * problem._stencil_costs()
+    shape = (problem.n_time, *problem.space_shape)
+    neg_v = -value_function(problem, psi_T).values.reshape(shape)
 
-    if not is_in_range(op, neg_v, tol=tol).in_range:
+    bicon = _conjugate(problem, costs, _conjugate(problem, costs, neg_v))
+    if not ext_close(bicon, neg_v, tol).all():
+        return False
+    del bicon
+
+    lifted = lift_terminal(problem, psi_T).values.reshape(shape)
+    if not ext_close(_conjugate(problem, costs, lifted), neg_v, tol).all():
         return False
 
-    lifted = lift_terminal(problem, psi_T)
-    conj = conj_sesqui(op, lifted)
-    if not ext_close(conj.values, neg_v.values, tol).all():
-        return False
+    least = np.zeros(problem.space_shape)  # least cost of k-step paths from r
+    for _ in range(problem.n_time - 1):
+        least = _stencil_step(problem, costs, least, 1)
+        if (least < 0).any():
+            raise PreconditionError("asymmetrize requires nonpositive kernel values")
 
-    op_asym = ConjugationOp(asymmetrize(gram), pts)
-    floor_gen = np.full(len(pts), NEG_INF)
-    floor_gen[-problem.n_space:] = -np.asarray(psi_T.values, dtype=float)
-    attained = apply_linear(op_asym, GridFunction(pts, floor_gen))
-    return bool(ext_close(attained.values, neg_v.values, tol).all())
+    # The -inf-floored generator is -lifted, so its causal image is
+    # -(backward sweep of lifted).
+    attained = np.negative(_sweep(problem, costs, lifted, 1))
+    return bool(ext_close(attained, neg_v, tol).all())
 
 
 def space_slice_kernel(

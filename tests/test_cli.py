@@ -55,6 +55,17 @@ PAIR_GUARD_PROBLEM = {
 }
 
 
+# Staying put costs -1 per step, so the causal least-action kernel has
+# positive entries; the extremal check refuses it after its first two tests.
+NEGATIVE_COST_PROBLEM = {
+    "time_grid": [0.0, 0.5, 1.0],
+    "space_grid": [0.0, 0.5, 1.0],
+    "lagrangian": {"name": "table", "velocities": [[-1.0], [0.0], [1.0]],
+                   "costs": [1.0, -1.0, 1.0]},
+    "stencil": [[-0.5], [0.0], [0.5]],
+    "require_nonneg": False,
+}
+
 def invoke(capsys, tmp_path, command, payload, **flags):
     """Run one subcommand in-process; returns (exit code, parsed stdout)."""
     path = tmp_path / "input.json"
@@ -279,6 +290,19 @@ class TestControlCommands:
         code, out = invoke(capsys, tmp_path, "maupertuis", payload)
         assert code == 1
         assert out["error"]["kind"] == "precondition"
+
+    def test_extremal_check_runs_above_the_pair_guard(self, capsys, tmp_path):
+        # The check runs on stencil sweeps, so the guard of the dense
+        # maupertuis print does not bound it.
+        payload = {
+            "problem": PAIR_GUARD_PROBLEM,
+            "terminal_values": [float(k % 7) for k in range(600)],
+            "check_extremal": True,
+        }
+        code, out = invoke(capsys, tmp_path, "value-function", payload)
+        assert code == 0
+        assert out["largest_subsolution"] is True
+        assert len(out["values"]) == 1200
 
     def test_slice_pair_guard_exits_one(self, capsys, tmp_path):
         # 40 x 40 space points: the two-slice kernel would hold 2.56M pairs.
@@ -657,6 +681,12 @@ PINNED_ERRORS = {
     "pair-guard": (
         "maupertuis", json.dumps({"problem": PAIR_GUARD_PROBLEM}), 1,
         error_stdout("precondition", "1200^2 spacetime pairs exceed the guard of 1000000"),
+    ),
+    "extremal-negative-cost": (
+        "value-function", json.dumps({"problem": NEGATIVE_COST_PROBLEM,
+                                      "terminal_values": [0.0, 1.0, 0.0],
+                                      "check_extremal": True}), 1,
+        error_stdout("precondition", "asymmetrize requires nonpositive kernel values"),
     ),
     "regress-cycle": (
         "regress",

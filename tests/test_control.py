@@ -16,12 +16,14 @@ from tropkern.core import (
     SizeError,
     ext_close,
 )
-from tropkern.conjugation import ConjugationOp, apply_linear, conj_sesqui
+from tropkern.conjugation import ConjugationOp, apply_linear, conj_sesqui, is_in_range
 from tropkern.kernels import GramKernel, is_tpsd_pairwise
 from tropkern.linear_theory import is_idempotent, mp_matmul
 from tropkern.control import (
     LagrangianSpec,
     MaupertuisProblem,
+    _conjugate,
+    _sweep,
     asymmetrize,
     invert_terminal_cost,
     largest_subsolution_check,
@@ -592,6 +594,21 @@ class TestValueFunction:
         assert v.domain.index_of((25.0, -12.5, 12.375)) == ((100 * 200) + 0) * 200 + 199
         assert np.array_equal(v.values[-prob.n_space:], psi.values)
 
+    def test_2d_101_by_200_squared_extremal_check(self):
+        prob = plane_problem(101, 200, NINE_POINT, QUAD, step=0.125)
+        r = prob.space_points().as_array()
+        psi = GridFunction(prob.space_points(), (r * r).sum(axis=1))
+        tracemalloc.start()
+        try:
+            holds = largest_subsolution_check(prob, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The dense kernel would hold (4.04M)^2 pairs; the sweeps hold a few
+        # 32 MB spacetime arrays.
+        assert holds
+        assert peak < 400e6
+
 
 class TestLargestSubsolution:
     def quadratic_pair(self):
@@ -678,6 +695,122 @@ class TestLargestSubsolution:
         element = apply_linear(op, GridFunction(causal.points, coeffs))
         assert np.array_equal(element.values[-prob.n_space :], psi.values)
         assert np.all(element.values >= -v.values - 1e-12)
+
+
+def _dense_check(problem, psi_T, tol=1e-9):
+    """The largest-subsolution check composed over the dense kernel."""
+    gram = maupertuis_dp(problem)
+    pts = gram.points
+    op = ConjugationOp(gram, pts)
+    neg_v = GridFunction(pts, -value_function(problem, psi_T).values)
+    if not is_in_range(op, neg_v, tol=tol).in_range:
+        return False
+    conj = conj_sesqui(op, lift_terminal(problem, psi_T))
+    if not ext_close(conj.values, neg_v.values, tol).all():
+        return False
+    op_asym = ConjugationOp(asymmetrize(gram), pts)
+    floor_gen = np.full(len(pts), NEG_INF)
+    floor_gen[-problem.n_space:] = -np.asarray(psi_T.values)
+    attained = apply_linear(op_asym, GridFunction(pts, floor_gen))
+    return bool(ext_close(attained.values, neg_v.values, tol).all())
+
+
+FORMS = ("quadratic", "absolute", "table")
+
+
+def random_dyadic_problem(rng, dim, form, reversible, negative=False):
+    """A small random problem whose path sums are exact in float64.
+
+    Steps are 0.25 or 0.5 in time and space, so every step cost and every
+    sum of them is dyadic.  One-sided stencils keep a random subset of the
+    displacements; ``negative`` draws table costs that may be below zero.
+    """
+    dt, dr = rng.choice([0.25, 0.5], size=2)
+    nt = int(rng.integers(2, 6))
+    n = int(rng.integers(2, 8 if dim == 1 else 5))
+    reach = range(-2, 3) if dim == 1 else range(-1, 2)
+    offsets = list(itertools.product(reach, repeat=dim))
+    if not reversible:
+        keep = rng.random(len(offsets)) < 0.5
+        keep[rng.integers(len(offsets))] = True
+        offsets = [o for o, k in zip(offsets, keep) if k]
+    if form == "table":
+        low = -2 if negative else 0
+        costs = rng.integers(low, 5, len(offsets)) / 2.0
+        lagrangian = LagrangianSpec(
+            "table",
+            velocities=tuple(tuple(k * dr / dt for k in o) for o in offsets),
+            costs=tuple(costs),
+        )
+    else:
+        lagrangian = LagrangianSpec(form)
+    return MaupertuisProblem(
+        np.arange(nt) * dt,
+        [np.arange(n) * dr] * dim,
+        lagrangian,
+        [tuple(k * dr for k in o) for o in offsets],
+        claim_reversible=reversible,
+        require_nonneg=not negative,
+    )
+
+
+def random_argument(rng, shape):
+    """Half-integers with some +-inf entries and zeros of both signs."""
+    g = rng.integers(-6, 7, shape) / 2.0
+    u = rng.random(shape)
+    g[u < 0.1] = POS_INF
+    g[u > 0.9] = NEG_INF
+    g[(0.45 < u) & (u < 0.5)] = -0.0
+    return g
+
+
+class TestSweepOperators:
+    """The sweeps against the dense kernel's operators, bitwise."""
+
+    @pytest.mark.parametrize("reversible", [True, False])
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sweeps_equal_dense_operators(self, dim, form, reversible):
+        rng = np.random.default_rng([dim, FORMS.index(form), reversible])
+        for _ in range(20):
+            prob = random_dyadic_problem(rng, dim, form, reversible)
+            costs = prob.dt * prob._stencil_costs()
+            shape = (prob.n_time, *prob.space_shape)
+            gram = maupertuis_dp(prob)
+            pts = gram.points
+            g = random_argument(rng, shape)
+            f = GridFunction(pts, g.reshape(-1))
+            dense = conj_sesqui(ConjugationOp(gram, pts), f).values
+            assert np.array_equal(_conjugate(prob, costs, g).reshape(-1), dense)
+            causal = apply_linear(ConjugationOp(asymmetrize(gram), pts), f).values
+            swept = np.negative(_sweep(prob, costs, -g, 1)).reshape(-1)
+            assert np.array_equal(swept, causal)
+
+
+def outcome(check, problem, psi):
+    """A check's verdict, or the message of its PreconditionError."""
+    try:
+        return check(problem, psi)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+class TestSweepCheckAgreesWithDense:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_same_outcome_on_random_problems(self, dim):
+        rng = np.random.default_rng(dim)
+        seen = set()
+        for trial in range(60):
+            form = FORMS[trial % 3]
+            negative = form == "table" and trial % 2 == 0
+            prob = random_dyadic_problem(rng, dim, form, trial % 4 < 2, negative)
+            psi = GridFunction(
+                prob.space_points(), random_argument(rng, prob.space_shape).reshape(-1)
+            )
+            dense = outcome(_dense_check, prob, psi)
+            assert outcome(largest_subsolution_check, prob, psi) == dense
+            seen.add(dense)
+        assert seen == {True, "asymmetrize requires nonpositive kernel values"}
 
 
 class TestSpaceSliceKernel:
