@@ -23,6 +23,7 @@ number >= 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -742,7 +743,9 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(
         prog="tropkern",
         description="Max-plus kernel computations with JSON/CSV input and output.",
@@ -751,7 +754,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--input", required=True, help="JSON input document")
     parser.add_argument("--output", default=None, help="JSON output destination")
     parser.add_argument("--tol", type=_tolerance, default=1e-9, help="numerical tolerance")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     config = RunConfig(
         command=args.command,
         input_path=args.input,

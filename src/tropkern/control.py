@@ -12,17 +12,18 @@ mirrored value for t1 < t0, which makes the matrix symmetric by
 construction.  Its causal (asymmetric) variant keeps only t1 >= t0 and is
 exactly idempotent by the dynamic programming principle.
 
-The dynamic programming runs as stencil shifts: one step is the minimum of
-the |S| shifted copies of a slice plus their step costs, so a value function
-costs O(nt * ns * |S|) time and O(ns) memory per slice, and the kernels come
-from the nt - 1 powers of that step (the running cost ignores t).  The space and
-spacetime grids are lattice PointSets held as their axes, so no grid builds
-one tuple per point: at 101 x 200^2 a value function takes about 0.1 s and
-65 MB, most of it the values themselves.  The largest-subsolution check
-runs on the same steps, as backward and forward sweeps over the spacetime
-grid, so it too costs O(nt * ns * |S|) time and is bounded by no pair
-guard; only the dense kernels (``maupertuis_dp``, ``space_slice_kernel``)
-keep one.
+The dynamic programming runs as stencil steps: one step is the minimum of
+the |S| shifted copies of a slice plus their step costs, read as views of
+one +inf-bordered buffer that a stepper builds once per sweep.  A value
+function costs O(nt * ns * |S|) time and O(ns) memory per slice, and the
+kernels come from the nt - 1 powers of that step (the running cost ignores
+t).  The space and spacetime grids are lattice PointSets held as their
+axes, so no grid builds one tuple per point: at 101 x 200^2 a value
+function takes about 0.04 s and 37 MB traced, most of it the values
+themselves.  The largest-subsolution check runs on the same steps, as
+backward and forward sweeps over the spacetime grid, so it too costs
+O(nt * ns * |S|) time and is bounded by no pair guard; only the dense
+kernels (``maupertuis_dp``, ``space_slice_kernel``) keep one.
 
 For state-independent convex L the continuum least action has the closed
 form -(t1 - t0) * L((r1 - r0)/(t1 - t0)); the grid kernel converges to it as
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -377,41 +378,54 @@ def _parse_grid(g) -> np.ndarray:
     return np.asarray(list(g), dtype=float)
 
 
-def _stencil_step(
-    problem: MaupertuisProblem, costs: np.ndarray, arr: np.ndarray, sign: int
-) -> np.ndarray:
-    """One DP step over the trailing space axes of ``arr``.
+def _stepper(
+    problem: MaupertuisProblem, costs: np.ndarray, sign: int, batch: tuple[int, ...] = ()
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """One DP step over the trailing space axes of (*batch, *space_shape) arrays.
 
-    out[..., r] = min over stencil displacements v of
-    arr[..., r + sign*v] + costs[v]; +inf where no displacement stays on
-    the lattice.  ``costs`` holds dt * L(v/dt), which is finite, so the
-    plain sum never meets (+inf) + (-inf).
+    ``step(arr, out)`` writes out[..., r] = min over stencil displacements v
+    of arr[..., r + sign*v] + costs[v] (+inf where none stays on the
+    lattice) and returns ``out``, which may be ``arr``.  It copies ``arr``
+    into a buffer bordered by +inf, so each displacement reads one
+    full-size view of the buffer; the views and one term array are made
+    once, and a step is the copy plus an ``np.add`` and an ``np.minimum``
+    per displacement, in stencil order.  ``costs`` holds dt * L(v/dt),
+    which is finite, so no sum meets (+inf) + (-inf).
     """
     shape = problem.space_shape
-    out = np.full(arr.shape, POS_INF)
-    for off, cost in zip(problem._offsets, costs):
-        dst, src = [Ellipsis], [Ellipsis]
-        for n, k in zip(shape, off):
-            k, size = sign * k, max(0, n - abs(k))
-            dst.append(slice(max(0, -k), max(0, -k) + size))
-            src.append(slice(max(0, k), max(0, k) + size))
-        view = out[tuple(dst)]
-        np.minimum(view, arr[tuple(src)] + cost, out=view)
-    return out
+    shifts = sign * np.array(problem._offsets)
+    lo, hi = np.maximum(-shifts.min(axis=0), 0), np.maximum(shifts.max(axis=0), 0)
+    buffer = np.full((*batch, *(shape + lo + hi)), POS_INF)
+
+    def view(shift: np.ndarray) -> np.ndarray:
+        return buffer[(Ellipsis, *(slice(k + s, k + s + n) for k, s, n in zip(lo, shift, shape)))]
+
+    interior, (first, *rest) = view(0 * lo), [(view(s), c) for s, c in zip(shifts, costs)]
+    term = np.empty((*batch, *shape))
+
+    def step(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+        interior[...] = arr
+        np.add(*first, out=out)
+        for src, cost in rest:
+            np.add(src, cost, out=term)
+            np.minimum(out, term, out=out)
+        return out
+
+    return step
 
 
 def _least_actions(problem: MaupertuisProblem, upto: int) -> Iterator[np.ndarray]:
     """Yield P_1 .. P_upto, P_k[a, b] the minimal cost of a k-step path a -> b.
 
-    Each power has shape (n_space, *space_shape).  The start is the min-plus
-    identity with -0.0, the exact additive identity, on its diagonal.
+    Each power has shape (n_space, *space_shape) and overwrites the one
+    before it.  The start is the min-plus identity with -0.0, the exact
+    additive identity, on its diagonal.
     """
     ns = problem.n_space
-    costs = problem.dt * problem._stencil_costs()
+    step = _stepper(problem, problem.dt * problem._stencil_costs(), -1, (ns,))
     power = np.where(np.eye(ns, dtype=bool), -0.0, POS_INF).reshape(ns, *problem.space_shape)
     for _ in range(upto):
-        power = _stencil_step(problem, costs, power, -1)
-        yield power
+        yield step(power, power)
 
 
 def maupertuis_dp(problem: MaupertuisProblem) -> GramKernel:
@@ -471,12 +485,12 @@ def value_function(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFunct
     """
     if psi_T.domain != problem.space_points():
         raise ValueError("terminal cost must live on the problem's space grid")
-    costs = problem.dt * problem._stencil_costs()
+    step = _stepper(problem, problem.dt * problem._stencil_costs(), 1)
     slices = np.empty((problem.n_time, *problem.space_shape))
     slices[-1] = psi_T.values.reshape(problem.space_shape)
     for i in range(problem.n_time - 2, -1, -1):
-        slices[i] = _stencil_step(problem, costs, slices[i + 1], 1)
-    return GridFunction(problem.spacetime_points(), slices.reshape(-1))
+        step(slices[i + 1], slices[i])
+    return GridFunction._adopt(problem.spacetime_points(), slices.reshape(-1))
 
 
 def lift_terminal(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFunction:
@@ -485,7 +499,7 @@ def lift_terminal(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFuncti
         raise ValueError("terminal cost must live on the problem's space grid")
     values = np.full(problem.n_time * problem.n_space, POS_INF)
     values[-problem.n_space :] = psi_T.values
-    return GridFunction(problem.spacetime_points(), values)
+    return GridFunction._adopt(problem.spacetime_points(), values)
 
 
 def _sweep(
@@ -493,16 +507,16 @@ def _sweep(
 ) -> np.ndarray:
     """Min-plus sweep of ``g`` (shape (n_time, *space_shape)) along time.
 
-    h_i = min(g_i, step(h_{i+sign})) with ``_stencil_step`` in direction
+    h_i = min(g_i, step(h_{i+sign})) with one ``_stepper`` in direction
     ``sign``, starting from the last slice for sign = +1 (backward: h_i is
     the least of g_j plus the path cost from (t_i, r) to (t_j, s), j >= i)
     and from the first slice for sign = -1 (forward: the same over paths
     from (t_j, s) to (t_i, r), j <= i).  Returns a new array.
     """
     h = np.array(g, dtype=float)
-    steps = range(len(h) - 2, -1, -1) if sign > 0 else range(1, len(h))
-    for i in steps:
-        np.minimum(h[i], _stencil_step(problem, costs, h[i + sign], sign), out=h[i])
+    step, stepped = _stepper(problem, costs, sign), np.empty(problem.space_shape)
+    for i in range(len(h) - 2, -1, -1) if sign > 0 else range(1, len(h)):
+        np.minimum(h[i], step(h[i + sign], stepped), out=h[i])
     return h
 
 
@@ -537,7 +551,7 @@ def largest_subsolution_check(
        range element dominates -V.
 
     No kernel is built: the conjugate under B is -min of a backward and a
-    forward ``_stencil_step`` sweep, and the causal kernel's linear map of
+    forward stencil sweep, and the causal kernel's linear map of
     f is -(backward sweep of -f), so the check costs O(nt * ns * |S|) time
     and a few spacetime-sized arrays.  Conditions 2 and 3 reduce to sweep
     identities: the forward sweep of the lifted terminal cost is the lifted
@@ -565,9 +579,10 @@ def largest_subsolution_check(
     if not ext_close(_conjugate(problem, costs, lifted), neg_v, tol).all():
         return False
 
+    step = _stepper(problem, costs, 1)
     least = np.zeros(problem.space_shape)  # least cost of k-step paths from r
     for _ in range(problem.n_time - 1):
-        least = _stencil_step(problem, costs, least, 1)
+        step(least, least)
         if (least < 0).any():
             raise PreconditionError("asymmetrize requires nonpositive kernel values")
 

@@ -485,12 +485,26 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, domain: PointSet, values: np.ndarray) -> "GridFunction":
+        """Take over a float64 array the caller has just built and keeps no
+        other reference to: checked and made read-only, but not copied."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "domain", domain)
+        object.__setattr__(fn, "values", values)
+        fn._freeze(copy=False)
+        return fn
+
+    def _freeze(self, copy: bool) -> None:
         arr = validate_values(self.values, "GridFunction values")
         if arr.shape != (len(self.domain),):
             raise ValueError(
                 f"expected {len(self.domain)} values, got shape {arr.shape}"
             )
-        arr = arr.copy()
+        if copy:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

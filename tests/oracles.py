@@ -508,3 +508,28 @@ def backward_value_from_paths(
         for a in range(ns):
             out[i, a] = np.min(grid[i, a, nt - 1, :] + psi)
     return out
+
+
+def stencil_step(
+    shape: tuple[int, ...],
+    offsets: list[tuple[int, ...]],
+    costs,
+    arr: np.ndarray,
+    sign: int,
+) -> np.ndarray:
+    """One DP step over the trailing space axes of ``arr``, one shifted copy
+    per stencil offset.
+
+    out[..., r] = min over offsets k of arr[..., r + sign*k] + costs[k];
+    +inf where no offset stays on the lattice of the given ``shape``.
+    """
+    out = np.full(arr.shape, POS)
+    for off, cost in zip(offsets, costs):
+        dst, src = [Ellipsis], [Ellipsis]
+        for n, k in zip(shape, off):
+            k, size = sign * k, max(0, n - abs(k))
+            dst.append(slice(max(0, -k), max(0, -k) + size))
+            src.append(slice(max(0, k), max(0, k) + size))
+        view = out[tuple(dst)]
+        np.minimum(view, arr[tuple(src)] + cost, out=view)
+    return out

@@ -503,6 +503,13 @@ class TestGoldenOutputs:
         assert out_path.read_bytes() == out
         assert (tmp_path / "v.csv").read_bytes() == (GOLDEN / "value-function-2d.csv").read_bytes()
 
+    def test_one_sided_table_cost_kernel_bytes(self, capsys):
+        # A 5 x 9 causal kernel of a table cost with a zero-cost velocity and
+        # a one-sided stencil: -0.0 entries, -inf below the band.
+        code = main(["maupertuis", "--input", str(GOLDEN / "maupertuis-table.json")])
+        assert code == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / "maupertuis-table.stdout").read_bytes()
+
     def test_stopping_cost_csv_with_infinity_and_signed_zero(self, capsys, tmp_path):
         # The stopping cost is [-0.0, inf, 2.0].
         out_path = tmp_path / "s.json"
@@ -837,6 +844,25 @@ class TestErrorPlumbing:
             main(["check-tpsd", "--input", str(path), "--tol", tol])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_parser_is_built_once(self, capsys, tmp_path):
+        from tropkern.cli import _parser
+
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kernel": {
+            "type": "gram", "points": [[0.0], [1.0]], "matrix": [[0, -1], [-1, 0]]}}))
+        _parser.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert main(["check-tpsd", "--input", str(path)]) == 0
+            outputs.append(capsys.readouterr().out.encode())
+        assert _parser.cache_info().misses == 1
+        assert outputs[0] == outputs[1]
+        # The cached parser still refuses a NaN tolerance with exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(["check-tpsd", "--input", str(path), "--tol", "nan"])
+        assert exc.value.code == 2
+        assert _parser.cache_info().misses == 1
 
     def test_all_commands_registered(self):
         from tropkern.cli import _HANDLERS

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropkern.core import (
     NEG_INF,
@@ -23,6 +25,7 @@ from tropkern.control import (
     LagrangianSpec,
     MaupertuisProblem,
     _conjugate,
+    _stepper,
     _sweep,
     asymmetrize,
     invert_terminal_cost,
@@ -40,6 +43,7 @@ from oracles import (
     backward_value_from_paths,
     hopf_quadratic,
     min_action_matrix,
+    stencil_step,
     true_value_quadratic,
 )
 
@@ -587,9 +591,10 @@ class TestValueFunction:
         finally:
             tracemalloc.stop()
         # 4.04M spacetime points: one tuple per point alone would take about
-        # 500 MB; the values themselves take 32 MB.
+        # 500 MB; the values themselves take 32 MB, and the GridFunction
+        # takes them over (37.3 MB traced, with the NaN check's 4 MB mask).
         assert elapsed < 1.0
-        assert peak < 150e6
+        assert peak < 40e6
         assert len(v.domain) == 101 * 200 * 200
         assert v.domain.index_of((25.0, -12.5, 12.375)) == ((100 * 200) + 0) * 200 + 199
         assert np.array_equal(v.values[-prob.n_space:], psi.values)
@@ -813,6 +818,105 @@ class TestSweepCheckAgreesWithDense:
         assert seen == {True, "asymmetrize requires nonpositive kernel values"}
 
 
+def offset_problem(shape, offsets):
+    """A problem on a unit-step lattice of ``shape`` with integer ``offsets``;
+    its own running cost is not used by the steps under test."""
+    return MaupertuisProblem(
+        [0.0, 1.0], [np.arange(n, dtype=float) for n in shape], QUAD,
+        [tuple(map(float, o)) for o in offsets],
+        claim_reversible=False, require_nonneg=False,
+    )
+
+
+DYADIC = st.integers(-12, 12).map(lambda k: k / 4.0)
+ENTRIES = DYADIC | st.sampled_from([POS_INF, NEG_INF, -0.0])
+
+
+@st.composite
+def step_cases(draw):
+    """(shape, offsets, costs, batch, sign, two arguments) of one step."""
+    dim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(dim))
+    reach = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["symmetric", "one-sided"]))
+    low = 0 if kind == "one-sided" else -reach
+    cells = list(itertools.product(range(low, reach + 1), repeat=dim))
+    offsets = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=9, unique=True))
+    if kind == "symmetric":
+        offsets = sorted(set(offsets) | {tuple(-k for k in o) for o in offsets})
+    costs = np.array(
+        draw(st.lists(DYADIC | st.just(-0.0), min_size=len(offsets), max_size=len(offsets)))
+    )
+    batch = draw(st.sampled_from([(), (3,)]))
+    size = int(np.prod((*batch, *shape)))
+    args = [
+        np.array(draw(st.lists(ENTRIES, min_size=size, max_size=size))).reshape(*batch, *shape)
+        for _ in range(2)
+    ]
+    return shape, offsets, costs, batch, draw(st.sampled_from([1, -1])), args
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestStepper:
+    """The stepper against the per-offset reference step, bitwise."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(step_cases())
+    def test_equals_reference_step(self, case):
+        shape, offsets, costs, batch, sign, (a, b) = case
+        step = _stepper(offset_problem(shape, offsets), costs, sign, batch)
+        # One stepper serves every step: a new output, then one in place.
+        assert_same_bits(step(a, np.empty_like(a)), stencil_step(shape, offsets, costs, a, sign))
+        want = stencil_step(shape, offsets, costs, b, sign)
+        assert_same_bits(step(b, b), want)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)],  # sparse cross
+            list(itertools.product((0, 1, 2), repeat=2)),  # one-sided box
+            [(0, 4), (0, 0), (0, -4)],  # sparse, longer than the lattice
+            [(1, 1), (2, 1)],  # no zero displacement
+        ],
+    )
+    @pytest.mark.parametrize("batch", [(), (7,)])
+    def test_chained_steps(self, batch, offsets, sign):
+        shape = (5, 4)
+        rng = np.random.default_rng(len(offsets))
+        costs = rng.integers(0, 9, len(offsets)) / 4.0
+        arg = rng.choice([POS_INF, NEG_INF, -0.0, 0.0, 0.5, -1.25], (*batch, *shape))
+        step = _stepper(offset_problem(shape, offsets), costs, sign, batch)
+        for _ in range(3):
+            want = stencil_step(shape, offsets, costs, arg, sign)
+            assert_same_bits(step(arg, arg), want)
+
+    def test_negative_zero_cost_keeps_its_sign(self):
+        # A literal -0.0 table cost gives -0.0 where a -0.0 entry meets it,
+        # as in the per-offset step; the kernel zeros keep their signs too.
+        lagrangian = LagrangianSpec(
+            "table", velocities=((0.0,), (1.0,), (-1.0,)), costs=(-0.0, 0.5, 0.5)
+        )
+        prob = MaupertuisProblem(
+            np.arange(4) * 0.5, [np.arange(6) * 0.5], lagrangian, [(0.0,), (0.5,), (-0.5,)]
+        )
+        costs = prob.dt * prob._stencil_costs()
+        arg = np.array([-0.0, 0.0, -0.0, 1.0, POS_INF, -0.0])
+        for sign in (1, -1):
+            want = stencil_step((6,), prob._offsets, costs, arg, sign)
+            assert np.signbit(want[want == 0.0]).any()
+            assert_same_bits(_stepper(prob, costs, sign)(arg, np.empty(6)), want)
+        slices = value_function(prob, GridFunction(prob.space_points(), arg)).values
+        want = [arg]
+        for _ in range(prob.n_time - 1):
+            want.insert(0, stencil_step((6,), prob._offsets, costs, want[0], 1))
+        assert_same_bits(slices, np.concatenate(want))
+
+
 class TestSpaceSliceKernel:
     def test_single_step_values(self):
         prob = lattice_problem(0.25, 0.25)
@@ -872,6 +976,18 @@ class TestSpaceSliceKernel:
         prob = plane_problem(3, 40, NINE_POINT, QUAD)
         with pytest.raises(SizeError):
             space_slice_kernel(prob)
+
+    def test_batched_steps_stay_within_memory(self):
+        # 961 x 31 x 31 powers, 25-point stencil: one power takes 7.4 MB;
+        # a step holds the power, its bordered copy and one term array.
+        prob = plane_problem(11, 31, list(itertools.product(range(-2, 3), repeat=2)), QUAD)
+        tracemalloc.start()
+        try:
+            space_slice_kernel(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestInvertTerminalCost:

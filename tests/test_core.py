@@ -260,6 +260,14 @@ class TestPointSetAndGridFunction:
         with pytest.raises(ValueError):
             GridFunction(ps, np.array([1.0]))
 
+    def test_grid_function_copies_the_callers_array(self):
+        values = np.array([1.0, -0.0, NEG_INF])
+        f = GridFunction(PointSet.make([0.0, 1.0, 2.0]), values)
+        values[:] = 5.0
+        assert list(f.values) == [1.0, -0.0, NEG_INF]
+        assert not f.values.flags.writeable
+        assert list(f.with_values(values).values) == [5.0] * 3
+
     def test_dirac_bottom(self):
         ps = PointSet.make([0.0, 1.0, 2.0])
         f = dirac(ps, 1.0, "bottom")
