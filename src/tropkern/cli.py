@@ -15,9 +15,9 @@ Exit codes:
 Extended reals are encoded as numbers, with the strings ``"inf"`` and
 ``"-inf"`` for the two infinities, in both JSON and CSV.  Handlers put
 arrays in their payloads; the writer prints each one from the text of its
-distinct values, with the bytes ``json.dumps(encode_values(array),
-indent=2, sort_keys=True)`` would give.  ``--tol`` must be a finite
-number >= 0.
+distinct values, a run of equal entries as one text, with the bytes
+``json.dumps(encode_values(array), indent=2, sort_keys=True)`` would give.
+``--tol`` must be a finite number >= 0.
 """
 
 from __future__ import annotations
@@ -505,7 +505,8 @@ def _dump_json(obj, level: int = 0) -> str:
     separator; everything else recurses.  ``obj`` is written as if
     it sat ``level`` levels deep, so later lines carry that indent.  A
     ``PointSet`` is written as its list of coordinate lists, and a 1-D or
-    2-D ``np.ndarray`` as ``encode_values`` of it (``_array_parts``).
+    2-D ``np.ndarray`` as ``encode_values`` of it (``_array_parts``, which
+    writes a run of equal entries as one text).
     """
     ind = "\n" + "  " * level
     pad = ind + "  "
@@ -570,46 +571,146 @@ def _dump_json(obj, level: int = 0) -> str:
 # small next to the text it writes whatever the array's size.
 _BLOCK = 1 << 16
 
+# Entries a block needs before it is written as runs.  Below that the dozen
+# numpy calls the runs take cost more than they save: at 4096 entries a
+# constant block is still written faster as runs, but a block of the 11x61
+# least-action kernel only breaks even and a -inf-heavy random one is 1.2x
+# slower; at 8192 all three are faster.
+_RUNS_MIN = 1 << 13
+
 # The text of +inf, -inf and NaN, as json and str write encode_values'
 # "inf", "-inf" and None.
 _JSON_NONFINITE = ('"inf"', '"-inf"', "null")
 _CSV_NONFINITE = ("inf", "-inf", "None")
 
 
-def _entry_texts(
-    values: np.ndarray,
-    nonfinite: tuple[str, str, str],
-    sep: str = "",
-    row_len: int = 0,
-    row_sep: str = "",
-) -> list[str]:
-    """The text of each entry of ``values`` in C order, followed by ``sep``,
-    or by ``row_sep`` if it ends a row of ``row_len`` entries.
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for a 1-D array, less the
+    wrapper that costs more than the sort on small arrays."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
-    A finite value is written by ``float.__repr__``, as json writes it, once
-    per distinct bit pattern (so -0.0 stays apart from 0.0) in each block of
-    ``_BLOCK`` entries; +inf, -inf and NaN by ``nonfinite``.  The entries
-    are mapped to their texts through integer codes.
+
+def _coded_texts(
+    values: np.ndarray, nonfinite: tuple[str, str, str], sep: str, row_sep: str,
+    row_ends: slice | np.ndarray | None,
+) -> tuple[list[str], np.ndarray]:
+    """The distinct texts of ``values`` and each value's code into them.
+
+    A text is its value's followed by ``sep``, or by ``row_sep`` for the
+    entries at ``row_ends``.  A finite value is written by
+    ``float.__repr__``, as json writes it, once per distinct bit pattern (so
+    -0.0 stays apart from 0.0); +inf, -inf and NaN (any payload) by
+    ``nonfinite``.
     """
+    finite = np.isfinite(values)
+    bits, finite_codes = _distinct(values[finite].view(np.int64))
+    texts = list(map(float.__repr__, bits.view(float).tolist()))
+    texts += nonfinite
+    codes = np.full(values.size, len(texts) - 1)
+    codes[values == POS_INF] = len(texts) - 3
+    codes[values == NEG_INF] = len(texts) - 2
+    codes[finite] = finite_codes
+    table = [t + sep for t in texts]
+    if row_ends is not None:
+        table += [t + row_sep for t in texts]
+        codes[row_ends] += len(texts)
+    return table, codes
+
+
+def _block_texts(
+    chunk: np.ndarray, start: int, nonfinite: tuple[str, str, str],
+    sep: str, row_len: int, row_sep: str,
+) -> list[str]:
+    """One text per entry of the block at ``start`` of a flat array: see
+    ``_run_texts``."""
+    ends = slice((row_len - 1 - start) % row_len, None, row_len) if row_len else None
+    table, codes = _coded_texts(chunk, nonfinite, sep, row_sep, ends)
+    return np.array(table, dtype=object)[codes].tolist()
+
+
+def _entry_texts(values: np.ndarray, nonfinite: tuple[str, str, str]) -> list[str]:
+    """The text of each entry of ``values`` in C order (``_coded_texts``),
+    coded one block of ``_BLOCK`` entries at a time."""
     flat = np.asarray(values, dtype=float).ravel()
     # Filled in place: a list grown block by block left the allocator
     # holding more of the process's peak resident set.
     out = [""] * flat.size
     for start in range(0, flat.size, _BLOCK):
+        out[start:start + _BLOCK] = _block_texts(
+            flat[start:start + _BLOCK], start, nonfinite, "", 0, ""
+        )
+    return out
+
+
+def _run_bounds(chunk: np.ndarray, start: int, row_len: int) -> np.ndarray | None:
+    """The index of the first entry of each run in the block at ``start`` of
+    a flat array with rows of ``row_len`` entries (none if 0), followed by
+    the block's size; None if the block is better written per entry.
+
+    That is a block of fewer than ``_RUNS_MIN`` entries, or one in which
+    more than half of the entries start a run: there the codes and lookups
+    per run cost more than they save.
+    """
+    if chunk.size < _RUNS_MIN:
+        return None
+    bits = chunk.view(np.int64)
+    heads = np.empty(chunk.size + 1, dtype=bool)
+    heads[0] = heads[-1] = True
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:-1])
+    if row_len:
+        heads[-start % row_len::row_len] = True
+        heads[(row_len - 1 - start) % row_len::row_len] = True
+    if 2 * (np.count_nonzero(heads) - 1) > chunk.size:
+        return None
+    return np.flatnonzero(heads)
+
+
+def _run_texts(
+    values: np.ndarray,
+    nonfinite: tuple[str, str, str],
+    sep: str,
+    row_len: int = 0,
+    row_sep: str = "",
+) -> list[str]:
+    """Texts that join to the text of each entry of ``values`` in C order
+    (``_coded_texts``) followed by ``sep``, or by ``row_sep`` if it ends a
+    row of ``row_len`` entries.
+
+    A run is a stretch of entries with one bit pattern inside a block of
+    ``_BLOCK`` entries and a row; a row's last entry is a run of its own, as
+    it carries ``row_sep``.  A block that ``_run_bounds`` splits into runs
+    is written as one text per run, its entry's text times its length, each
+    distinct (text, length) built once; any other block per entry.
+    """
+    flat = np.asarray(values, dtype=float).ravel()
+    out: list[str] = []
+    for start in range(0, flat.size, _BLOCK):
         chunk = flat[start:start + _BLOCK]
-        finite = np.isfinite(chunk)
-        bits, finite_codes = np.unique(chunk[finite].view(np.int64), return_inverse=True)
-        texts = list(map(float.__repr__, bits.view(float).tolist()))
-        texts += nonfinite
-        codes = np.full(chunk.size, len(texts) - 1)
-        codes[chunk == POS_INF] = len(texts) - 3
-        codes[chunk == NEG_INF] = len(texts) - 2
-        codes[finite] = finite_codes
-        table = [t + sep for t in texts]
+        bounds = _run_bounds(chunk, start, row_len)
+        if bounds is None:
+            out += _block_texts(chunk, start, nonfinite, sep, row_len, row_sep)
+            continue
+        ends = None
         if row_len:
-            table += [t + row_sep for t in texts]
-            codes[(row_len - 1 - start) % row_len::row_len] += len(texts)
-        out[start:start + _BLOCK] = np.array(table, dtype=object)[codes].tolist()
+            ends = np.searchsorted(
+                bounds, np.arange((row_len - 1 - start) % row_len, chunk.size, row_len)
+            )
+        table, codes = _coded_texts(chunk[bounds[:-1]], nonfinite, sep, row_sep, ends)
+        # A run of one entry is its entry's text; each longer run's text is
+        # built once per distinct code and length (at most _BLOCK).
+        lengths = np.diff(bounds)
+        longer = np.flatnonzero(lengths > 1)
+        pairs, which = _distinct(codes[longer] * (_BLOCK + 1) + lengths[longer])
+        codes[longer] = len(table) + which
+        table += [table[k // (_BLOCK + 1)] * (k % (_BLOCK + 1)) for k in pairs.tolist()]
+        out += np.array(table, dtype=object)[codes].tolist()
     return out
 
 
@@ -618,8 +719,8 @@ def _array_parts(arr: np.ndarray, level: int) -> list[str]:
     1-D or 2-D array.
 
     Each entry's text carries the separator that follows it, so the array
-    is one list of per-entry texts and is joined once, with the payload
-    around it.
+    is one list of texts, one per run of equal entries or one per entry
+    (``_run_texts``), and is joined once, with the payload around it.
     """
     if arr.ndim not in (1, 2):
         raise TypeError(f"cannot write a {arr.ndim}-D array as JSON")
@@ -631,12 +732,12 @@ def _array_parts(arr: np.ndarray, level: int) -> list[str]:
         return ["[", pad, ("," + pad).join(["[]"] * len(arr)), ind, "]"]
     if arr.ndim == 1:
         head, row_sep, tail = "[" + pad, "," + pad, ind + "]"
-        parts = _entry_texts(arr, _JSON_NONFINITE, row_sep)
+        parts = _run_texts(arr, _JSON_NONFINITE, row_sep)
     else:
         pad2 = pad + "  "
         head, tail = "[" + pad + "[" + pad2, pad + "]" + ind + "]"
         row_sep = pad + "]," + pad + "[" + pad2
-        parts = _entry_texts(arr, _JSON_NONFINITE, "," + pad2, arr.shape[1], row_sep)
+        parts = _run_texts(arr, _JSON_NONFINITE, "," + pad2, arr.shape[1], row_sep)
     # The last entry ends a row: the closing text takes the place of its
     # row separator.
     parts[0] = head + parts[0]

@@ -452,7 +452,7 @@ def maupertuis_dp(problem: MaupertuisProblem) -> GramKernel:
         i = np.arange(nt - gap)
         blocks[i, :, i + gap, :] = block
         blocks[i + gap, :, i, :] = block.T
-    return GramKernel(problem.spacetime_points(), matrix)
+    return GramKernel._adopt(problem.spacetime_points(), matrix)
 
 
 def asymmetrize(gram: GramKernel) -> GramKernel:
@@ -471,7 +471,7 @@ def asymmetrize(gram: GramKernel) -> GramKernel:
         raise PreconditionError("asymmetrize requires nonpositive kernel values")
     t = gram.points.as_array()[:, 0]
     matrix = np.where(t[None, :] < t[:, None], NEG_INF, gram.matrix)
-    return GramKernel(gram.points, matrix)
+    return GramKernel._adopt(gram.points, matrix)
 
 
 def value_function(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFunction:
@@ -613,7 +613,7 @@ def space_slice_kernel(
         raise SizeError(f"{ns}^2 space pairs exceed the guard of {PAIR_GUARD}")
     for power in _least_actions(problem, stop - start):
         pass  # only the last power is kept
-    return GramKernel(problem.space_points(), -power.reshape(ns, ns))
+    return GramKernel._adopt(problem.space_points(), -power.reshape(ns, ns))
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,27 @@ class GramKernel:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, points: PointSet, matrix: np.ndarray) -> "GramKernel":
+        """Take over a float64 matrix the caller has just built and keeps no
+        other reference to: checked and made read-only, but not copied."""
+        gram = object.__new__(cls)
+        object.__setattr__(gram, "points", points)
+        object.__setattr__(gram, "matrix", matrix)
+        gram._freeze(copy=False)
+        return gram
+
+    def _freeze(self, copy: bool) -> None:
         arr = validate_values(self.matrix, "Gram matrix")
         n = len(self.points)
         if arr.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
         if (arr == POS_INF).any():
             raise ValueError("kernel values must be < +inf")
-        arr = arr.copy()
+        if copy:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -159,9 +173,18 @@ class ClosedFormKernel:
             from .control import lax_hopf_table
 
             return lax_hopf_table(self._lagrangian, xs, ys)
-        diff = xs[:, None, :] - ys[None, :, :]
         if self.name == "sconv":
-            return -np.sum(diff * diff, axis=2)
+            # One axis at a time, so no (n, m, d) tensor.  Below 8 axes this
+            # is the order np.sum(diff * diff, axis=2) adds in, bit for bit;
+            # from 8 on np.sum adds pairwise and may round the last bit apart.
+            total = np.zeros((len(xs), len(ys)))
+            d = np.empty_like(total)
+            for k in range(xs.shape[1]):
+                np.subtract.outer(xs[:, k], ys[:, k], out=d)
+                d *= d
+                total += d
+            return np.negative(total, out=total)
+        diff = xs[:, None, :] - ys[None, :, :]
         # One dot product per pair, as np.linalg.norm takes it, keeps the
         # scalar rounding (a sum of squares does not).
         dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])

@@ -16,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropkern
-from tropkern.cli import _BLOCK, COMMANDS, RunConfig, _csv_lines, _dump_json, run, main
+from tropkern.cli import (
+    _BLOCK, _RUNS_MIN, COMMANDS, RunConfig, _array_parts, _csv_lines, _dump_json, run, main,
+)
+from tropkern.control import MaupertuisProblem, maupertuis_dp
 from tropkern.core import NEG_INF, POS_INF, PointSet, encode_values
 
 BIPARTITE_5 = [
@@ -1243,6 +1246,94 @@ class TestArrayWriter:
 
     def test_peak_memory_stays_within_two_and_a_half_outputs(self):
         assert peak_over_output({"matrix": least_action_like_matrix()}) <= 2.5
+
+
+# Entries from a small alphabet, repeated, so that blocks are written as
+# runs: 0.0 and -0.0 are equal but print apart, and every NaN prints as
+# null.
+RUN_VALUES = [NEG_INF, POS_INF, 0.0, -0.0, float("nan"), 1.5]
+RUN_ARRAYS = st.tuples(
+    st.lists(st.tuples(st.sampled_from(RUN_VALUES), st.integers(1, 12)),
+             min_size=1, max_size=12),
+    st.integers(0, 8),
+).map(lambda t: runs_array(*zip(*t[0]), row_len=t[1]))
+
+
+def runs_array(values, counts, row_len=0, size=_RUNS_MIN + 7):
+    """``values[i]`` repeated ``counts[i]`` times, that pattern repeated to
+    ``size`` entries (enough for a block to be written as runs), and cut
+    into rows of ``row_len`` entries (the tail that fills no row dropped)
+    unless 0."""
+    flat = np.resize(np.repeat(np.array(values, dtype=float), counts), size)
+    if not row_len:
+        return flat
+    rows = len(flat) // row_len
+    return flat[: rows * row_len].reshape(rows, row_len)
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(float)[0]
+
+
+class TestArrayWriterRuns:
+    @settings(deadline=None)
+    @given(RUN_ARRAYS, st.integers(0, 3))
+    def test_runs_match_json_dumps_and_str_of_encoded_values(self, arr, level):
+        check_array_text(arr, level)
+
+    @pytest.mark.parametrize("value", [NEG_INF, -0.0, 1.5])
+    @pytest.mark.parametrize("shape", [(_BLOCK + 1,), (2, _BLOCK + 1)])
+    def test_constant_arrays_past_a_block(self, shape, value):
+        check_array_text(np.full(shape, value), 2)
+
+    def test_runs_of_671_entry_rows_across_a_block_edge(self):
+        # The two block edges fall inside runs of -inf: row 97 holds the
+        # first, at column 449, and row 195 the second, at column 227.
+        arr = np.full((200, 671), NEG_INF)
+        arr[:, :40] = np.arange(40) / 8
+        arr[:, 600:] = -0.0
+        arr[::3, 660:] = 0.0
+        check_array_text(arr, 1)
+        check_array_text(arr.ravel(), 1)
+
+    @pytest.mark.parametrize("run", [1, 3, 700])
+    def test_alternating_signed_zeros(self, run):
+        check_array_text(runs_array([0.0, -0.0], run), 1)
+        check_array_text(runs_array([-0.0, 0.0], run, row_len=10), 1)
+
+    def test_nans_with_different_payloads(self):
+        nans = [nan_with_payload(p) for p in (0, 1, 2**51 - 1)]
+        nans.append(-nans[0])
+        arr = runs_array(nans + [1.5] + nans[::-1], [5, 1, 7, 2, 3, 9, 1, 1, 4])
+        assert len({v.tobytes() for v in arr[np.isnan(arr)]}) == 4
+        check_array_text(arr, 0)
+        check_array_text(arr[:-7].reshape(-1, 16), 0)
+
+    def test_vector_ending_in_a_run(self):
+        check_array_text(np.append(runs_array([0.5, -2.0], [3, 1]), [NEG_INF] * 20), 1)
+        check_array_text(runs_array([0.5, -0.0], [1, _BLOCK + 5], size=_BLOCK + 6), 0)
+
+    def test_least_action_kernel_is_written_as_runs(self):
+        # The 11x61 kernel of the least-action benchmark: one part per run
+        # (66,721 of 450,241 entries), not one per entry.
+        half = 60 * 0.125 / 2
+        problem = MaupertuisProblem.from_spec({
+            "time_grid": {"start": 0.0, "stop": 10 * 0.125, "num": 11},
+            "space_grid": {"start": -half, "stop": half, "num": 61},
+            "lagrangian": {"name": "quadratic"},
+            "stencil": [[-0.125], [0.0], [0.125]],
+        })
+        matrix = maupertuis_dp(problem).matrix
+        assert matrix.shape == (671, 671)
+        assert len(_array_parts(matrix, 1)) <= 70_000
+
+    def test_array_without_equal_neighbours_is_written_per_entry(self):
+        arr = np.arange(240 * 240, dtype=float).reshape(240, 240) / 4
+        assert len(_array_parts(arr, 1)) == 240 * 240
+
+    def test_short_array_is_written_per_entry(self):
+        assert len(_array_parts(np.full(_RUNS_MIN - 1, NEG_INF), 1)) == _RUNS_MIN - 1
+        assert len(_array_parts(np.full(_RUNS_MIN, NEG_INF), 1)) == 1
 
 
 # Lattice axes: distinct coordinates with signed zero, negative and

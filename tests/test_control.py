@@ -465,6 +465,12 @@ class TestAsymmetrize:
         prob, _, causal = desk_causal
         assert causal.points == prob.spacetime_points()
 
+    def test_matrices_are_read_only(self, desk_causal):
+        _, gram, causal = desk_causal
+        assert not gram.matrix.flags.writeable
+        assert not causal.matrix.flags.writeable
+        assert not np.shares_memory(gram.matrix, causal.matrix)
+
     def test_positive_entry_rejected(self):
         pts = PointSet.make([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(PreconditionError):

@@ -122,6 +122,49 @@ class TestGramOn:
         assert np.array_equal(gram_on(kernel, rows, cols), expected)
         assert (expected == NEG_INF).any() and (expected == 0.0).sum() == 2
 
+    @pytest.mark.parametrize("dim", [0, 4, 5, 7])
+    def test_sconv_table_adds_as_np_sum_does(self, dim):
+        # Bit for bit, signed zeros included, below the 8 axes at which
+        # np.sum starts to add pairwise.
+        rng = np.random.default_rng(dim)
+        xs = rng.integers(-3, 4, (23, dim)) * rng.choice([0.1, -0.0, 1e150], (23, dim))
+        ys = rng.normal(size=(17, dim))
+        diff = xs[:, None, :] - ys[None, :, :]
+        got = ClosedFormKernel("sconv").table(xs, ys)
+        assert np.array_equal(got.view(np.int64), (-np.sum(diff * diff, axis=2)).view(np.int64))
+
+    def test_sconv_table_allocates_no_point_pair_axis_tensor(self):
+        pts = PointSet.make([tuple(p) for p in np.random.default_rng(3).normal(size=(240, 3))])
+        tracemalloc.start()
+        try:
+            matrix = gram_on(ClosedFormKernel("sconv"), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An (n, n, 3) difference tensor alone would be three outputs.
+        assert peak <= 3 * matrix.nbytes
+
+    def test_gram_kernel_copies_the_callers_matrix(self):
+        matrix = BIPARTITE_5.copy()
+        gram = GramKernel(PointSet.make(range(5)), matrix)
+        matrix[:] = 7.0
+        assert np.array_equal(gram.matrix, BIPARTITE_5)
+        assert not gram.matrix.flags.writeable
+
+    def test_adopted_matrix_is_checked_and_frozen_not_copied(self):
+        pts = PointSet.make(range(5))
+        matrix = BIPARTITE_5.copy()
+        gram = GramKernel._adopt(pts, matrix)
+        assert gram.matrix is matrix and not matrix.flags.writeable
+        assert np.array_equal(gram.matrix, BIPARTITE_5)
+        for bad in (POS_INF, float("nan")):
+            matrix = BIPARTITE_5.copy()
+            matrix[1, 2] = bad
+            with pytest.raises(ValueError):
+                GramKernel._adopt(pts, matrix)
+        with pytest.raises(ValueError):
+            GramKernel._adopt(pts, BIPARTITE_5[:4].copy())
+
     def test_gram_kernel_reads_shuffled_subset(self):
         rng = np.random.default_rng(5)
         pts = random_points(rng, 9, 2)
