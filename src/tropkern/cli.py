@@ -54,13 +54,12 @@ from .core import (
     NEG_INF,
     POS_INF,
     GridFunction,
-    Point,
     PointSet,
     PreconditionError,
     SizeError,
-    as_point,
     decode_values,
     encode_extreal,
+    point_array,
 )
 from .kernels import (
     GramKernel,
@@ -140,24 +139,27 @@ def _need(data: Mapping, field: str, parent: str = "") -> object:
     return data[field]
 
 
-def _point_list(raw: object, field: str, kernel=None) -> list[Point]:
-    """Points in input order; a Gram ``kernel`` is defined only on its grid."""
+def _point_array(raw: object, field: str, kernel=None) -> np.ndarray:
+    """Points in input order as one (n, d) array (``point_array``); a Gram
+    ``kernel`` is defined only on its grid."""
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise _SchemaError(field, "expected a list of points")
     try:
-        points = [as_point(p) for p in raw]
+        points = point_array(raw)
     except (TypeError, ValueError) as exc:
         raise _SchemaError(field, str(exc)) from exc
     if isinstance(kernel, GramKernel):
-        for p in points:
-            if p not in kernel.points:
-                raise _SchemaError(field, f"point {p} is not on the kernel's grid")
+        off = np.flatnonzero(kernel.points.indices(points) < 0)
+        if off.size:
+            p = tuple(points[off[0]].tolist())
+            raise _SchemaError(field, f"point {p} is not on the kernel's grid")
     return points
 
 
 def _points(raw: object, field: str, kernel=None) -> PointSet:
+    points = _point_array(raw, field, kernel)
     try:
-        return PointSet(tuple(_point_list(raw, field, kernel)))
+        return PointSet(points)
     except ValueError as exc:
         raise _SchemaError(field, str(exc)) from exc
 
@@ -354,7 +356,7 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
     wit = feasible_witnesses(samples, kernel, tol=config.tolerance)
     if not wit.feasible:
         return 1, {"feasible": False, "blocking_index": wit.blocking_index + 1}, None
-    f0 = build_f0(samples, wit.witnesses, kernel, tol=config.tolerance)
+    f0 = build_f0(samples, wit, kernel, tol=config.tolerance)
     payload = {
         "feasible": True,
         "witnesses": [list(p) for p in wit.witnesses],
@@ -374,10 +376,10 @@ def _cmd_regress(data: Mapping, config: RunConfig):
     mode = data.get("mode", "search")
     fixed_p = None
     if isinstance(mode, Mapping):
-        fixed_p = _point_list(_need(mode, "fixed_p", "mode"), "mode.fixed_p", kernel)
+        fixed_p = _point_array(_need(mode, "fixed_p", "mode"), "mode.fixed_p", kernel)
         if len(fixed_p) != len(samples):
             raise _SchemaError("mode.fixed_p", "expected one anchor per sample")
-        if any(len(p) != samples.xs.dim for p in fixed_p):
+        if fixed_p.shape[1] != samples.xs.dim:
             raise _SchemaError(
                 "mode.fixed_p", f"points must have dimension {samples.xs.dim}, as samples.xs"
             )

@@ -57,7 +57,7 @@ from .core import (
     ext_close,
     validate_values,
 )
-from .kernels import GramKernel, gram_on
+from .kernels import GramKernel
 from .representer import SampleSet, feasible_witnesses
 
 
@@ -657,8 +657,10 @@ def invert_terminal_cost(
     if not wit.feasible:
         return TerminalCostResult(False, None, None, None, wit.blocking_index)
     grid = space_kernel.points
-    at = np.array([grid.index_of(p) for p in wit.witnesses])
-    values = gram_on(space_kernel, samples.xs, grid)[np.arange(len(at)), at] - samples.ys
+    at = np.array(wit.witness_indices)
+    if samples.dual_candidates != grid:
+        at = grid.indices(samples.dual_candidates.as_array())[at]
+    values = np.diag(wit.sections) - samples.ys
     # Least value per witness; the stable sort keeps the earlier of 0.0 and -0.0.
     order = np.lexsort((values, at))
     _, first = np.unique(at[order], return_index=True)

@@ -308,10 +308,90 @@ def validate_values(values: Iterable[float], what: str = "values") -> np.ndarray
 
 
 def as_point(p: float | Sequence[float]) -> Point:
-    """Normalize a scalar or coordinate sequence to a point tuple."""
+    """Normalize one scalar or coordinate sequence to a point tuple, for a
+    single lookup such as ``PointSet.index_of``; point lists go through
+    ``point_array``."""
     if isinstance(p, (int, float)):
         return (ext(p),)
     return tuple(ext(c) for c in p)
+
+
+def _is_number(t: type) -> bool:
+    return issubclass(t, (int, float))
+
+
+def point_array(points: Sequence[float | Sequence[float]] | np.ndarray) -> np.ndarray:
+    """Read a list of points into one new (n, d) float64 array.
+
+    A point is a list (or other iterable) of d coordinates, or a bare
+    number, which is a 1-D point; one list holds points of one kind.  An
+    array is read as its rows, or a 1-D array as 1-D points.  Coordinates
+    are numbers, ±inf included, and bools count as 0 and 1.  The types of
+    the entries are checked in one pass and one ``np.array`` call converts
+    them; only a coordinate of another type (a numeric string such as
+    "inf") is read one at a time, by ``ext``.  Repeated points are allowed.
+
+    Raises:
+        TypeError: If ``points`` or a point is a string, or a point is
+            neither a number nor iterable, or a coordinate is not a number.
+        ValueError: For no points, points of different dimensions, bare
+            numbers mixed with coordinate lists, a NaN coordinate or string,
+            an array of more than two dimensions, or an integer too large
+            for a float.
+    """
+    if isinstance(points, np.ndarray):
+        arr = np.array(points, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        elif arr.ndim != 2:
+            raise ValueError(f"expected an (n, d) array of points, got shape {arr.shape}")
+    else:
+        if isinstance(points, (str, bytes)):
+            raise TypeError("expected a list of points, got a string")
+        raw = points if isinstance(points, (list, tuple)) else list(points)
+        types = set(map(type, raw))
+        if all(map(_is_number, types)):
+            entries, shape = raw, (len(raw), 1)
+        else:
+            if any(map(_is_number, types)):
+                raise ValueError("a point list must not mix bare numbers with coordinate lists")
+            if any(issubclass(t, (str, bytes)) for t in types):
+                raise TypeError("a point must be a number or a list of coordinates, not a string")
+            if not types <= {list, tuple}:
+                raw = [p if type(p) in (list, tuple) else tuple(p) for p in raw]
+            dims = set(map(len, raw))
+            if len(dims) > 1:
+                raise ValueError("all points must share one dimension")
+            entries = list(itertools.chain.from_iterable(raw))
+            shape = (len(raw), dims.pop())
+        if not all(map(_is_number, set(map(type, entries)))):
+            entries = [ext(c) for c in entries]
+        try:
+            arr = np.array(entries, dtype=float).reshape(shape)
+        except OverflowError as exc:
+            raise ValueError("integer too large for a float") from exc
+    if not len(arr):
+        raise ValueError("at least one point is required")
+    if np.isnan(arr).any():
+        raise ValueError("point coordinates must not be NaN")
+    return arr
+
+
+def _first_repeat(arr: np.ndarray) -> int | None:
+    """The least index of a row of ``arr`` equal to an earlier row (0.0 and
+    -0.0 are equal), or None if the rows are pairwise distinct.
+
+    A stable lexicographic sort puts equal rows next to each other in index
+    order, so every sorted row equal to its predecessor repeats an earlier one.
+    """
+    if len(arr) < 2:
+        return None
+    if not arr.shape[1]:
+        return 1
+    order = np.lexsort(arr.T[::-1])
+    ordered = arr[order]
+    repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    return int(repeats.min()) if repeats.size else None
 
 
 class PointSet:
@@ -324,33 +404,37 @@ class PointSet:
 
     A set is built either from its points, ``PointSet(points)``, or from one
     coordinate axis per dimension, ``PointSet.lattice(axes)``: the Cartesian
-    product of the axes in C order (first axis slowest).  A lattice answers
-    ``len``, ``dim``, ``as_array``, ``index_of``, ``in`` and ``==`` from its
-    axes; its ``points``, iteration and hash build the point tuples on first
-    use and keep them.  Equality is by points and ``has_time``, whichever
+    product of the axes in C order (first axis slowest).  ``PointSet(points)``
+    reads the points with ``point_array`` (bare numbers are 1-D points) and
+    holds them as one read-only (n, d) float64 array, which ``as_array``
+    returns without a copy; a lattice holds its axes and looks points up
+    axis by axis.  Either answers ``len``, ``dim``, ``as_array`` and ``==``
+    from what it holds; the point tuples (``points``, iteration, hash) and
+    the dict index behind ``index_of``, ``indices`` and ``in`` are built on
+    first use and kept.  Equality is by points and ``has_time``, whichever
     way either side was built.
 
     Attributes:
         points: Tuple of coordinate tuples, all of the same dimension.
         has_time: Whether coordinate 0 is a time component.
         axes: For a lattice, its read-only coordinate axes; None otherwise.
+
+    Raises:
+        ValueError, TypeError: As ``point_array``, or, with the first
+            repeated point in input order, for points that are not pairwise
+            distinct (0.0 and -0.0 are one coordinate).
     """
 
-    def __init__(self, points: tuple[Point, ...], has_time: bool = False) -> None:
-        if not points:
-            raise ValueError("PointSet requires at least one point")
-        dim = len(points[0])
-        index: dict[Point, int] = {}
-        for i, p in enumerate(points):
-            if len(p) != dim:
-                raise ValueError("all points must share one dimension")
-            for c in p:
-                if math.isnan(c):
-                    raise ValueError("point coordinates must not be NaN")
-            if p in index:
-                raise ValueError(f"points must be pairwise distinct, got {p} twice")
-            index[p] = i
-        self._set(_points=points, has_time=has_time, axes=None, _index=index)
+    def __init__(
+        self, points: Sequence[float | Sequence[float]] | np.ndarray, has_time: bool = False
+    ) -> None:
+        arr = point_array(points)
+        repeat = _first_repeat(arr)
+        if repeat is not None:
+            p = tuple(arr[repeat].tolist())
+            raise ValueError(f"points must be pairwise distinct, got {p} twice")
+        arr.setflags(write=False)
+        self._set(_array=arr, _points=None, _index=None, has_time=has_time, axes=None)
 
     def _set(self, **attrs: object) -> None:
         for name, value in attrs.items():
@@ -360,8 +444,8 @@ class PointSet:
     def make(
         cls, points: Sequence[float | Sequence[float]], has_time: bool = False
     ) -> "PointSet":
-        """Build from scalars (1-D) or coordinate sequences."""
-        return cls(tuple(as_point(p) for p in points), has_time=has_time)
+        """``PointSet(points, has_time)``: from scalars (1-D) or coordinate sequences."""
+        return cls(points, has_time=has_time)
 
     @classmethod
     def lattice(
@@ -398,14 +482,14 @@ class PointSet:
 
     @property
     def points(self) -> tuple[Point, ...]:
-        """The point tuples in order (built once for a lattice)."""
+        """The point tuples in order (built on first use)."""
         if self._points is None:
             self._set(_points=tuple(map(tuple, self.as_array().tolist())))
         return self._points
 
     def __len__(self) -> int:
         if self.axes is None:
-            return len(self._points)
+            return len(self._array)
         return math.prod(len(ax) for ax in self.axes)
 
     def __iter__(self):
@@ -414,24 +498,37 @@ class PointSet:
     @property
     def dim(self) -> int:
         """Coordinate dimension d."""
-        return len(self._points[0]) if self.axes is None else len(self.axes)
+        return self._array.shape[1] if self.axes is None else len(self.axes)
+
+    def _find(self, key: Point) -> int | None:
+        """Index of a normalized point, or None if absent."""
+        if self.axes is None:
+            if self._index is None:
+                self._set(_index={p: i for i, p in enumerate(self.points)})
+            return self._index.get(key)
+        if len(key) != len(self.axes):
+            return None
+        flat = 0
+        for c, lookup in zip(key, self._lookups):
+            i = lookup.get(c)
+            if i is None:
+                return None
+            flat = flat * len(lookup) + i
+        return flat
 
     def index_of(self, p: float | Sequence[float]) -> int:
         """Index of a point; raises KeyError if absent."""
         key = as_point(p)
-        if self.axes is None:
-            if key in self._index:
-                return self._index[key]
-        elif len(key) == len(self.axes):
-            flat = 0
-            for c, lookup in zip(key, self._lookups):
-                i = lookup.get(c)
-                if i is None:
-                    break
-                flat = flat * len(lookup) + i
-            else:
-                return flat
-        raise KeyError(f"point {key} is not in the set")
+        i = self._find(key)
+        if i is None:
+            raise KeyError(f"point {key} is not in the set")
+        return i
+
+    def indices(self, coords: np.ndarray) -> np.ndarray:
+        """Index of each row of an (m, d) coordinate array, -1 for a row not
+        in the set (0.0 and -0.0 match)."""
+        found = map(self._find, map(tuple, np.asarray(coords, dtype=float).tolist()))
+        return np.array([-1 if i is None else i for i in found], dtype=np.intp)
 
     def __contains__(self, p: object) -> bool:
         try:
@@ -441,9 +538,10 @@ class PointSet:
         return True
 
     def as_array(self) -> np.ndarray:
-        """Coordinates as an (n, d) float array."""
+        """Coordinates as an (n, d) float array: the set's own read-only
+        array, or for a lattice a new array built from its axes."""
         if self.axes is None:
-            return np.array(self._points, dtype=float)
+            return self._array
         grids = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, len(self.axes))
 
@@ -454,8 +552,6 @@ class PointSet:
             return True
         if self.has_time != other.has_time or len(self) != len(other) or self.dim != other.dim:
             return False
-        if self.axes is None and other.axes is None:
-            return self._points == other._points
         if self.axes is not None and other.axes is not None and all(
             len(a) == len(b) for a, b in zip(self.axes, other.axes)
         ):
@@ -467,7 +563,7 @@ class PointSet:
 
     def __repr__(self) -> str:
         if self.axes is None:
-            return f"PointSet(points={self._points!r}, has_time={self.has_time!r})"
+            return f"PointSet(points={self.points!r}, has_time={self.has_time!r})"
         axes = [ax.tolist() for ax in self.axes]
         return f"PointSet.lattice(axes={axes!r}, has_time={self.has_time!r})"
 

@@ -204,21 +204,41 @@ def gram_on(
     """Dense matrix [b(x, y)] for x in ``rows``, y in ``cols``.
 
     ``cols`` defaults to ``rows``, and ``rows`` to a Gram kernel's own
-    points.  A Gram kernel is read by index and raises KeyError for a point
-    off its grid (on its own grid, as a writable copy of its matrix); a
-    closed form is evaluated by its array formula.
+    points.  A Gram kernel is read by index, the rows and the columns each
+    mapped to its grid once, and raises KeyError for a point off its grid
+    (on its own grid, it gives a writable copy of its matrix); a closed
+    form is evaluated by its array formula.
+
+    Raises:
+        SizeError: If the table would hold more than PAIR_GUARD entries;
+            checked before anything is allocated.
     """
     if rows is None:
         if not isinstance(kernel, GramKernel):
             raise ValueError("closed-form kernels need an evaluation PointSet")
         rows = kernel.points
     cols = rows if cols is None else cols
+    if len(rows) * len(cols) > PAIR_GUARD:
+        raise SizeError(
+            f"{len(rows)} x {len(cols)} kernel entries exceed the guard of {PAIR_GUARD}"
+        )
     if isinstance(kernel, GramKernel):
-        if rows == kernel.points and cols == kernel.points:
+        grid = kernel.points
+        if rows == grid and cols == grid:
             return kernel.matrix.copy()
-        at = kernel.points.index_of
-        return kernel.matrix[np.ix_([at(p) for p in rows], [at(p) for p in cols])]
+        at_rows = _grid_indices(grid, rows)
+        at_cols = at_rows if cols is rows else _grid_indices(grid, cols)
+        return kernel.matrix[np.ix_(at_rows, at_cols)]
     return kernel.table(rows.as_array(), cols.as_array())
+
+
+def _grid_indices(grid: PointSet, points: PointSet) -> np.ndarray:
+    """The index on ``grid`` of each point; KeyError names the first one off it."""
+    at = grid.indices(points.as_array())
+    off = np.flatnonzero(at < 0)
+    if off.size:
+        raise KeyError(f"point {points.points[off[0]]} is not in the set")
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +469,7 @@ def kernel_from_spec(spec: Mapping[str, object]) -> KernelRep:
     """
     kind = spec.get("type")
     if kind == "gram":
-        points = PointSet.make([as_point(p) for p in spec["points"]])  # type: ignore[index]
+        points = PointSet(spec["points"])  # type: ignore[arg-type]
         matrix = decode_values(spec["matrix"])  # type: ignore[arg-type]
         return GramKernel(points, matrix)
     if kind == "closed_form":

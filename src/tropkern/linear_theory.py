@@ -23,7 +23,10 @@ it elsewhere, A = B - 2d gives B A B <= B, so B A* B lies in [B - 4d, B].
 ``regularity`` takes d = delta + eps M from the computed square S (delta =
 max |S - B|, M = max |B| over finite entries, eps = 2**-52) and answers True
 when 4 delta + 32 eps M <= tol, a margin that also covers the rounding of
-the residuation (about 7 eps M); otherwise it residuates.
+the residuation (about 7 eps M); otherwise it residuates.  A computed square
+equal to B entry for entry (delta = 0) answers True at every tol: then B is
+a witness even in floats, fl(B (x) B (x) B) = B, although the residuated A*
+may round so that B (x) A* (x) B misses B by an ulp.
 """
 
 from __future__ import annotations
@@ -110,7 +113,9 @@ def is_von_neumann_regular(gram: np.ndarray, tol: float = 1e-9) -> RegularityVer
 
     The product is entrywise monotone in A, and A* = greatest A with
     B A B <= B is computable by two residuations, so the equation has a
-    solution iff it holds at A*.
+    solution iff it holds at A*.  The verdict is that of the computed A*,
+    within tol: on floats A* may round so that it misses B by an ulp where
+    B is its own witness (see ``regularity``).
     """
     b = validate_values(gram, "gram")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -122,7 +127,9 @@ def is_von_neumann_regular(gram: np.ndarray, tol: float = 1e-9) -> RegularityVer
 
 
 def regularity(gram: np.ndarray, tol: float = 1e-9) -> tuple[bool, bool]:
-    """``(is_idempotent, is_von_neumann_regular(...).regular)``, see the module docstring."""
+    """``(is_idempotent, is_von_neumann_regular(...).regular)``, see the module
+    docstring, except that a computed square equal to B entry for entry
+    makes B regular at every tol."""
     b = validate_values(gram, "gram")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("regularity is defined for square matrices")
@@ -131,7 +138,8 @@ def regularity(gram: np.ndarray, tol: float = 1e-9) -> tuple[bool, bool]:
     finite = np.isfinite(b)
     if np.isfinite(square[finite]).all() and (square[~finite] == b[~finite]).all():
         delta = np.abs(square[finite] - b[finite]).max(initial=0.0)
-        if 4 * delta + 32 * np.finfo(float).eps * np.abs(b[finite]).max(initial=0.0) <= tol:
+        eps = np.finfo(float).eps
+        if delta == 0 or 4 * delta + 32 * eps * np.abs(b[finite]).max(initial=0.0) <= tol:
             return idempotent, True
     return idempotent, is_von_neumann_regular(b, tol).regular
 

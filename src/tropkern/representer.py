@@ -46,8 +46,8 @@ from .core import (
     Point,
     PointSet,
     PreconditionError,
-    as_point,
     lower_add_arrays,
+    point_array,
 )
 from .kernels import KernelRep, gram_on
 from .linear_theory import is_idempotent
@@ -111,12 +111,15 @@ class WitnessResult:
             set (None if infeasible).
         blocking_index: If infeasible, the first sample index (0-based) that
             no candidate anchor can serve.
+        sections: The table the anchors were chosen from, at the chosen
+            anchors: sections[k, m] = b(x_k, p_m) (None if infeasible).
     """
 
     feasible: bool
     witnesses: tuple[Point, ...] | None
     witness_indices: tuple[int, ...] | None
     blocking_index: int | None
+    sections: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def feasible_witnesses(
@@ -136,6 +139,10 @@ def feasible_witnesses(
     rule on y_k - y_m - (b(x_k, p) - b(x_m, p)); on floats that are not
     exact (neither integers nor dyadic) a candidate within rounding of the
     -tol boundary, or a near-tie of totals, may resolve either way.
+
+    Everything is read from one table b(x_k, p) over the samples and the
+    candidates; its columns at the chosen anchors are kept as the result's
+    ``sections``, from which ``build_f0`` builds the interpolant.
     """
     n = len(samples)
     bxp = gram_on(kernel, samples.xs, samples.dual_candidates)  # (n, n_cand)
@@ -148,9 +155,12 @@ def feasible_witnesses(
     if blocked.size:
         return WitnessResult(False, None, None, int(blocked[0]))
     least = np.where(valid, totals, POS_INF).min(axis=1, keepdims=True)
-    chosen = np.argmax(valid & (totals == least), axis=1).tolist()
-    points = tuple(samples.dual_candidates.points[k] for k in chosen)
-    return WitnessResult(True, points, tuple(chosen), None)
+    chosen = np.argmax(valid & (totals == least), axis=1)
+    indices = tuple(chosen.tolist())
+    points = tuple(samples.dual_candidates.points[k] for k in indices)
+    sections = bxp[:, chosen]
+    sections.setflags(write=False)
+    return WitnessResult(True, points, indices, None, sections)
 
 
 def _projection(bxp: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,17 +188,41 @@ class CanonicalInterpolant:
         kernel: The kernel whose sections are combined.
         anchor_points: The section centres p_m, as given.
         offsets: Finite shifts, offset_m = y_m - b(x_m, p_m).
-        points: The centres through ``as_point``; derived unless given.
     """
 
     kernel: KernelRep
     anchor_points: tuple[Point, ...]
     offsets: tuple[float, ...]
-    points: tuple[Point, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.points is None:
-            object.__setattr__(self, "points", tuple(as_point(p) for p in self.anchor_points))
+        object.__setattr__(self, "_anchors", point_array(self.anchor_points))
+        object.__setattr__(self, "_sites", None)
+
+    @classmethod
+    def _adopt(
+        cls,
+        kernel: KernelRep,
+        anchor_points: tuple[Point, ...],
+        offsets: tuple[float, ...],
+        anchors: np.ndarray,
+        sites: PointSet,
+        sections: np.ndarray,
+    ) -> "CanonicalInterpolant":
+        """Take over the (m, d) array of the anchors and their sections at
+        the sample sites, sections[k, m] = b(x_k, p_m), as a fit built them."""
+        sections.setflags(write=False)
+        f0 = object.__new__(cls)
+        for name, value in (
+            ("kernel", kernel), ("anchor_points", anchor_points), ("offsets", offsets),
+            ("_anchors", anchors), ("_sites", (sites, sections)),
+        ):
+            object.__setattr__(f0, name, value)
+        return f0
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The centres as point tuples, read once by ``point_array``."""
+        return tuple(map(tuple, self._anchors.tolist()))
 
     @property
     def terms(self) -> tuple[tuple[Point, float], ...]:
@@ -196,24 +230,33 @@ class CanonicalInterpolant:
         return tuple(zip(self.anchor_points, self.offsets))
 
     def __call__(self, x: Point) -> float:
-        return float(self.on_grid(PointSet((as_point(x),))).values[0])
+        return float(self.on_grid(PointSet([x])).values[0])
 
     def on_grid(self, domain: PointSet) -> GridFunction:
-        sections = _sections(self.kernel, domain, self.points)
+        """f0 at each point of ``domain``.
+
+        On the sample sites of the fit that built the interpolant (the same
+        PointSet object), the sections of that fit are read; on any other
+        grid the sections are evaluated.
+        """
+        if self._sites is not None and domain is self._sites[0]:
+            sections = self._sites[1]
+        else:
+            sections = _sections(self.kernel, domain, self._anchors)
         terms = lower_add_arrays(sections, np.array(self.offsets))
         # The first maximal term, as a running max keeps it (a tie of 0.0
         # and -0.0 resolves by order, not by the reduction's lane layout).
         return GridFunction(domain, terms[np.arange(len(domain)), terms.argmax(axis=1)])
 
 
-def _sections(
-    kernel: KernelRep, xs: PointSet, anchors: tuple[Point, ...]
-) -> np.ndarray:
-    """[b(x, p_m)] for x in ``xs`` and each anchor p_m (normalized points);
-    repeated anchors are read once."""
-    column = {p: j for j, p in enumerate(dict.fromkeys(anchors))}
-    table = gram_on(kernel, xs, PointSet(tuple(column)))
-    return table[:, [column[p] for p in anchors]]
+def _sections(kernel: KernelRep, xs: PointSet, anchors: np.ndarray) -> np.ndarray:
+    """[b(x, p_m)] for x in ``xs`` and each row p_m of ``anchors``; a
+    repeated anchor is read once (0.0 and -0.0 are one coordinate, the
+    first one met is evaluated)."""
+    keys = list(map(tuple, anchors.tolist()))
+    column = {p: j for j, p in enumerate(dict.fromkeys(keys))}
+    table = gram_on(kernel, xs, PointSet(list(column)))
+    return table[:, [column[p] for p in keys]]
 
 
 def _exchange_gaps(sections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,22 +269,51 @@ def _exchange_gaps(sections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_f0(
     samples: SampleSet,
-    witnesses: tuple[Point, ...],
+    witnesses: tuple[Point, ...] | WitnessResult,
     kernel: KernelRep,
     tol: float = 1e-9,
 ) -> CanonicalInterpolant:
     """Build the canonical interpolant from one anchor per sample.
 
+    ``witnesses`` is either the anchors, read once by ``point_array`` and
+    evaluated at the samples in one table, or the feasible WitnessResult of
+    ``feasible_witnesses`` on these samples and this kernel, whose sections
+    are read instead.  The interpolant keeps the sections, so its
+    ``on_grid(samples.xs)`` evaluates no kernel.
+
     Raises PreconditionError if the anchors do not satisfy the exchange
     inequalities (within tol) or some self-evaluation b(x_m, p_m) is not
     finite; otherwise the result satisfies f0(x_m) = y_m exactly.
     """
-    n = len(samples)
-    if len(witnesses) != n:
+    if isinstance(witnesses, WitnessResult):
+        if not witnesses.feasible:
+            raise ValueError("an infeasible WitnessResult has no witnesses")
+        if len(witnesses.witnesses) != len(samples):
+            raise ValueError("one witness per sample is required")
+        anchors = samples.dual_candidates.as_array()[list(witnesses.witness_indices)]
+        return _interpolant(samples, witnesses.witnesses, anchors, kernel,
+                            witnesses.sections, tol)
+    given = tuple(witnesses)
+    if len(given) != len(samples):
         raise ValueError("one witness per sample is required")
-    points = tuple(as_point(p) for p in witnesses)
+    anchors = point_array(given)
+    return _interpolant(
+        samples, given, anchors, kernel, _sections(kernel, samples.xs, anchors), tol
+    )
+
+
+def _interpolant(
+    samples: SampleSet,
+    given: tuple[Point, ...],
+    anchors: np.ndarray,
+    kernel: KernelRep,
+    sections: np.ndarray,
+    tol: float,
+) -> CanonicalInterpolant:
+    """``build_f0`` on the sections[k, m] = b(x_k, p_m) of the anchors'
+    (n, d) array, given as ``given``."""
     y = samples.ys
-    self_eval, need = _exchange_gaps(_sections(kernel, samples.xs, points))
+    self_eval, need = _exchange_gaps(sections)
     finite = np.isfinite(self_eval)
     violated = y[:, None] - y[None, :] < need - tol  # [k, m]
     failing = np.flatnonzero(~finite | violated.any(axis=0))
@@ -255,8 +327,8 @@ def build_f0(
             f"witness for sample {m} violates the exchange inequality "
             f"against sample {int(np.argmax(violated[:, m]))}"
         )
-    offsets = tuple(float(v) for v in y - self_eval)
-    return CanonicalInterpolant(kernel, tuple(witnesses), offsets, points)
+    offsets = tuple((y - self_eval).tolist())
+    return CanonicalInterpolant._adopt(kernel, given, offsets, anchors, samples.xs, sections)
 
 
 def _closure(gaps: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
@@ -449,32 +521,28 @@ def regress(
     if loss not in ("sup_norm", "l1"):
         raise ValueError("loss must be 'sup_norm' or 'l1'")
     if fixed_p is not None:
-        fixed_p = tuple(as_point(p) for p in fixed_p)
-        idx = _indices_in(samples.dual_candidates, fixed_p)
-        return _regress_fixed(samples, kernel, loss, fixed_p, idx, tol)
+        anchors = point_array(fixed_p)
+        if len(anchors) != len(samples):
+            raise ValueError("one anchor per sample is required")
+        at = samples.dual_candidates.indices(anchors)
+        idx = None if (at < 0).any() else tuple(at.tolist())
+        sections = _sections(kernel, samples.xs, anchors)
+        return _regress_fixed(samples, kernel, loss, anchors, idx, sections, tol)
     return _regress_search(samples, kernel, loss, tol)
-
-
-def _indices_in(
-    candidates: PointSet, anchors: tuple[Point, ...]
-) -> tuple[int, ...] | None:
-    try:
-        return tuple(candidates.index_of(p) for p in anchors)
-    except KeyError:
-        return None
 
 
 def _regress_fixed(
     samples: SampleSet,
     kernel: KernelRep,
     loss: str,
-    anchors: tuple[Point, ...],
+    anchors: np.ndarray,
     anchor_indices: tuple[int, ...] | None,
+    sections: np.ndarray,
     tol: float,
 ) -> RegressionResult:
-    if len(anchors) != len(samples):
-        raise ValueError("one anchor per sample is required")
-    self_eval, gaps = _exchange_gaps(_sections(kernel, samples.xs, anchors))
+    """The fit for the (n, d) array of anchors, from their sections[k, m] =
+    b(x_k, p_m) at the samples."""
+    self_eval, gaps = _exchange_gaps(sections)
     np.fill_diagonal(gaps, NEG_INF)
     if not np.isfinite(self_eval).all() or (gaps == POS_INF).any():
         raise InfeasibleConstraintsError(
@@ -487,9 +555,10 @@ def _regress_fixed(
         )
     fitted, loss_value = _fit(closure, samples.ys, loss)
     fitted_samples = SampleSet(samples.xs, fitted, samples.dual_candidates)
-    interp = build_f0(fitted_samples, anchors, kernel, tol=max(tol, 1e-6))
+    p_star = tuple(map(tuple, anchors.tolist()))
+    interp = _interpolant(fitted_samples, p_star, anchors, kernel, sections, max(tol, 1e-6))
     return RegressionResult(
-        fitted, anchors, anchor_indices, loss_value, interp,
+        fitted, p_star, anchor_indices, loss_value, interp,
         exact=(loss == "sup_norm"),
     )
 
@@ -575,18 +644,18 @@ def _regress_search(
     if loss == "l1" and len(candidates) ** len(samples) <= SEARCH_ENUMERATION_BUDGET:
         chosen = _enumerate_l1(bxp, y)
     indices = tuple(chosen.tolist())
-    anchors = tuple(candidates.points[k] for k in indices)
+    anchors, sections = candidates.as_array()[chosen], bxp[:, chosen]
     if loss == "l1":
-        return _regress_fixed(samples, kernel, loss, anchors, indices, tol)
+        return _regress_fixed(samples, kernel, loss, anchors, indices, sections, tol)
     # z + eps*, as the closure of these anchors gives it, but never meeting a
     # positive cycle that only the rounding of their gaps makes.
     z = y + shortfall
     fitted = z + 0.5 * float((y - z).max())
-    interp = build_f0(
-        SampleSet(samples.xs, fitted, candidates), anchors, kernel, tol=max(tol, 1e-6)
-    )
+    p_star = tuple(map(tuple, anchors.tolist()))
+    interp = _interpolant(SampleSet(samples.xs, fitted, candidates), p_star, anchors,
+                          kernel, sections, max(tol, 1e-6))
     loss_value = float(np.abs(fitted - y).max())
-    return RegressionResult(fitted, anchors, indices, loss_value, interp, exact=True)
+    return RegressionResult(fitted, p_star, indices, loss_value, interp, exact=True)
 
 
 @dataclass(frozen=True)
@@ -624,16 +693,15 @@ def reconstruct_stopping_cost(
         raise PreconditionError("kernel matrix must be idempotent")
     if np.abs(np.diag(matrix)).max() > tol:
         raise PreconditionError("kernel matrix must have zero diagonal")
-    for x in samples.xs:
-        if x not in points:
-            raise PreconditionError("sample points must lie on the kernel grid")
-    anchors = tuple(samples.xs.points)
+    anchors = samples.xs.as_array()
+    at = points.indices(anchors)
+    if (at < 0).any():
+        raise PreconditionError("sample points must lie on the kernel grid")
     result = _regress_fixed(
-        samples, kernel, "sup_norm", anchors, _indices_in(points, anchors), tol
+        samples, kernel, "sup_norm", anchors, tuple(at.tolist()), gram_on(kernel, samples.xs), tol
     )
     w_values = np.full(len(points), POS_INF)
-    for m, x in enumerate(samples.xs):
-        w_values[points.index_of(x)] = -result.y_star[m]
+    w_values[at] = -result.y_star
     return StoppingCostResult(
         GridFunction(points, w_values),
         result.y_star,

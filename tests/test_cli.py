@@ -3,7 +3,9 @@
 import importlib
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,6 +23,7 @@ from tropkern.cli import (
 )
 from tropkern.control import MaupertuisProblem, maupertuis_dp
 from tropkern.core import NEG_INF, POS_INF, PointSet, encode_values
+from tropkern.kernels import ClosedFormKernel, kernel_from_spec
 
 BIPARTITE_5 = [
     [0, -1, 0, 0, 0],
@@ -156,6 +159,14 @@ class TestPinnedVerdicts:
         code, out = invoke(capsys, tmp_path, "regularity", payload, tol=1e-9)
         assert code == 0
         assert out == {"idempotent": True, "von_neumann_regular": False}
+
+    def test_regularity_of_an_exact_square_at_tol_zero(self, capsys, tmp_path):
+        # The float square equals the matrix entry for entry, so the matrix
+        # is its own witness, whatever the residuation rounds to.
+        payload = {"kernel": LIP, "points": [[0.1], [0.2], [0.5]]}
+        code, out = invoke(capsys, tmp_path, "regularity", payload, tol=0)
+        assert code == 0
+        assert out == {"idempotent": True, "von_neumann_regular": True}
 
     def test_regularity_of_a_large_lip_gram_from_its_square(
         self, capsys, tmp_path, monkeypatch
@@ -386,6 +397,234 @@ class TestControlCommands:
         assert out["error"]["field"] == "start_index"
 
 
+# 1001 points: a kernel table on them, or between them and as many
+# candidates, holds more than PAIR_GUARD entries.
+GUARD_POINTS = [[float(i)] for i in range(1001)]
+GUARD_SAMPLES = {"xs": GUARD_POINTS, "ys": [0.0] * 1001}
+GUARD_ERROR = {
+    "error": {"kind": "precondition",
+              "message": "1001 x 1001 kernel entries exceed the guard of 1000000"}
+}
+
+
+class TestKernelTableGuard:
+    """Every command that builds a kernel table refuses one above PAIR_GUARD
+    before it allocates it."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("check-tpsd", {"kernel": LIP, "points": GUARD_POINTS}),
+            ("factorize", {"kernel": LIP, "points": GUARD_POINTS}),
+            ("conjugate", {"kernel": LIP, "points": GUARD_POINTS, "values": [0.0] * 1001}),
+            ("membership", {"kernel": LIP, "points": GUARD_POINTS, "values": [0.0] * 1001}),
+            ("funk", {"kernel": LIP, "points": GUARD_POINTS}),
+            ("regularity", {"kernel": LIP, "points": GUARD_POINTS}),
+            ("interpolate", {"kernel": CONV, "samples": GUARD_SAMPLES,
+                             "dual_candidates": GUARD_POINTS}),
+            ("regress", {"kernel": CONV, "samples": GUARD_SAMPLES,
+                         "dual_candidates": GUARD_POINTS}),
+            ("regress", {"kernel": CONV, "samples": GUARD_SAMPLES,
+                         "dual_candidates": [[0.0]], "mode": {"fixed_p": GUARD_POINTS}}),
+        ],
+    )
+    def test_oversized_table_exits_one(self, capsys, tmp_path, command, payload):
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 1
+        assert out == GUARD_ERROR
+
+    def test_ten_thousand_listed_points_are_refused_fast_and_small(self, tmp_path):
+        # A 100 x 100 lattice given as a list of 10^4 points: its table would
+        # hold 10^8 entries.  Time and peak resident set are read in a fresh
+        # interpreter, around and after the one call.  The peak is VmHWM:
+        # ru_maxrss would carry over the peak of the process that started it.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("reads the peak resident set from /proc/self/status")
+        path = tmp_path / "in.json"
+        points = [[i / 10, j / 10] for i in range(100) for j in range(100)]
+        path.write_text(json.dumps({"kernel": LIP, "points": points}))
+        script = (
+            "import sys, time\n"
+            "from tropkern.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(['check-tpsd', '--input', sys.argv[1]])\n"
+            "elapsed = time.perf_counter() - start\n"
+            "peak = [line.split()[1] for line in open('/proc/self/status')\n"
+            "        if line.startswith('VmHWM:')][0]\n"
+            "print(code, elapsed, peak, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=module_env("0"), timeout=60,
+        )
+        code, elapsed, peak_kb = proc.stderr.split()
+        assert int(code) == 1
+        assert json.loads(proc.stdout) == {
+            "error": {"kind": "precondition",
+                      "message": "10000 x 10000 kernel entries exceed the guard of 1000000"}
+        }
+        assert float(elapsed) < 1.0
+        assert int(peak_kb) < 100 * 1024
+
+
+class TestOneKernelTable:
+    """A representer fit on a closed form evaluates one table b(x, p)."""
+
+    SAMPLES = {"xs": [[0.0], [1.0], [2.0], [3.5]], "ys": [0.0, 0.5, 1.0, 2.5]}
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("interpolate", {}),
+            ("regress", {"loss": "sup_norm"}),
+            ("regress", {"loss": "l1"}),
+            ("regress", {"loss": "sup_norm", "mode": {"fixed_p": [[0.0], [0.0], [1.0], [1.0]]}}),
+            ("regress", {"loss": "l1", "mode": {"fixed_p": [[0.0], [0.5], [1.0], [1.0]]}}),
+        ],
+    )
+    def test_one_table_per_command(self, capsys, tmp_path, monkeypatch, command, extra):
+        calls = []
+        table = ClosedFormKernel.table
+
+        def counted(kernel, xs, ys):
+            calls.append((xs.shape, ys.shape))
+            return table(kernel, xs, ys)
+
+        monkeypatch.setattr(ClosedFormKernel, "table", counted)
+        payload = {"kernel": CONV, "samples": self.SAMPLES,
+                   "dual_candidates": [[0.0], [0.5], [1.0], [2.0]], **extra}
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 0
+        assert out["feasible"] is True
+        assert len(calls) == 1
+
+
+def per_point_rule(raw, grid=None):
+    """The points of a JSON point list by the rule of one ``as_point`` call
+    per point and a dict index, with its error messages; ``grid`` is a Gram
+    kernel's point set."""
+
+    def coordinate(value):
+        try:
+            out = float(value)
+        except OverflowError as exc:
+            raise ValueError("integer too large for a float") from exc
+        if math.isnan(out):
+            raise ValueError("NaN is not an extended real")
+        return out
+
+    points = [
+        (coordinate(p),) if isinstance(p, (int, float)) else tuple(map(coordinate, p))
+        for p in raw
+    ]
+    if grid is not None:
+        for p in points:
+            if p not in grid:
+                raise ValueError(f"point {p} is not on the kernel's grid")
+    if not points:
+        raise ValueError("no points")
+    index = {}
+    for i, p in enumerate(points):
+        if len(p) != len(points[0]):
+            raise ValueError("all points must share one dimension")
+        if p in index:
+            raise ValueError(f"points must be pairwise distinct, got {p} twice")
+        index[p] = i
+    return points
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1, 2, True, False, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+)
+# Numbers, numeric strings ("1e400" reads as inf), and strings and None
+# that are no number.
+_COORDINATES = st.one_of(
+    _NUMBERS, _NUMBERS, _NUMBERS,
+    st.sampled_from([None, "inf", "-inf", "1.5", "-0.0", "2", " 3 ", "1e400", "nan", "x", ""]),
+)
+# Bare numbers; coordinate lists of one dimension (0 to 3), or of few
+# values, so that points repeat; ragged lists, mixtures and bare strings.
+_POINT_LISTS = st.one_of(
+    st.lists(_NUMBERS, max_size=6),
+    st.integers(0, 3).flatmap(
+        lambda d: st.lists(st.lists(_COORDINATES, min_size=d, max_size=d), max_size=6)
+    ),
+    st.integers(1, 2).flatmap(
+        lambda d: st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, 1, True]), min_size=d, max_size=d),
+            max_size=6,
+        )
+    ),
+    st.lists(
+        st.one_of(_NUMBERS, st.lists(_COORDINATES, max_size=3),
+                  st.sampled_from(["12", "5", "inf", "a"])),
+        max_size=6,
+    ),
+)
+
+
+class TestPointParse:
+    """The one-array parse of a JSON point list gives the points, bit for
+    bit, or the schema error on the field, of one ``as_point`` per point and
+    a dict index; a bare string point and a list mixing bare numbers with
+    coordinate lists, which that rule read, are schema errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_POINT_LISTS, on_grid=st.booleans())
+    def test_matches_the_per_point_rule(self, raw, on_grid):
+        from tropkern.cli import _points, _SchemaError
+
+        kernel = kernel_from_spec(GRAM_3) if on_grid else None
+        grid = kernel.points if on_grid else None
+        numbers = [isinstance(p, (int, float)) for p in raw]
+        departure = any(isinstance(p, str) for p in raw) or (
+            any(numbers) and any(isinstance(p, list) for p in raw)
+        )
+        try:
+            expected = per_point_rule(raw, grid)
+        except (TypeError, ValueError) as exc:
+            expected = exc
+        try:
+            got = _points(raw, "points", kernel)
+        except _SchemaError as exc:
+            assert (exc.kind, exc.field) == ("schema", "points")
+            assert departure or isinstance(expected, Exception)
+            message = str(expected)
+            one_dim = len({1 if n else len(p) for n, p in zip(numbers, raw)}) == 1
+            if not departure and one_dim and (
+                "pairwise distinct" in message or "kernel's grid" in message
+            ):
+                assert str(exc) == message
+            return
+        assert not departure and not isinstance(expected, Exception)
+        assert got.points == tuple(expected)
+        bits = np.array(expected, dtype=float).reshape(got.as_array().shape).view(np.int64)
+        assert np.array_equal(got.as_array().view(np.int64), bits)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([[0.0], [1.0], [-0.0], [1.0]], "points must be pairwise distinct, got (-0.0,) twice"),
+            ([1, 0.5, True], "points must be pairwise distinct, got (1.0,) twice"),
+            ([[2, 1], [1, 2], [1, 2], [2, 1]], "points must be pairwise distinct, got (1.0, 2.0) twice"),
+        ],
+    )
+    def test_duplicate_names_the_first_repeat(self, raw, message):
+        from tropkern.cli import _points, _SchemaError
+
+        with pytest.raises(_SchemaError, match=re.escape(message)):
+            _points(raw, "points")
+
+    @pytest.mark.parametrize("raw", [["12"], [[0.0], "5"], [1.0, [2.0]], [[1.0], 2.0]])
+    def test_departures_are_schema_errors(self, capsys, tmp_path, raw):
+        code, out = invoke(capsys, tmp_path, "check-tpsd", {"kernel": CONV, "points": raw})
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert out["error"]["field"] == "points"
+
+
 class TestOtherCommands:
     def test_conjugate_round_trip(self, capsys, tmp_path):
         payload = {
@@ -486,9 +725,11 @@ class TestOtherCommands:
 
 
 class TestGoldenOutputs:
-    @pytest.mark.parametrize("command", COMMANDS)
+    # Besides one input per command, 2-D representer fits on decimal
+    # coordinates, whose sections and offsets round.
+    @pytest.mark.parametrize("command", [*COMMANDS, "interpolate-2d", "regress-2d"])
     def test_stdout_bytes_match_golden(self, capsys, command):
-        code = main([command, "--input", str(GOLDEN / f"{command}.json")])
+        code = main([command.removesuffix("-2d"), "--input", str(GOLDEN / f"{command}.json")])
         out = capsys.readouterr().out
         expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
         assert code == expected_codes[command]

@@ -375,13 +375,14 @@ class TestRegularityFromSquare:
         assert regularity(b, 1e-9) == (True, False)
         assert regularity(b, 4e-9) == (True, True)
 
-    def test_rounding_margin_keeps_the_verdict_at_tol_zero(self):
-        # The float square of this lip Gram equals it exactly, but the float
-        # residuation misses it by an ulp, so at tol 0 the verdict is False.
+    def test_exact_square_is_regular_at_tol_zero(self):
+        # The float square of this lip Gram equals it exactly, so B is its
+        # own witness, fl(B (x) B (x) B) = B; the float residuation misses B
+        # by an ulp, which no tol may turn into "not regular".
         gram = gram_on(ClosedFormKernel("lip"), PointSet.make([0.1, 0.2, 0.5]))
         assert (mp_matmul(gram, gram) == gram).all()
         assert not is_von_neumann_regular(gram, 0.0).regular
-        assert regularity(gram, 0.0) == (True, False)
+        assert regularity(gram, 0.0) == (True, True)
         assert regularity(gram, 1e-12) == (True, True)
 
     def test_non_square_rejected(self):

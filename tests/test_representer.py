@@ -22,7 +22,6 @@ from tropkern.representer import (
     SampleSet,
     _closure,
     _greatest_below,
-    _regress_fixed,
     build_f0,
     feasible_witnesses,
     reconstruct_stopping_cost,
@@ -121,7 +120,7 @@ WITNESS_CASES = {
 
 
 def unpruned_search(samples: SampleSet, kernel, loss: str, tol: float = 1e-9):
-    """Fit every assignment of usable anchors through ``_regress_fixed`` and
+    """Fit every assignment of usable anchors as fixed anchors of ``regress`` and
     keep the least loss, a tie within 1e-12 going to the least exchange-gap
     mass."""
     candidates = samples.dual_candidates
@@ -135,7 +134,7 @@ def unpruned_search(samples: SampleSet, kernel, loss: str, tol: float = 1e-9):
         idx = tuple(int(k) for k in combo)
         anchors = tuple(candidates.points[k] for k in idx)
         try:
-            result = _regress_fixed(samples, kernel, loss, anchors, idx, tol)
+            result = regress(samples, kernel, loss, fixed_p=anchors, tol=tol)
         except InfeasibleConstraintsError:
             continue
         mass = float(bxp[:, list(idx)].sum() - n * bxp[np.arange(n), list(idx)].sum())
@@ -290,6 +289,14 @@ class TestBuildF0:
         with pytest.raises(ValueError):
             build_f0(convex_samples(), (0.0,), CONV)
 
+    def test_witness_result_of_other_samples_rejected(self):
+        blocked = feasible_witnesses(concave_samples(), CONV)
+        with pytest.raises(ValueError, match="infeasible"):
+            build_f0(concave_samples(), blocked, CONV)
+        single = SampleSet(PointSet.make([1.0]), np.array([3.0]), CAND3)
+        with pytest.raises(ValueError, match="one witness per sample"):
+            build_f0(convex_samples(), feasible_witnesses(single, CONV), CONV)
+
     def test_reports_first_failure_in_loop_order(self):
         # Random anchors, repeats included: the error names the first
         # (m, k) that a loop over samples m, then k, meets.
@@ -353,11 +360,13 @@ class TestBuildF0:
         assert f0.points == ((0.0,), (0.0,), (1.0,))
         assert all(type(c) is float for p in f0.points for c in p)
 
-        def refuse(p):
+        def refuse(points):
             raise AssertionError("anchors are normalized by build_f0")
 
-        monkeypatch.setattr(representer, "as_point", refuse)
+        monkeypatch.setattr(representer, "point_array", refuse)
         assert np.array_equal(f0.on_grid(samples.xs).values, samples.ys)
+        grid = PointSet.make([-1.0, 4.0])
+        assert list(f0.on_grid(grid).values) == [f0(-1.0), f0(4.0)]
 
 
 class TestDifferenceConstraints:
@@ -382,7 +391,7 @@ class TestDifferenceConstraints:
         samples = convex_samples()
         anchors = ((0.0,), (0.0,), (1.0,))
         for loss in ("sup_norm", "l1"):
-            result = _regress_fixed(samples, CONV, loss, anchors, (1, 1, 2), 1e-9)
+            result = regress(samples, CONV, loss, fixed_p=anchors)
             assert result.loss_value == 0.0
             assert np.array_equal(result.y_star, samples.ys)
 
@@ -393,7 +402,7 @@ class TestDifferenceConstraints:
         kernel = GramKernel(pts, np.array([[NEG_INF, 0.0], [0.0, 0.0]]))
         samples = SampleSet(PointSet.make([0, 1]), np.array([0.0, 0.0]), pts)
         with pytest.raises(InfeasibleConstraintsError, match="infinite") as exc:
-            _regress_fixed(samples, kernel, "sup_norm", ((0.0,), (1.0,)), (0, 1), 1e-9)
+            regress(samples, kernel, "sup_norm", fixed_p=((0.0,), (1.0,)))
         assert exc.value.cycle is None
 
     def test_bottom_bounds_dropped(self):
@@ -808,3 +817,83 @@ class TestStoppingCost:
         samples = SampleSet(PointSet.make([9.0]), np.array([0.0]), kernel.points)
         with pytest.raises(PreconditionError):
             reconstruct_stopping_cost(samples, kernel)
+
+
+def _decimal_points(rng, count):
+    """``count`` distinct 2-D points with one decimal in [-2, 2]^2."""
+    cells = rng.choice(41 * 41, count, replace=False)
+    return PointSet.make(np.stack([cells // 41 - 20, cells % 41 - 20], axis=1) / 10.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _fresh_f0(kernel, xs, anchors, fitted):
+    """Offsets and values at the sites of the max of sections, from a table
+    of b(x_k, p_m) evaluated anew on the anchors (all finite here)."""
+    fresh = kernel.table(xs.as_array(), np.array(anchors, dtype=float))
+    offsets = fitted - np.diag(fresh)
+    terms = fresh + offsets
+    return offsets, terms[np.arange(len(xs)), terms.argmax(axis=1)]
+
+
+class TestOneTableBits:
+    """Each fit reads its sections from the one table b(x, p) it decided on;
+    the f0 terms, the values at the sites and the fitted targets equal, bit
+    for bit, those from tables evaluated anew on the chosen anchors."""
+
+    KERNELS = [ClosedFormKernel("conv"), ClosedFormKernel("sconv"),
+               ClosedFormKernel("lip", {"alpha": 0.7})]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_interpolation(self, kernel):
+        rng = np.random.default_rng(18)
+        feasible = 0
+        for _ in range(40):
+            xs, cands = _decimal_points(rng, 8), _decimal_points(rng, 6)
+            # Targets from three sections, so that most data are feasible.
+            use = rng.choice(6, 3, replace=False)
+            table = kernel.table(xs.as_array(), cands.as_array()[use])
+            ys = (table + np.round(rng.uniform(-1, 1, 3), 1)).max(axis=1)
+            samples = SampleSet(xs, ys, cands)
+            wit = feasible_witnesses(samples, kernel)
+            if not wit.feasible:
+                continue
+            f0 = build_f0(samples, wit, kernel)
+            offsets, values = _fresh_f0(kernel, xs, wit.witnesses, ys)
+            assert np.array_equal(_bits(f0.offsets), _bits(offsets))
+            assert np.array_equal(_bits(f0.on_grid(xs).values), _bits(values))
+            assert f0.terms == build_f0(samples, wit.witnesses, kernel).terms
+            feasible += 1
+        assert feasible >= 20
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("loss", ["sup_norm", "l1"])
+    def test_regression(self, kernel, loss):
+        rng = np.random.default_rng(19)
+        for _ in range(25):
+            xs, cands = _decimal_points(rng, 5), _decimal_points(rng, 3)
+            ys = np.round(rng.uniform(-2, 2, 5), 1)
+            samples = SampleSet(xs, ys, cands)
+            result = regress(samples, kernel, loss)
+            if loss == "sup_norm":
+                # The max-plus projection onto the span of a fresh table.
+                u = ys[:, None] - kernel.table(xs.as_array(), cands.as_array())
+                z = ys + (u.min(axis=0) - u).max(axis=1)
+                fitted = z + 0.5 * float((ys - z).max())
+            else:
+                fitted = regress(samples, kernel, loss, fixed_p=result.p_star).y_star
+            assert np.array_equal(_bits(result.y_star), _bits(fitted))
+            offsets, values = _fresh_f0(kernel, xs, result.p_star, result.y_star)
+            f0 = result.interpolant
+            assert np.array_equal(_bits(f0.offsets), _bits(offsets))
+            assert np.array_equal(_bits(f0.on_grid(xs).values), _bits(values))
+            try:
+                fixed = regress(samples, kernel, loss, fixed_p=result.p_star)
+            except InfeasibleConstraintsError:
+                # The rounded gaps of these anchors close a positive cycle.
+                continue
+            offsets, values = _fresh_f0(kernel, xs, fixed.p_star, fixed.y_star)
+            assert np.array_equal(_bits(fixed.interpolant.offsets), _bits(offsets))
+            assert np.array_equal(_bits(fixed.interpolant.on_grid(xs).values), _bits(values))
