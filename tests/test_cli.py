@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import tropkern
 from tropkern.cli import (
-    _BLOCK, _RUNS_MIN, COMMANDS, RunConfig, _array_parts, _csv_lines, _dump_json, run, main,
+    _BLOCK, _RUNS_MIN, COMMANDS, RunConfig, _SchemaError, _array_parts, _csv_lines, _dump_json,
+    _points, run, main,
 )
 from tropkern.control import MaupertuisProblem, maupertuis_dp
 from tropkern.core import NEG_INF, POS_INF, PointSet, encode_values
@@ -574,8 +575,6 @@ class TestPointParse:
     @settings(max_examples=400, deadline=None)
     @given(raw=_POINT_LISTS, on_grid=st.booleans())
     def test_matches_the_per_point_rule(self, raw, on_grid):
-        from tropkern.cli import _points, _SchemaError
-
         kernel = kernel_from_spec(GRAM_3) if on_grid else None
         grid = kernel.points if on_grid else None
         numbers = [isinstance(p, (int, float)) for p in raw]
@@ -612,8 +611,6 @@ class TestPointParse:
         ],
     )
     def test_duplicate_names_the_first_repeat(self, raw, message):
-        from tropkern.cli import _points, _SchemaError
-
         with pytest.raises(_SchemaError, match=re.escape(message)):
             _points(raw, "points")
 
