@@ -12,9 +12,9 @@ Exit codes:
     2  the input could not be read or does not match the command's schema
        (the JSON names the offending field).
 
-Extended reals are encoded as numbers, with the strings ``"inf"`` and
-``"-inf"`` for the two infinities, in both JSON and CSV.  Handlers put
-arrays in their payloads; the writer prints each one from the text of its
+Extended reals, point coordinates included, are encoded as numbers, with
+the strings ``"inf"`` and ``"-inf"`` for the two infinities, in both JSON and
+CSV.  Handlers put arrays in their payloads; the writer prints each one from the text of its
 distinct values, a run of equal entries as one text, with the bytes
 ``json.dumps(encode_values(array), indent=2, sort_keys=True)`` would give.
 ``--tol`` must be a finite number >= 0.
@@ -59,6 +59,7 @@ from .core import (
     SizeError,
     decode_values,
     encode_extreal,
+    encode_values,
     point_array,
 )
 from .kernels import (
@@ -139,15 +140,24 @@ def _need(data: Mapping, field: str, parent: str = "") -> object:
     return data[field]
 
 
+def _read(field: str, reader: Callable, *args: object):
+    """``reader(*args)``: the one place where a library error becomes a
+    schema error on ``field``, for a TypeError, ValueError, KeyError or
+    OverflowError; PreconditionError and SizeError (exit 1) pass through."""
+    try:
+        return reader(*args)
+    except (PreconditionError, SizeError):
+        raise
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise _SchemaError(field, str(exc)) from exc
+
+
 def _point_array(raw: object, field: str, kernel=None) -> np.ndarray:
     """Points in input order as one (n, d) array (``point_array``); a Gram
     ``kernel`` is defined only on its grid."""
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise _SchemaError(field, "expected a list of points")
-    try:
-        points = point_array(raw)
-    except (TypeError, ValueError) as exc:
-        raise _SchemaError(field, str(exc)) from exc
+    points = _read(field, point_array, raw)
     if isinstance(kernel, GramKernel):
         off = np.flatnonzero(kernel.points.indices(points) < 0)
         if off.size:
@@ -157,28 +167,18 @@ def _point_array(raw: object, field: str, kernel=None) -> np.ndarray:
 
 
 def _points(raw: object, field: str, kernel=None) -> PointSet:
-    points = _point_array(raw, field, kernel)
-    try:
-        return PointSet(points)
-    except ValueError as exc:
-        raise _SchemaError(field, str(exc)) from exc
+    return _read(field, PointSet, _point_array(raw, field, kernel))
 
 
 def _values(raw: object, field: str) -> np.ndarray:
-    try:
-        return decode_values(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise _SchemaError(field, str(exc)) from exc
+    return _read(field, decode_values, raw)
 
 
 def _kernel(data: Mapping):
     spec = _need(data, "kernel")
     if not isinstance(spec, Mapping):
         raise _SchemaError("kernel", "expected a kernel object")
-    try:
-        return kernel_from_spec(spec)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise _SchemaError("kernel", str(exc)) from exc
+    return _read("kernel", kernel_from_spec, spec)
 
 
 def _kernel_domain(data: Mapping):
@@ -216,22 +216,14 @@ def _samples(data: Mapping, kernel, candidates: PointSet | None = None) -> Sampl
         raise _SchemaError(
             "dual_candidates", f"points must have dimension {xs.dim}, as samples.xs"
         )
-    try:
-        return SampleSet(xs, ys, candidates)
-    except (TypeError, ValueError) as exc:
-        raise _SchemaError("samples", str(exc)) from exc
+    return _read("samples", SampleSet, xs, ys, candidates)
 
 
 def _problem(data: Mapping) -> MaupertuisProblem:
     spec = _need(data, "problem")
     if not isinstance(spec, Mapping):
         raise _SchemaError("problem", "expected a problem object")
-    try:
-        return MaupertuisProblem.from_spec(spec)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        if isinstance(exc, SizeError):
-            raise
-        raise _SchemaError("problem", str(exc)) from exc
+    return _read("problem", MaupertuisProblem.from_spec, spec)
 
 
 def _flag(data: Mapping, field: str) -> bool:
@@ -241,10 +233,9 @@ def _flag(data: Mapping, field: str) -> bool:
     return value
 
 
-def _f0_payload(interpolant) -> dict:
-    return {
-        "terms": [[list(p), encode_extreal(off)] for p, off in interpolant.terms]
-    }
+def _f0_payload(anchors: np.ndarray, interpolant) -> dict:
+    offsets = map(encode_extreal, interpolant.offsets)
+    return {"terms": [list(term) for term in zip(encode_values(anchors), offsets)]}
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +321,7 @@ def _cmd_cg_kernel(data: Mapping, config: RunConfig):
     members = []
     for k, raw in enumerate(raw_members):
         members.append(_grid_function(domain, raw, f"members[{k}]"))
-    try:
-        family = FunctionFamily(domain, tuple(members))
-    except (TypeError, ValueError) as exc:
-        raise _SchemaError("members", str(exc)) from exc
+    family = _read("members", FunctionFamily, domain, tuple(members))
     cg = max_kernel_cG(family)
     payload = {
         "points": domain,
@@ -357,11 +345,12 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
     if not wit.feasible:
         return 1, {"feasible": False, "blocking_index": wit.blocking_index + 1}, None
     f0 = build_f0(samples, wit, kernel, tol=config.tolerance)
+    anchors = samples.dual_candidates.as_array()[list(wit.witness_indices)]
     payload = {
         "feasible": True,
-        "witnesses": [list(p) for p in wit.witnesses],
+        "witnesses": anchors,
         "witness_indices": list(wit.witness_indices),
-        "f0": _f0_payload(f0),
+        "f0": _f0_payload(anchors, f0),
         "values_at_xs": f0.on_grid(samples.xs).values,
     }
     return 0, payload, None
@@ -386,13 +375,14 @@ def _cmd_regress(data: Mapping, config: RunConfig):
     elif mode != "search":
         raise _SchemaError("mode", "expected 'search' or {'fixed_p': [...]}")
     result = regress(samples, kernel, loss=loss, fixed_p=fixed_p, tol=config.tolerance)
+    anchors = np.array(result.p_star)
     payload = {
         "feasible": True,
-        "witnesses": [list(p) for p in result.p_star],
+        "witnesses": anchors,
         "y_star": result.y_star,
         "loss_value": encode_extreal(result.loss_value),
         "exact": result.exact,
-        "f0": _f0_payload(result.interpolant),
+        "f0": _f0_payload(anchors, result.interpolant),
     }
     return 0, payload, None
 
@@ -462,7 +452,7 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
         )
     payload = {
         "feasible": True,
-        "witnesses": [list(p) for p in result.witnesses],
+        "witnesses": np.array(result.witnesses),
         "witness_indices": list(result.witness_indices),
         "points": result.psi_T.domain,
         "psi_T": result.psi_T.values,
@@ -505,10 +495,10 @@ def _dump_json(obj, level: int = 0) -> str:
     [non-empty scalar list, scalar] go through one call of the C encoder
     (``indent=None``) with the newline and indent of ``level`` in the item
     separator; everything else recurses.  ``obj`` is written as if
-    it sat ``level`` levels deep, so later lines carry that indent.  A
-    ``PointSet`` is written as its list of coordinate lists, and a 1-D or
-    2-D ``np.ndarray`` as ``encode_values`` of it (``_array_parts``, which
-    writes a run of equal entries as one text).
+    it sat ``level`` levels deep, so later lines carry that indent.  A 1-D
+    or 2-D ``np.ndarray`` is written as ``encode_values`` of it
+    (``_array_parts``, which writes a run of equal entries as one text), and
+    a ``PointSet`` as its coordinate array, or a lattice from its axes.
     """
     ind = "\n" + "  " * level
     pad = ind + "  "
@@ -517,7 +507,7 @@ def _dump_json(obj, level: int = 0) -> str:
     if isinstance(obj, PointSet):
         if obj.axes is not None:
             return _lattice_json(obj.axes, level)
-        return _dump_json([list(p) for p in obj], level)
+        return "".join(_array_parts(obj.as_array(), level))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -767,8 +757,10 @@ def _lattice_json(axes: Sequence[np.ndarray], level: int) -> str:
     ind = "\n" + "  " * level
     pad = ind + "  "
     pad2 = pad + "  "
-    # json's own number text ("Infinity" for inf), one call per axis.
-    cells = [json.dumps(ax.tolist())[1:-1].split(", ") for ax in axes]
+    # json's own number text, which costs less, unless an axis holds ±inf
+    # (json would write Infinity).
+    cells = [json.dumps(ax.tolist() if np.isfinite(ax).all() else encode_values(ax))[1:-1]
+             .split(", ") for ax in axes]
     firsts, rest = _lattice_text(cells, "," + pad2, pad + "]")
     blocks = []
     for c in firsts:

@@ -33,10 +33,10 @@ from .core import (
     lower_add_arrays,
     max_plus,
     max_reduce,
+    owned_array,
     upper_add,
     upper_add_arrays,
     upper_sub,
-    validate_values,
 )
 from .kernels import KernelRep, _symmetry_witness, gram_on
 
@@ -44,8 +44,10 @@ from .kernels import KernelRep, _symmetry_witness, gram_on
 class ConjugationOp:
     """A kernel operator between two finite grids.
 
+    The operator holds its own read-only table: an explicit ``matrix`` is
+    copied, and a table built from ``kernel`` is taken as built.
+
     Attributes:
-        kernel: The originating kernel, if the operator was built from one.
         domain: Grid of the argument functions (y runs here).
         codomain: Grid of the result functions (x runs here).
         matrix: Dense (|codomain|, |domain|) table of kernel values b(x, y).
@@ -58,19 +60,15 @@ class ConjugationOp:
         codomain: PointSet | None = None,
         matrix: np.ndarray | None = None,
     ) -> None:
-        self.kernel = kernel
         self.domain = domain
         self.codomain = domain if codomain is None else codomain
-        if matrix is None:
+        fresh = matrix is None
+        if fresh:
             if kernel is None:
                 raise ValueError("need a kernel or an explicit matrix")
             matrix = gram_on(kernel, self.codomain, self.domain)
-        matrix = validate_values(matrix, "operator matrix")
-        if matrix.shape != (len(self.codomain), len(self.domain)):
-            raise ValueError("operator matrix shape mismatch")
-        if (matrix == POS_INF).any():
-            raise ValueError("kernel values must be < +inf")
-        self.matrix = matrix
+        shape = (len(self.codomain), len(self.domain))
+        self.matrix = owned_array(matrix, "kernel values", shape, below_inf=True, copy=not fresh)
 
     @property
     def is_square(self) -> bool:
@@ -79,12 +77,7 @@ class ConjugationOp:
 
     def transpose(self) -> "ConjugationOp":
         """The operator of the transposed kernel (adjoint direction)."""
-        kernel = self.kernel
-        if hasattr(kernel, "transpose"):
-            kernel = kernel.transpose()  # type: ignore[union-attr]
-        elif not self.is_square:
-            kernel = None
-        return ConjugationOp(kernel, self.codomain, self.domain, self.matrix.T)
+        return ConjugationOp(None, self.codomain, self.domain, self.matrix.T)
 
     def _check_symmetric(self, op_name: str) -> None:
         if not self.is_square:

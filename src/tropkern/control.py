@@ -55,7 +55,7 @@ from .core import (
     SizeError,
     as_point,
     ext_close,
-    validate_values,
+    owned_array,
 )
 from .kernels import GramKernel
 from .representer import SampleSet, feasible_witnesses
@@ -93,7 +93,7 @@ class LagrangianSpec:
                 raise ValueError("one cost per tabulated velocity is required")
             vels = tuple(as_point(v) for v in self.velocities)
             costs = tuple(float(c) for c in self.costs)
-            if any(math.isnan(c) or c == POS_INF or c == NEG_INF for c in costs):
+            if not all(map(math.isfinite, costs)):
                 raise ValueError("table costs must be finite")
             object.__setattr__(self, "velocities", vels)
             object.__setattr__(self, "costs", costs)
@@ -228,37 +228,14 @@ class MaupertuisProblem:
     )
 
     def __post_init__(self) -> None:
-        times = validate_values(self.time_grid, "time grid").reshape(-1)
+        times = _uniform_axis(self.time_grid, "time grid")
         if len(times) < 2:
             raise ValueError("time grid needs at least two points")
-        if not np.isfinite(times).all():
-            raise ValueError("time grid must be finite")
-        steps = np.diff(times)
-        if steps.min() <= 0:
-            raise ValueError("time grid must be strictly increasing")
-        if np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0])):
-            raise ValueError("time grid must be uniform")
-        times = times.copy()
-        times.setflags(write=False)
         object.__setattr__(self, "time_grid", times)
-
-        axes = []
-        for ax in self.space_axes:
-            ax = validate_values(ax, "space axis").reshape(-1)
-            if not np.isfinite(ax).all():
-                raise ValueError("space axes must be finite")
-            if len(ax) > 1:
-                d = np.diff(ax)
-                if d.min() <= 0:
-                    raise ValueError("space axes must be strictly increasing")
-                if np.abs(d - d[0]).max() > 1e-9 * max(1.0, abs(d[0])):
-                    raise ValueError("space axes must be uniform")
-            ax = ax.copy()
-            ax.setflags(write=False)
-            axes.append(ax)
+        axes = tuple(_uniform_axis(ax, "space axes") for ax in self.space_axes)
         if not axes:
             raise ValueError("at least one space axis is required")
-        object.__setattr__(self, "space_axes", tuple(axes))
+        object.__setattr__(self, "space_axes", axes)
 
         sten = tuple(as_point(v) for v in self.stencil)
         if not sten:
@@ -355,6 +332,21 @@ class MaupertuisProblem:
             claim_reversible=_spec_flag(spec, "reversible", True),
             require_nonneg=_spec_flag(spec, "require_nonneg", True),
         )
+
+
+def _uniform_axis(values: Sequence[float], what: str) -> np.ndarray:
+    """A finite, strictly increasing, uniformly spaced axis, read-only
+    (``owned_array``)."""
+    ax = owned_array(values, what).reshape(-1)
+    if not np.isfinite(ax).all():
+        raise ValueError(f"{what} must be finite")
+    if len(ax) > 1:
+        steps = np.diff(ax)
+        if steps.min() <= 0:
+            raise ValueError(f"{what} must be strictly increasing")
+        if np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0])):
+            raise ValueError(f"{what} must be uniform")
+    return ax
 
 
 def _cost(value: object) -> float:

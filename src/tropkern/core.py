@@ -307,6 +307,50 @@ def validate_values(values: Iterable[float], what: str = "values") -> np.ndarray
     return arr
 
 
+def owned_array(
+    values: Iterable[float], what: str, shape: tuple[int, ...] | None = None,
+    *, below_inf: bool = False, copy: bool = True,
+) -> np.ndarray:
+    """The one gate of the extended-real arrays that containers hold.
+
+    Converts ``values`` (named ``what`` in errors) to float64 and raises
+    ValueError for NaN, then a shape other than ``shape`` (1-D or 2-D), then
+    with ``below_inf`` for +inf, as the kernel codomain is [-inf, +inf).
+    One max reduction finds both, as it propagates NaN.  Returns a read-only
+    copy, or with ``copy=False`` the array itself, for an array the caller
+    has just built and keeps no other reference to.
+    """
+    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
+    top = arr.max(initial=NEG_INF)
+    if math.isnan(top):
+        raise ValueError(f"{what} must not contain NaN")
+    if shape is not None and arr.shape != shape:
+        expected = f"{shape[0]} values" if len(shape) == 1 else "a {}x{} matrix".format(*shape)
+        raise ValueError(f"expected {expected}, got shape {arr.shape}")
+    if below_inf and top == POS_INF:
+        raise ValueError(f"{what} must be < +inf")
+    arr.setflags(write=False)
+    return arr
+
+
+def square_matrix(values: Iterable[Iterable[float]], below_inf: bool = False) -> np.ndarray:
+    """A square matrix of kernel values through ``owned_array``, as a
+    read-only view: the caller's array is neither copied nor frozen."""
+    arr = np.asarray(values, dtype=float)
+    n = len(arr) if arr.ndim else 0
+    return owned_array(arr.view(), "kernel values", (n, n), below_inf=below_inf, copy=False)
+
+
+def _adopted(cls: type, **attrs: object):
+    """The body of every ``_adopt``: ``cls`` holding ``attrs`` as given, built
+    without ``__init__``, its arrays checked by ``__post_init__(copy=False)``."""
+    obj = object.__new__(cls)
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+    obj.__post_init__(copy=False)
+    return obj
+
+
 def as_point(p: float | Sequence[float]) -> Point:
     """Normalize one scalar or coordinate sequence to a point tuple, for a
     single lookup such as ``PointSet.index_of``; point lists go through
@@ -460,14 +504,11 @@ class PointSet:
         """
         arrays = []
         for ax in axes:
-            arr = np.array(ax, dtype=float)
+            arr = owned_array(ax, "point coordinates")
             if arr.ndim != 1 or len(arr) == 0:
                 raise ValueError("lattice axes must be nonempty 1-D sequences")
-            if np.isnan(arr).any():
-                raise ValueError("point coordinates must not be NaN")
             if len(np.unique(arr)) != len(arr):
                 raise ValueError("points must be pairwise distinct: an axis repeats a coordinate")
-            arr.setflags(write=False)
             arrays.append(arr)
         if not arrays:
             raise ValueError("a lattice needs at least one axis")
@@ -580,29 +621,15 @@ class GridFunction:
     domain: PointSet
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._freeze(copy=True)
+    def __post_init__(self, copy: bool = True) -> None:
+        values = owned_array(self.values, "GridFunction values", (len(self.domain),), copy=copy)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def _adopt(cls, domain: PointSet, values: np.ndarray) -> "GridFunction":
         """Take over a float64 array the caller has just built and keeps no
         other reference to: checked and made read-only, but not copied."""
-        fn = object.__new__(cls)
-        object.__setattr__(fn, "domain", domain)
-        object.__setattr__(fn, "values", values)
-        fn._freeze(copy=False)
-        return fn
-
-    def _freeze(self, copy: bool) -> None:
-        arr = validate_values(self.values, "GridFunction values")
-        if arr.shape != (len(self.domain),):
-            raise ValueError(
-                f"expected {len(self.domain)} values, got shape {arr.shape}"
-            )
-        if copy:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        return _adopted(cls, domain=domain, values=values)
 
     def value_at(self, p: float | Sequence[float]) -> float:
         """Value at a given point of the domain."""

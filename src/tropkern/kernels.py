@@ -24,19 +24,20 @@ import numpy as np
 from .core import (
     NEG_INF,
     PAIR_GUARD,
-    POS_INF,
     GridFunction,
     Point,
     PointSet,
     PreconditionError,
     SizeError,
+    _adopted,
     as_point,
     decode_values,
     encode_values,
     ext_close,
     lower_sub,
     max_plus,
-    validate_values,
+    owned_array,
+    square_matrix,
 )
 
 if TYPE_CHECKING:
@@ -71,30 +72,16 @@ class GramKernel:
     points: PointSet
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._freeze(copy=True)
+    def __post_init__(self, copy: bool = True) -> None:
+        n = len(self.points)
+        matrix = owned_array(self.matrix, "kernel values", (n, n), below_inf=True, copy=copy)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def _adopt(cls, points: PointSet, matrix: np.ndarray) -> "GramKernel":
         """Take over a float64 matrix the caller has just built and keeps no
         other reference to: checked and made read-only, but not copied."""
-        gram = object.__new__(cls)
-        object.__setattr__(gram, "points", points)
-        object.__setattr__(gram, "matrix", matrix)
-        gram._freeze(copy=False)
-        return gram
-
-    def _freeze(self, copy: bool) -> None:
-        arr = validate_values(self.matrix, "Gram matrix")
-        n = len(self.points)
-        if arr.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
-        if (arr == POS_INF).any():
-            raise ValueError("kernel values must be < +inf")
-        if copy:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        return _adopted(cls, points=points, matrix=matrix)
 
     def eval(self, x: float | Sequence[float], y: float | Sequence[float]) -> float:
         """b(x, y) by table lookup."""
@@ -351,12 +338,8 @@ def check_permutation_positivity(
     Raises:
         ValueError: ``gram`` holds NaN or +inf, or is not square.
     """
-    gram = validate_values(gram, "gram")
-    n = gram.shape[0] if gram.ndim else 0
-    if gram.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {gram.shape}")
-    if (gram == POS_INF).any():
-        raise ValueError("kernel values must be < +inf")
+    gram = square_matrix(gram, below_inf=True)
+    n = len(gram)
     verdict = _tpsd_verdict(gram, tol)
     positivity = verdict.failure == "positivity"
     if verdict.is_tpsd or (positivity and min(m_max, n) < 2):
@@ -416,14 +399,9 @@ class FeatureMap:
     psi: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = validate_values(self.psi, "feature map")
-        if (arr == POS_INF).any():
-            raise ValueError("feature values must be < +inf")
-        if arr.shape != (len(self.points), len(self.z_labels)):
-            raise ValueError("feature matrix shape mismatch")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "psi", arr)
+        shape = (len(self.points), len(self.z_labels))
+        psi = owned_array(self.psi, "feature values", shape, below_inf=True)
+        object.__setattr__(self, "psi", psi)
 
     def recompose(self) -> np.ndarray:
         """The kernel sup_z psi(x,z) + psi(y,z) as a dense matrix."""

@@ -24,9 +24,9 @@ it elsewhere, A = B - 2d gives B A B <= B, so B A* B lies in [B - 4d, B].
 max |S - B|, M = max |B| over finite entries, eps = 2**-52) and answers True
 when 4 delta + 32 eps M <= tol, a margin that also covers the rounding of
 the residuation (about 7 eps M); otherwise it residuates.  A computed square
-equal to B entry for entry (delta = 0) answers True at every tol: then B is
-a witness even in floats, fl(B (x) B (x) B) = B, although the residuated A*
-may round so that B (x) A* (x) B misses B by an ulp.
+equal to B entry for entry makes B its own witness at every tol, in both
+functions: fl(B (x) B (x) B) = B, although the residuated A* may round so
+that B (x) A* (x) B misses B by an ulp.
 """
 
 from __future__ import annotations
@@ -36,15 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ext_close,
+    PAIR_GUARD,
     POS_INF,
     GridFunction,
     PointSet,
+    SizeError,
+    ext_close,
     lower_add_arrays,
     max_plus,
     max_reduce,
     min_plus,
     min_reduce,
+    square_matrix,
     upper_add_arrays,
     validate_values,
 )
@@ -68,9 +71,7 @@ def is_idempotent(gram: np.ndarray, tol: float = 1e-9) -> bool:
     Integer-valued inputs are decided exactly (float64 sums and maxes of
     integers are exact); float inputs are compared within ``tol``.
     """
-    gram = validate_values(gram, "gram")
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError("idempotency is defined for square matrices")
+    gram = square_matrix(gram)
     return bool(ext_close(mp_matmul(gram, gram), gram, tol).all())
 
 
@@ -97,10 +98,11 @@ class RegularityVerdict:
     """Outcome of the von Neumann regularity decision.
 
     Attributes:
-        regular: True iff B (x) A* (x) B = B for the residuated candidate.
-        witness: The greatest candidate A* (entries may be ±inf); a valid
-            middle factor exactly when ``regular``.
-        product: B (x) A* (x) B, for inspection of the failure gap.
+        regular: True iff B (x) A (x) B = B for the witness A.
+        witness: B when its computed square equals it, else the greatest
+            candidate A* (entries may be ±inf); a valid middle factor
+            exactly when ``regular``.
+        product: B (x) A (x) B, for inspection of the failure gap.
     """
 
     regular: bool
@@ -114,34 +116,35 @@ def is_von_neumann_regular(gram: np.ndarray, tol: float = 1e-9) -> RegularityVer
     The product is entrywise monotone in A, and A* = greatest A with
     B A B <= B is computable by two residuations, so the equation has a
     solution iff it holds at A*.  The verdict is that of the computed A*,
-    within tol: on floats A* may round so that it misses B by an ulp where
-    B is its own witness (see ``regularity``).
+    within tol, unless the computed square equals B entry for entry, which
+    makes B its own witness (see the module docstring).
     """
-    b = validate_values(gram, "gram")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("regularity is defined for square matrices")
+    b = square_matrix(gram)
+    return _regular(b, mp_matmul(b, b), tol)
+
+
+def _regular(b: np.ndarray, square: np.ndarray, tol: float) -> RegularityVerdict:
+    """``is_von_neumann_regular`` of B, given its computed max-plus square."""
+    if np.array_equal(square, b):
+        return RegularityVerdict(True, square, square)
     a_star = right_residual(left_residual(b, b), b)
     product = mp_matmul(mp_matmul(b, a_star), b)
-    regular = bool(ext_close(product, b, tol).all())
-    return RegularityVerdict(regular, a_star, product)
+    return RegularityVerdict(bool(ext_close(product, b, tol).all()), a_star, product)
 
 
 def regularity(gram: np.ndarray, tol: float = 1e-9) -> tuple[bool, bool]:
-    """``(is_idempotent, is_von_neumann_regular(...).regular)``, see the module
-    docstring, except that a computed square equal to B entry for entry
-    makes B regular at every tol."""
-    b = validate_values(gram, "gram")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("regularity is defined for square matrices")
+    """``(is_idempotent, is_von_neumann_regular(...).regular)`` from one
+    max-plus square, see the module docstring."""
+    b = square_matrix(gram)
     square = mp_matmul(b, b)
     idempotent = bool(ext_close(square, b, tol).all())
     finite = np.isfinite(b)
     if np.isfinite(square[finite]).all() and (square[~finite] == b[~finite]).all():
         delta = np.abs(square[finite] - b[finite]).max(initial=0.0)
         eps = np.finfo(float).eps
-        if delta == 0 or 4 * delta + 32 * eps * np.abs(b[finite]).max(initial=0.0) <= tol:
+        if 4 * delta + 32 * eps * np.abs(b[finite]).max(initial=0.0) <= tol:
             return idempotent, True
-    return idempotent, is_von_neumann_regular(b, tol).regular
+    return idempotent, _regular(b, square, tol).regular
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,14 @@ def max_kernel_cG(family: FunctionFamily) -> np.ndarray:
     c_G(x,y) = min over members of g(x) - g(y) (upper difference).  The
     diagonal is 0 where some member is finite and +inf where every member is
     +inf; the matrix is idempotent.
+
+    Raises:
+        SizeError: If the table would hold more than PAIR_GUARD entries;
+            checked before anything is allocated.
     """
+    n = len(family.domain)
+    if n * n > PAIR_GUARD:
+        raise SizeError(f"{n} x {n} kernel entries exceed the guard of {PAIR_GUARD}")
     g = family.as_matrix()
     return min_plus(g.T, -g)
 
@@ -190,8 +200,8 @@ def closure_CG(cg: np.ndarray, f: GridFunction) -> GridFunction:
 
     Extensive (result >= f), monotone, and idempotent.
     """
-    cg = validate_values(cg, "cg")
-    if cg.shape != (len(f.domain), len(f.domain)):
+    cg = square_matrix(cg)
+    if len(cg) != len(f.domain):
         raise ValueError("kernel shape does not match the function domain")
     return GridFunction(f.domain, mp_apply(cg, f.values))
 

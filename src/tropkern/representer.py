@@ -23,9 +23,10 @@ Max-linear Systems, 2010), so all samples are decided at once.
 With anchors fixed, the exchange inequalities are difference constraints
 y_n - y_m >= c on the targets, so regression (minimally perturbing the y's
 into feasibility) reduces to one max-plus closure D of the constraint gaps.
-A cycle whose gaps sum, exactly, to more than 0 certifies infeasibility;
-otherwise both fits are read off D exactly: the sup-norm fit in closed
-form, the l1 fit as the potentials of a min-cost flow on the dual.  Over
+A cycle whose weight, summed exactly from its kernel values, is above 0
+certifies infeasibility; otherwise both fits are read off D exactly: the
+sup-norm fit in closed form, the l1 fit as the potentials of a min-cost
+flow on the dual.  Over
 all anchors, the targets some assignment reproduces form the column span
 itself, so the best sup-norm fit is the Chebyshev distance to it, read from
 the same principal solution.  An l1 anchor search enumerates assignments,
@@ -46,7 +47,9 @@ from .core import (
     Point,
     PointSet,
     PreconditionError,
+    _adopted,
     lower_add_arrays,
+    owned_array,
     point_array,
 )
 from .kernels import KernelRep, gram_on
@@ -56,7 +59,7 @@ from .linear_theory import is_idempotent
 class InfeasibleConstraintsError(RuntimeError):
     """Raised when a task requires a feasible system but none exists.
 
-    ``cycle`` lists constraints whose gaps sum, exactly, to more than 0;
+    ``cycle`` lists constraints whose gaps weigh, exactly, more than 0;
     ``blocking_index`` is the first sample (0-based) no candidate can serve.
     """
 
@@ -92,9 +95,7 @@ class SampleSet:
             raise ValueError("targets must be finite")
         if len(self.dual_candidates) == 0:
             raise ValueError("dual candidate set must be nonempty")
-        ys = ys.copy()
-        ys.setflags(write=False)
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "ys", owned_array(ys, "targets"))
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -194,9 +195,12 @@ class CanonicalInterpolant:
     anchor_points: tuple[Point, ...]
     offsets: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_anchors", point_array(self.anchor_points))
-        object.__setattr__(self, "_sites", None)
+    def __post_init__(self, copy: bool = True) -> None:
+        if copy:
+            object.__setattr__(self, "_anchors", point_array(self.anchor_points))
+            object.__setattr__(self, "_sites", None)
+        else:
+            self._sites[1].setflags(write=False)
 
     @classmethod
     def _adopt(
@@ -210,14 +214,8 @@ class CanonicalInterpolant:
     ) -> "CanonicalInterpolant":
         """Take over the (m, d) array of the anchors and their sections at
         the sample sites, sections[k, m] = b(x_k, p_m), as a fit built them."""
-        sections.setflags(write=False)
-        f0 = object.__new__(cls)
-        for name, value in (
-            ("kernel", kernel), ("anchor_points", anchor_points), ("offsets", offsets),
-            ("_anchors", anchors), ("_sites", (sites, sections)),
-        ):
-            object.__setattr__(f0, name, value)
-        return f0
+        return _adopted(cls, kernel=kernel, anchor_points=anchor_points, offsets=offsets,
+                        _anchors=anchors, _sites=(sites, sections))
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -331,20 +329,21 @@ def _interpolant(
     return CanonicalInterpolant._adopt(kernel, given, offsets, anchors, samples.xs, sections)
 
 
-def _closure(gaps: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
-    """Max-plus closure of the constraints y_k - y_m >= gaps[k, m].
+def _closure(sections: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
+    """Max-plus closure of the exchange constraints y_k - y_m >= gaps[k, m]
+    of sections[k, m] = b(x_k, p_m) (``_exchange_gaps``, without +inf).
 
     D[k, m] is the largest gap sum along a path from k to m (0 on the
     diagonal, -inf where no path exists), built by one rank-1 update per
     pivot; y satisfies the system exactly when y_k - y_m >= D[k, m] for all
     k, m.  A positive diagonal entry marks a candidate cycle, read back from
-    the successor matrix.  If the cycle's gaps, summed exactly with
-    math.fsum, are positive, no finite y exists and (D, cycle) is returned;
-    otherwise the entry is float drift and is reset to 0.  ``gaps`` holds no
-    +inf; its diagonal is ignored.
+    the successor matrix.  If the cycle's weight, the exact (math.fsum) sum
+    of its kernel values b(x_a, p_b) and -b(x_b, p_b), is positive, no
+    finite y exists and (D, cycle) is returned; otherwise the entry is float
+    drift and is reset to 0.
     """
-    n = len(gaps)
-    closure = np.array(gaps, dtype=float)
+    n = len(sections)
+    closure = _exchange_gaps(sections)[1]
     np.fill_diagonal(closure, 0.0)
     succ = np.tile(np.arange(n), (n, 1))  # succ[k, m]: next node from k to m
     for j in range(n):
@@ -355,7 +354,7 @@ def _closure(gaps: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
         succ = np.where(better, succ[:, j, None], succ)
         for i in np.flatnonzero(np.diag(closure) > 0):
             walk = _path(before, i, j)[:-1] + _path(before, j, i)[:-1]
-            cycle = _heaviest_cycle(walk, gaps)
+            cycle = _heaviest_cycle(walk, sections)
             if cycle is not None:
                 return closure, cycle
             closure[i, i] = 0.0
@@ -370,9 +369,10 @@ def _path(succ: np.ndarray, u: int, v: int) -> list[int]:
     return path
 
 
-def _heaviest_cycle(walk: list[int], gaps: np.ndarray) -> list[int] | None:
-    """The simple cycle of a closed walk whose gaps have the largest exact
-    (math.fsum) sum, if that sum is positive."""
+def _heaviest_cycle(walk: list[int], sections: np.ndarray) -> list[int] | None:
+    """The simple cycle of a closed walk of greatest weight, if that weight
+    is positive: the exact (math.fsum) sum of the kernel values
+    sections[a, b] - sections[b, b] over its steps a -> b."""
     best, best_weight = None, 0.0
     stack: list[int] = []
     for v in walk + walk[:1]:
@@ -382,7 +382,8 @@ def _heaviest_cycle(walk: list[int], gaps: np.ndarray) -> list[int] | None:
         k = stack.index(v)
         cycle = stack[k:]
         del stack[k + 1:]
-        weight = math.fsum(gaps[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        heads = cycle[1:] + cycle[:1]
+        weight = math.fsum([*sections[cycle, heads], *-sections[heads, heads]])
         if weight > best_weight:
             best, best_weight = cycle, weight
     return best
@@ -542,13 +543,11 @@ def _regress_fixed(
 ) -> RegressionResult:
     """The fit for the (n, d) array of anchors, from their sections[k, m] =
     b(x_k, p_m) at the samples."""
-    self_eval, gaps = _exchange_gaps(sections)
-    np.fill_diagonal(gaps, NEG_INF)
-    if not np.isfinite(self_eval).all() or (gaps == POS_INF).any():
+    if not np.isfinite(np.diag(sections)).all() or (sections == POS_INF).any():
         raise InfeasibleConstraintsError(
             "anchors force an unsatisfiable (infinite) exchange gap"
         )
-    closure, cycle = _closure(gaps)
+    closure, cycle = _closure(sections)
     if cycle is not None:
         raise InfeasibleConstraintsError(
             "exchange constraints admit no solution", cycle=cycle
@@ -579,14 +578,15 @@ def _assignments(usable: list[np.ndarray]) -> np.ndarray:
 
 
 def _drop_two_cycles(bxp: np.ndarray, assignments: np.ndarray) -> np.ndarray:
-    """The assignments without a positive two-cycle: for k < m, the gaps
-    w = (b(x_k, p_m) - b(x_m, p_m)) + (b(x_m, p_k) - b(x_k, p_k)) may not
+    """The assignments without a positive two-cycle: for k < m, the weight
+    w = b(x_k, p_m) - b(x_m, p_m) + b(x_m, p_k) - b(x_k, p_k) may not
     exceed 0.
 
-    Every anchor is usable (b(x_m, p_m) finite), so the plain differences
-    below are the gaps' lower differences, and a rounded sum of two floats
-    is positive exactly when their exact sum is: the closure rejects every
-    assignment dropped here.
+    Every anchor is usable (b(x_m, p_m) finite).  w is taken as t(p_m) -
+    t(p_k) of the rounded t(p) = b(x_k, p) - b(x_m, p), and every drop is
+    exact: w > 0 means t(p_m) > t(p_k), and rounding is monotone, so the
+    exact differences are in the same order and the exact w is positive.
+    The closure, whose gaps are these t, rejects every assignment dropped.
     """
     keep = assignments
     for k in range(len(bxp) - 1):
@@ -609,16 +609,14 @@ def _enumerate_l1(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
     best_loss = best_mass = POS_INF
     for idx in _drop_two_cycles(bxp, _assignments(usable)):
         sections = bxp[:, idx]
-        self_eval, gaps = _exchange_gaps(sections)
-        np.fill_diagonal(gaps, NEG_INF)
-        closure, cycle = _closure(gaps)
+        closure, cycle = _closure(sections)
         if cycle is not None:
             continue
         _, loss_value = _fit(closure, y, "l1")
         # Exact optima often tie across assignments; a tie goes to the least
         # constraining one, with the smallest total exchange gap
         # sum_{k,m} b(x_k, p_m) - b(x_m, p_m), whatever the enumeration order.
-        mass = float(sections.sum() - n * self_eval.sum())
+        mass = float(sections.sum() - n * np.diag(sections).sum())
         if best is None or loss_value < best_loss - 1e-12 or (
             loss_value <= best_loss + 1e-12 and mass < best_mass
         ):

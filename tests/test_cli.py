@@ -23,8 +23,9 @@ from tropkern.cli import (
     _points, run, main,
 )
 from tropkern.control import MaupertuisProblem, maupertuis_dp
-from tropkern.core import NEG_INF, POS_INF, PointSet, encode_values
+from tropkern.core import NEG_INF, POS_INF, PointSet, decode_values, encode_values
 from tropkern.kernels import ClosedFormKernel, kernel_from_spec
+from oracles import lp_regression
 
 BIPARTITE_5 = [
     [0, -1, 0, 0, 0],
@@ -134,6 +135,20 @@ class TestPinnedVerdicts:
         assert code == 0
         assert out == {"tpsd": True, "permutation_positive": True}
 
+    @pytest.mark.parametrize(
+        "matrix, failure", [([[0, 1], [0, 0]], "symmetry"), ([[0, 1], [1, 0]], "positivity")]
+    )
+    def test_check_tpsd_negative_verdicts(self, capsys, tmp_path, matrix, failure):
+        payload = {
+            "kernel": {"type": "gram", "points": [[0], [1]], "matrix": matrix},
+            "permutation_m_max": 2,
+        }
+        code, out = invoke(capsys, tmp_path, "check-tpsd", payload)
+        assert code == 0
+        assert out == {
+            "tpsd": False, "failure": failure, "witness": [0, 1], "permutation_positive": False,
+        }
+
     def test_check_tpsd_permutation_bound_above_eight(self, capsys, tmp_path):
         payload = {
             "kernel": LIP,
@@ -235,6 +250,28 @@ class TestRegressCommand:
         assert out["feasible"] is False
         assert isinstance(out["negative_cycle"], list)
         assert len(out["negative_cycle"]) >= 2
+
+    @pytest.mark.parametrize("loss", ["sup_norm", "l1"])
+    def test_cycle_of_zero_exact_weight_is_feasible(self, capsys, tmp_path, loss):
+        # The anchors of the cycle [4, 1, 2] are all -0.3, so its kernel
+        # values cancel exactly, although its rounded gaps sum to 1.1e-16.
+        xs = [-2.0, -1.7, 0.5, 1.7, 2.2, 2.7]
+        ys = [0.3 * x + 0.1 for x in xs]
+        anchors = [-3.0] + [-0.3] * 5
+        payload = {
+            "kernel": CONV,
+            "samples": {"xs": [[x] for x in xs], "ys": ys},
+            "dual_candidates": [[-3.0], [-0.3]],
+            "loss": loss,
+            "mode": {"fixed_p": [[p] for p in anchors]},
+        }
+        code, out = invoke(capsys, tmp_path, "regress", payload)
+        assert code == 0
+        assert out["feasible"] is True
+        b = np.multiply.outer(xs, anchors)
+        feasible, optimum, _ = lp_regression(b - np.diag(b), np.array(ys), loss)
+        assert feasible
+        assert out["loss_value"] == pytest.approx(optimum, abs=1e-7)
 
     def test_unknown_loss_is_schema_error(self, capsys, tmp_path):
         payload = {
@@ -427,6 +464,7 @@ class TestKernelTableGuard:
                          "dual_candidates": GUARD_POINTS}),
             ("regress", {"kernel": CONV, "samples": GUARD_SAMPLES,
                          "dual_candidates": [[0.0]], "mode": {"fixed_p": GUARD_POINTS}}),
+            ("cg-kernel", {"points": GUARD_POINTS, "members": [[0.0] * 1001]}),
         ],
     )
     def test_oversized_table_exits_one(self, capsys, tmp_path, command, payload):
@@ -1588,11 +1626,50 @@ LATTICE_AXES = st.one_of(
 )
 
 
+class TestInfiniteCoordinates:
+    """Coordinates of ±inf are written "inf" and "-inf", as values are, so
+    the output is strict JSON and reads back to the same points."""
+
+    @staticmethod
+    def run_strict(capsys, tmp_path, command, payload):
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main([command, "--input", str(path)]) == 0
+        return json.loads(capsys.readouterr().out, parse_constant=refuse)
+
+    def test_conjugate_points(self, capsys, tmp_path):
+        payload = {"kernel": {"type": "closed_form", "name": "dirac"},
+                   "points": [[0.0], ["inf"]], "values": [0.0, 0.0]}
+        out = self.run_strict(capsys, tmp_path, "conjugate", payload)
+        assert out["points"] == [[0.0], ["inf"]]
+
+    @pytest.mark.parametrize("command", ["interpolate", "regress"])
+    def test_witnesses_and_anchors(self, capsys, tmp_path, command):
+        points = [[0.0, "-inf"], ["inf", 1.0]]
+        payload = {"kernel": {"type": "closed_form", "name": "dirac"},
+                   "samples": {"xs": points, "ys": [1.0, 2.0]}, "dual_candidates": points}
+        out = self.run_strict(capsys, tmp_path, command, payload)
+        expected = decode_values(points)
+        assert np.array_equal(decode_values(out["witnesses"]), expected)
+        anchors = [p for p, _ in out["f0"]["terms"]]
+        assert np.array_equal(decode_values(anchors), expected)
+
+    def test_lattice_axes(self):
+        lattice = PointSet.lattice([[0.0, POS_INF], [NEG_INF, 1.0]])
+        text = _dump_json({"points": lattice})
+        out = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+        assert np.array_equal(decode_values(out["points"]), lattice.as_array())
+
+
 class TestLatticeWriter:
     @settings(deadline=None)
     @given(st.lists(LATTICE_AXES, min_size=1, max_size=3), st.integers(0, 3))
     def test_matches_json_dumps_of_the_points(self, axes, level):
-        points = [list(p) for p in itertools.product(*axes)]
+        # Coordinates are written as extended reals: +inf as "inf".
+        points = encode_values(np.array(list(itertools.product(*axes))))
         expected = dumps_reference(points).replace("\n", "\n" + "  " * level)
         assert _dump_json(PointSet.lattice(axes), level) == expected
 

@@ -70,6 +70,38 @@ def random_integer_op(rng, n=4, density=0.2) -> ConjugationOp:
     return ConjugationOp(GramKernel(PointSet.make(list(range(n))), m), PointSet.make(list(range(n))))
 
 
+class TestOperatorOwnsItsTable:
+    def test_explicit_matrix_is_copied_and_frozen(self):
+        # The caller's later write does not reach the operator: 0 still
+        # conjugates to [0, 0] under the zero kernel.
+        pts = PointSet.make([0.0, 1.0])
+        m = np.zeros((2, 2))
+        op = ConjugationOp(None, pts, matrix=m)
+        m[0, 1] = 5.0
+        zero = GridFunction(pts, np.zeros(2))
+        assert list(conj_sesqui(op, zero).values) == [0.0, 0.0]
+        assert not op.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            op.matrix[0, 1] = 5.0
+        assert not op.transpose().matrix.flags.writeable
+        assert not hasattr(op, "kernel")
+
+    def test_table_from_a_kernel_is_frozen(self):
+        op = conv_op()
+        assert not op.matrix.flags.writeable
+        assert np.array_equal(op.matrix, gram_on(ClosedFormKernel("conv"), GRID3))
+
+    @pytest.mark.parametrize("bad", [POS_INF, float("nan")])
+    def test_explicit_matrix_is_checked(self, bad):
+        m = np.zeros((2, 2))
+        m[1, 0] = bad
+        with pytest.raises(ValueError):
+            ConjugationOp(None, PointSet.make([0.0, 1.0]), matrix=m)
+        with pytest.raises(ValueError, match="expected a 2x3 matrix"):
+            ConjugationOp(None, PointSet.make([0.0, 1.0, 2.0]), PointSet.make([0.0, 1.0]),
+                          matrix=np.zeros((3, 2)))
+
+
 class TestConjSesqui:
     def test_dirac_kernel_negates(self):
         pts = PointSet.make([0, 1, 2])

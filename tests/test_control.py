@@ -1049,6 +1049,23 @@ class TestInvertTerminalCost:
             )
         assert np.all(regen.values >= v.values - 1e-12)
 
+    def test_reversed_candidates_map_to_the_space_grid(self):
+        # Candidates in the reverse order of the space grid: the witness
+        # indices count in the candidates, psi_T is written on the grid.
+        prob, _, v, samples, slice_kernel = self.steep_instance()
+        reversed_grid = PointSet(slice_kernel.points.as_array()[::-1])
+        samples = SampleSet(samples.xs, samples.ys, reversed_grid)
+        result = invert_terminal_cost(samples, slice_kernel)
+        last = len(slice_kernel.points) - 1
+        assert result.witness_indices == (last - 3, last - 4, last - 5)
+        assert result.witnesses == tuple(slice_kernel.points.points[j] for j in (3, 4, 5))
+        assert result.psi_T.domain == prob.space_points()
+        regen = value_function(prob, result.psi_T)
+        idx = grid_index(prob)
+        for m, (r,) in enumerate(samples.xs.points):
+            assert regen.values[idx[(0.0, r)]] == pytest.approx(-samples.ys[m], abs=1e-9)
+        assert np.all(regen.values >= v.values - 1e-12)
+
     def test_full_slice_samples_interpolate(self):
         prob = lattice_problem(0.25, 0.25)
         psi = GridFunction(prob.space_points(), prob.space_axes[0] ** 2)

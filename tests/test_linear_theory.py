@@ -318,35 +318,39 @@ class TestRegularityFromSquare:
 
     @pytest.fixture
     def residuations(self, monkeypatch):
-        """Counts the calls ``regularity`` makes to the residuation."""
+        """Counts the residuations ``regularity`` makes."""
         calls = []
 
-        def counted(gram, tol):
-            calls.append(tol)
-            return is_von_neumann_regular(gram, tol)
+        def counted(x, y):
+            calls.append(x)
+            return left_residual(x, y)
 
-        monkeypatch.setattr(linear_theory, "is_von_neumann_regular", counted)
+        monkeypatch.setattr(linear_theory, "left_residual", counted)
         return calls
 
     @staticmethod
-    def assert_same_flags(matrices, tols):
-        verdicts = 0
+    def assert_same_flags(matrices, tols, residuations):
+        """The number of verdicts, and of residuations ``regularity`` made."""
+        verdicts = made = 0
         for b in matrices:
             for tol in tols:
                 expected = (is_idempotent(b, tol), is_von_neumann_regular(b, tol).regular)
+                before = len(residuations)
                 assert regularity(b, tol) == expected, (b, tol)
+                made += len(residuations) - before
                 verdicts += 1
-        return verdicts
+        return verdicts, made
 
     def test_equals_residuation_on_noisy_distance_grams(self, residuations):
         grams = noisy_distance_grams(np.random.default_rng(7), 300)
-        verdicts = self.assert_same_flags(grams, (0.0, 1e-12, 1e-9, 1e-6))
-        assert 200 < verdicts - len(residuations) < verdicts
+        verdicts, made = self.assert_same_flags(grams, (0.0, 1e-12, 1e-9, 1e-6), residuations)
+        assert 200 < verdicts - made < verdicts
 
     def test_equals_residuation_on_small_alphabet(self, residuations):
         matrices = small_alphabet_matrices(np.random.default_rng(8))
-        verdicts = self.assert_same_flags(matrices, (0.0, 1e-12, 1e-9, 1e-6, 0.5))
-        assert 500 < verdicts - len(residuations) < verdicts
+        tols = (0.0, 1e-12, 1e-9, 1e-6, 0.5)
+        verdicts, made = self.assert_same_flags(matrices, tols, residuations)
+        assert 500 < verdicts - made < verdicts
 
     def test_square_alone_decides_a_rounded_lip_gram(self, monkeypatch):
         # 240 integer points of a 2-D box, as the benchmark's regularity op
@@ -358,10 +362,10 @@ class TestRegularityFromSquare:
         gram = gram_on(ClosedFormKernel("lip"), grid)
         assert (mp_matmul(gram, gram) > gram).any()
 
-        def refuse(gram, tol):
+        def refuse(x, y):
             raise AssertionError("the square should decide regularity")
 
-        monkeypatch.setattr(linear_theory, "is_von_neumann_regular", refuse)
+        monkeypatch.setattr(linear_theory, "left_residual", refuse)
         flags = regularity(gram, 1e-9)
         assert flags == (True, True)
         assert all(type(flag) is bool for flag in flags)
@@ -375,15 +379,24 @@ class TestRegularityFromSquare:
         assert regularity(b, 1e-9) == (True, False)
         assert regularity(b, 4e-9) == (True, True)
 
-    def test_exact_square_is_regular_at_tol_zero(self):
+    def test_exact_square_is_regular_at_tol_zero(self, residuations):
         # The float square of this lip Gram equals it exactly, so B is its
         # own witness, fl(B (x) B (x) B) = B; the float residuation misses B
         # by an ulp, which no tol may turn into "not regular".
         gram = gram_on(ClosedFormKernel("lip"), PointSet.make([0.1, 0.2, 0.5]))
         assert (mp_matmul(gram, gram) == gram).all()
-        assert not is_von_neumann_regular(gram, 0.0).regular
-        assert regularity(gram, 0.0) == (True, True)
-        assert regularity(gram, 1e-12) == (True, True)
+        a_star = right_residual(left_residual(gram, gram), gram)
+        assert not (mp_matmul(mp_matmul(gram, a_star), gram) == gram).all()
+        residuations.clear()
+        for tol in (0.0, 1e-12):
+            verdict = is_von_neumann_regular(gram, tol)
+            assert verdict.regular and is_idempotent(gram, tol)
+            assert regularity(gram, tol) == (True, True)
+            witness = verdict.witness
+            assert np.array_equal(witness, gram)
+            assert (mp_matmul(mp_matmul(gram, witness), gram) == gram).all()
+            assert np.array_equal(verdict.product, gram)
+        assert residuations == []
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

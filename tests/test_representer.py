@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from tropkern.representer import (
     CanonicalInterpolant,
     InfeasibleConstraintsError,
     SampleSet,
+    _assignments,
     _closure,
+    _drop_two_cycles,
     _greatest_below,
     build_f0,
     feasible_witnesses,
@@ -370,19 +373,20 @@ class TestBuildF0:
 
 
 class TestDifferenceConstraints:
-    """The exchange systems' solver: ``_closure`` of gaps[k, m], the
+    """The exchange systems' solver: ``_closure`` of sections[k, m] =
+    b(x_k, p_m), here with a zero diagonal, so that they are the gaps of the
     constraints y_k - y_m >= gaps[k, m], and the fixed-anchor fit on it."""
 
     def test_two_cycle_infeasible(self):
         # y_1 - y_0 >= 1 and y_0 - y_1 >= 0.
-        gaps = np.array([[NEG_INF, 0.0], [1.0, NEG_INF]])
+        gaps = np.array([[0.0, 0.0], [1.0, 0.0]])
         _, cycle = _closure(gaps)
         assert cycle is not None
         assert set(cycle) == {0, 1}
 
     def test_slack_constraint_with_point_boxes(self):
         # y_1 - y_0 >= -1 holds at 0, the greatest point below the box top 0.
-        gaps = np.array([[NEG_INF, NEG_INF], [-1.0, NEG_INF]])
+        gaps = np.array([[0.0, NEG_INF], [-1.0, 0.0]])
         closure, cycle = _closure(gaps)
         assert cycle is None
         assert np.array_equal(_greatest_below(closure, np.zeros(2)), np.zeros(2))
@@ -406,7 +410,7 @@ class TestDifferenceConstraints:
         assert exc.value.cycle is None
 
     def test_bottom_bounds_dropped(self):
-        closure, cycle = _closure(np.full((2, 2), NEG_INF))
+        closure, cycle = _closure(np.array([[0.0, NEG_INF], [NEG_INF, 0.0]]))
         assert cycle is None
         assert np.array_equal(closure, [[0.0, NEG_INF], [NEG_INF, 0.0]])
 
@@ -428,6 +432,7 @@ class TestDifferenceConstraints:
             for a, b, c in cons:
                 gaps[a, b] = max(gaps[a, b], c)
             gaps[:n, n], gaps[n, :n] = lower, -upper
+            np.fill_diagonal(gaps, 0.0)
             closure, cycle = _closure(gaps)
             expected = lp_difference_feasible(n, cons, lower, upper)
             assert (cycle is None) == expected
@@ -453,6 +458,7 @@ class TestDifferenceConstraints:
             gaps = np.full((n, n), NEG_INF)
             for a, b, c in cons:
                 gaps[a, b] = max(gaps[a, b], c)
+            np.fill_diagonal(gaps, 0.0)
             closure, cycle = _closure(gaps)
             if cycle is not None:
                 continue
@@ -476,11 +482,62 @@ class TestDifferenceConstraints:
         assert math.fsum(gaps) == 0.0
         assert ((gaps[0] + gaps[1]) + gaps[2]) + gaps[3] > 0.0
         matrix = np.full((4, 4), NEG_INF)
+        np.fill_diagonal(matrix, 0.0)
         for i, c in enumerate(gaps):
             matrix[i, (i + 1) % 4] = c
         closure, cycle = _closure(matrix)
         assert cycle is None
         assert np.isfinite(_greatest_below(closure, np.zeros(4))).all()
+
+
+def exact_weight(sections, cycle):
+    """The weight of a cycle of exchange constraints, summed in fractions
+    from the float kernel values sections[a, b] - sections[b, b]."""
+    heads = cycle[1:] + cycle[:1]
+    return sum(Fraction(sections[a, b]) - Fraction(sections[b, b]) for a, b in zip(cycle, heads))
+
+
+class TestExactCycles:
+    """An infeasible verdict rests on a cycle whose weight, taken exactly
+    from the float kernel values, is positive."""
+
+    def test_reported_cycles_are_positive_on_decimal_conv(self):
+        # 8 samples x 4 candidates, one decimal place: beyond the l1 search
+        # budget, so the search fits the sup-norm projection's anchors.
+        rng = np.random.default_rng(19)
+        raised = 0
+        for trial in range(200):
+            xs = np.sort(rng.choice(np.arange(-30, 31), 8, replace=False)) / 10
+            ps = np.sort(rng.choice(np.arange(-30, 31), 4, replace=False)) / 10
+            samples = SampleSet(PointSet.make(xs), rng.integers(-30, 31, 8) / 10,
+                                PointSet.make(ps))
+            bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
+            fixed = rng.integers(0, 4, 8)
+            loss = ("sup_norm", "l1")[trial % 2]
+            for idx, fixed_p in ((None, None), (fixed, tuple((p,) for p in ps[fixed]))):
+                try:
+                    result = regress(samples, CONV, loss, fixed_p=fixed_p)
+                except InfeasibleConstraintsError as exc:
+                    assert idx is not None, "the projection's anchors admit a fit"
+                    raised += 1
+                    assert exact_weight(bxp[:, idx], exc.cycle) > 0
+                else:
+                    assert idx is None or result.p_indices == tuple(idx)
+        assert raised > 100
+
+    def test_two_cycle_drops_are_exact(self):
+        # Kernel values near 2^52 plus decimals, so the differences round.
+        rng = np.random.default_rng(20)
+        dropped = 0
+        for _ in range(100):
+            bxp = rng.choice([0.0, 2.0**52], size=(4, 3)) + rng.integers(-20, 21, (4, 3)) / 10
+            every = _assignments([np.arange(3)] * 4)
+            kept = set(map(tuple, _drop_two_cycles(bxp, every).tolist()))
+            for idx in set(map(tuple, every.tolist())) - kept:
+                dropped += 1
+                assert any(exact_weight(bxp[:, list(idx)], [k, m]) > 0
+                           for k in range(4) for m in range(k + 1, 4))
+        assert dropped > 1000
 
 
 class TestRegress:
@@ -659,9 +716,9 @@ class TestRegress:
         assert len(two_cycle_free_assignments(bxp)) == 21
         calls = []
 
-        def counting_closure(gaps):
-            calls.append(gaps)
-            return _closure(gaps)
+        def counting_closure(sections):
+            calls.append(sections)
+            return _closure(sections)
 
         monkeypatch.setattr(representer, "_closure", counting_closure)
         result = regress(samples, CONV, loss="l1")
