@@ -26,11 +26,11 @@ into feasibility) reduces to one max-plus closure D of the constraint gaps.
 A cycle whose weight, summed exactly from its kernel values, is above 0
 certifies infeasibility; otherwise both fits are read off D exactly: the
 sup-norm fit in closed form, the l1 fit as the potentials of a min-cost
-flow on the dual.  Over
-all anchors, the targets some assignment reproduces form the column span
-itself, so the best sup-norm fit is the Chebyshev distance to it, read from
-the same principal solution.  An l1 anchor search enumerates assignments,
-dropping those with a positive two-cycle before it closes any system.
+flow on the dual.  Over all anchors, the targets some assignment
+reproduces form the column span itself, so the best sup-norm fit is the
+Chebyshev distance to it, read from the same principal solution.  An l1
+anchor search enumerates assignments, dropping those with a positive
+two-cycle before it closes any system.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .linear_theory import is_idempotent
 class InfeasibleConstraintsError(RuntimeError):
     """Raised when a task requires a feasible system but none exists.
 
-    ``cycle`` lists constraints whose gaps weigh, exactly, more than 0;
+    ``cycle`` lists constraints whose exact weight is above 0;
     ``blocking_index`` is the first sample (0-based) no candidate can serve.
     """
 
