@@ -757,10 +757,7 @@ def _lattice_json(axes: Sequence[np.ndarray], level: int) -> str:
     ind = "\n" + "  " * level
     pad = ind + "  "
     pad2 = pad + "  "
-    # json's own number text, which costs less, unless an axis holds ±inf
-    # (json would write Infinity).
-    cells = [json.dumps(ax.tolist() if np.isfinite(ax).all() else encode_values(ax))[1:-1]
-             .split(", ") for ax in axes]
+    cells = [json.dumps(encode_values(ax))[1:-1].split(", ") for ax in axes]
     firsts, rest = _lattice_text(cells, "," + pad2, pad + "]")
     blocks = []
     for c in firsts:

@@ -292,35 +292,24 @@ def ext_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def validate_values(values: Iterable[float], what: str = "values") -> np.ndarray:
-    """Convert to a float array, rejecting NaN entries.
+    """``values`` as a float64 array (±inf allowed), rejecting NaN (named
+    ``what`` in the error): ``_checked`` of any shape."""
+    return _checked(values, what)
 
-    Args:
-        values: Scalars convertible to float (±inf allowed).
-        what: Name used in the error message.
 
-    Returns:
-        A float64 numpy array.
+def _checked(
+    values: Iterable[float], what: str, shape: tuple[int, ...] | None = None,
+    *, below_inf: bool = False,
+) -> np.ndarray:
+    """The one check of an extended-real array.
+
+    Converts ``values`` (named ``what`` in errors) to float64, neither
+    copied nor frozen, and raises ValueError for NaN, then a shape other
+    than ``shape`` (1-D or 2-D), then with ``below_inf`` for +inf, as the
+    kernel codomain is [-inf, +inf).  One max reduction finds both, as it
+    propagates NaN.
     """
     arr = np.asarray(values, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError(f"{what} must not contain NaN")
-    return arr
-
-
-def owned_array(
-    values: Iterable[float], what: str, shape: tuple[int, ...] | None = None,
-    *, below_inf: bool = False, copy: bool = True,
-) -> np.ndarray:
-    """The one gate of the extended-real arrays that containers hold.
-
-    Converts ``values`` (named ``what`` in errors) to float64 and raises
-    ValueError for NaN, then a shape other than ``shape`` (1-D or 2-D), then
-    with ``below_inf`` for +inf, as the kernel codomain is [-inf, +inf).
-    One max reduction finds both, as it propagates NaN.  Returns a read-only
-    copy, or with ``copy=False`` the array itself, for an array the caller
-    has just built and keeps no other reference to.
-    """
-    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
     top = arr.max(initial=NEG_INF)
     if math.isnan(top):
         raise ValueError(f"{what} must not contain NaN")
@@ -329,25 +318,37 @@ def owned_array(
         raise ValueError(f"expected {expected}, got shape {arr.shape}")
     if below_inf and top == POS_INF:
         raise ValueError(f"{what} must be < +inf")
+    return arr
+
+
+def owned_array(
+    values: Iterable[float], what: str, shape: tuple[int, ...] | None = None,
+    *, below_inf: bool = False, copy: bool = True,
+) -> np.ndarray:
+    """The one gate of the extended-real arrays that containers hold:
+    ``_checked``, then a read-only copy, or with ``copy=False`` the array
+    itself made read-only, for an array the caller has just built and keeps
+    no other reference to."""
+    arr = _checked(np.array(values, dtype=float) if copy else values, what, shape,
+                   below_inf=below_inf)
     arr.setflags(write=False)
     return arr
 
 
 def square_matrix(values: Iterable[Iterable[float]], below_inf: bool = False) -> np.ndarray:
-    """A square matrix of kernel values through ``owned_array``, as a
-    read-only view: the caller's array is neither copied nor frozen."""
+    """A square matrix of kernel values through ``_checked``."""
     arr = np.asarray(values, dtype=float)
     n = len(arr) if arr.ndim else 0
-    return owned_array(arr.view(), "kernel values", (n, n), below_inf=below_inf, copy=False)
+    return _checked(arr, "kernel values", (n, n), below_inf=below_inf)
 
 
 def _adopted(cls: type, **attrs: object):
     """The body of every ``_adopt``: ``cls`` holding ``attrs`` as given, built
-    without ``__init__``, its arrays checked by ``__post_init__(copy=False)``."""
+    without ``__init__``, its arrays checked by ``__post_init__(adopted=True)``."""
     obj = object.__new__(cls)
     for name, value in attrs.items():
         object.__setattr__(obj, name, value)
-    obj.__post_init__(copy=False)
+    obj.__post_init__(adopted=True)
     return obj
 
 
@@ -621,8 +622,9 @@ class GridFunction:
     domain: PointSet
     values: np.ndarray
 
-    def __post_init__(self, copy: bool = True) -> None:
-        values = owned_array(self.values, "GridFunction values", (len(self.domain),), copy=copy)
+    def __post_init__(self, adopted: bool = False) -> None:
+        values = owned_array(self.values, "GridFunction values", (len(self.domain),),
+                             copy=not adopted)
         object.__setattr__(self, "values", values)
 
     @classmethod

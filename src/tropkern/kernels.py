@@ -72,9 +72,10 @@ class GramKernel:
     points: PointSet
     matrix: np.ndarray
 
-    def __post_init__(self, copy: bool = True) -> None:
+    def __post_init__(self, adopted: bool = False) -> None:
         n = len(self.points)
-        matrix = owned_array(self.matrix, "kernel values", (n, n), below_inf=True, copy=copy)
+        matrix = owned_array(self.matrix, "kernel values", (n, n), below_inf=True,
+                             copy=not adopted)
         object.__setattr__(self, "matrix", matrix)
 
     @classmethod

@@ -72,7 +72,7 @@ def is_idempotent(gram: np.ndarray, tol: float = 1e-9) -> bool:
     integers are exact); float inputs are compared within ``tol``.
     """
     gram = square_matrix(gram)
-    return bool(ext_close(mp_matmul(gram, gram), gram, tol).all())
+    return bool(ext_close(max_plus(gram, gram), gram, tol).all())
 
 
 def left_residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -99,9 +99,9 @@ class RegularityVerdict:
 
     Attributes:
         regular: True iff B (x) A (x) B = B for the witness A.
-        witness: B when its computed square equals it, else the greatest
-            candidate A* (entries may be ±inf); a valid middle factor
-            exactly when ``regular``.
+        witness: The greatest candidate A* (entries may be ±inf), or B when
+            A* fails and the computed square of B equals B; a valid middle
+            factor exactly when ``regular``.
         product: B (x) A (x) B, for inspection of the failure gap.
     """
 
@@ -116,27 +116,32 @@ def is_von_neumann_regular(gram: np.ndarray, tol: float = 1e-9) -> RegularityVer
     The product is entrywise monotone in A, and A* = greatest A with
     B A B <= B is computable by two residuations, so the equation has a
     solution iff it holds at A*.  The verdict is that of the computed A*,
-    within tol, unless the computed square equals B entry for entry, which
-    makes B its own witness (see the module docstring).
+    within tol, unless A* fails and the computed square equals B entry for
+    entry, which makes B its own witness (see the module docstring).
     """
-    b = square_matrix(gram)
-    return _regular(b, mp_matmul(b, b), tol)
+    return _regular(square_matrix(gram), None, tol)
 
 
-def _regular(b: np.ndarray, square: np.ndarray, tol: float) -> RegularityVerdict:
-    """``is_von_neumann_regular`` of B, given its computed max-plus square."""
-    if np.array_equal(square, b):
-        return RegularityVerdict(True, square, square)
+def _regular(b: np.ndarray, square: np.ndarray | None, tol: float) -> RegularityVerdict:
+    """``is_von_neumann_regular`` of B.  A computed square of B at hand
+    (``square``) is tested before residuating; without one, the square is
+    computed only when A* fails."""
+    if square is not None and np.array_equal(square, b):
+        return RegularityVerdict(True, b, b)
     a_star = right_residual(left_residual(b, b), b)
-    product = mp_matmul(mp_matmul(b, a_star), b)
-    return RegularityVerdict(bool(ext_close(product, b, tol).all()), a_star, product)
+    product = max_plus(max_plus(b, a_star), b)
+    if ext_close(product, b, tol).all():
+        return RegularityVerdict(True, a_star, product)
+    if square is None and np.array_equal(max_plus(b, b), b):
+        return RegularityVerdict(True, b, b)
+    return RegularityVerdict(False, a_star, product)
 
 
 def regularity(gram: np.ndarray, tol: float = 1e-9) -> tuple[bool, bool]:
     """``(is_idempotent, is_von_neumann_regular(...).regular)`` from one
     max-plus square, see the module docstring."""
     b = square_matrix(gram)
-    square = mp_matmul(b, b)
+    square = max_plus(b, b)
     idempotent = bool(ext_close(square, b, tol).all())
     finite = np.isfinite(b)
     if np.isfinite(square[finite]).all() and (square[~finite] == b[~finite]).all():

@@ -195,12 +195,12 @@ class CanonicalInterpolant:
     anchor_points: tuple[Point, ...]
     offsets: tuple[float, ...]
 
-    def __post_init__(self, copy: bool = True) -> None:
-        if copy:
+    def __post_init__(self, adopted: bool = False) -> None:
+        if adopted:
+            self._sites[1].setflags(write=False)
+        else:
             object.__setattr__(self, "_anchors", point_array(self.anchor_points))
             object.__setattr__(self, "_sites", None)
-        else:
-            self._sites[1].setflags(write=False)
 
     @classmethod
     def _adopt(

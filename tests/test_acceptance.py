@@ -33,8 +33,10 @@ from tropkern.linear_theory import (
     closure_CG,
     is_idempotent,
     is_von_neumann_regular,
+    left_residual,
     max_kernel_cG,
     mp_matmul,
+    right_residual,
 )
 from tropkern.representer import (
     SampleSet,
@@ -364,6 +366,10 @@ class TestRegularityVerdicts:
             verdict = is_von_neumann_regular(m)
             assert verdict.regular
             assert np.array_equal(verdict.product, m)
+            # The residuated A* itself is the witness, exactly.
+            a_star = right_residual(left_residual(m, m), m)
+            assert np.array_equal(verdict.witness, a_star)
+            assert np.array_equal(mp_matmul(mp_matmul(m, a_star), m), m)
 
     def test_residuation_matches_enumeration_on_all_small_grams(
         self, small_gram_stack
