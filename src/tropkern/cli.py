@@ -247,7 +247,7 @@ Handler = Callable[[Mapping, RunConfig], tuple[int, dict, GridFunction | None]]
 
 def _cmd_check_tpsd(data: Mapping, config: RunConfig):
     kernel, points = _kernel_domain(data)
-    gram = GramKernel(points, gram_on(kernel, points))
+    gram = GramKernel._adopt(points, gram_on(kernel, points))
     verdict = is_tpsd_pairwise(gram, tol=config.tolerance)
     payload: dict = {"tpsd": verdict.is_tpsd}
     if not verdict.is_tpsd:
@@ -266,7 +266,7 @@ def _cmd_check_tpsd(data: Mapping, config: RunConfig):
 
 def _cmd_factorize(data: Mapping, config: RunConfig):
     kernel, domain = _kernel_domain(data)
-    feature_map = factorize(GramKernel(domain, gram_on(kernel, domain)))
+    feature_map = factorize(GramKernel._adopt(domain, gram_on(kernel, domain)))
     payload = {
         "points": feature_map.points,
         "labels": [list(z) for z in feature_map.z_labels],
@@ -343,7 +343,9 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
     samples = _samples(data, kernel)
     wit = feasible_witnesses(samples, kernel, tol=config.tolerance)
     if not wit.feasible:
-        return 1, {"feasible": False, "blocking_index": wit.blocking_index + 1}, None
+        raise InfeasibleConstraintsError(
+            "no anchor serves a sample", blocking_index=wit.blocking_index
+        )
     f0 = build_f0(samples, wit, kernel, tol=config.tolerance)
     anchors = samples.dual_candidates.as_array()[list(wit.witness_indices)]
     payload = {
@@ -445,10 +447,8 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
     samples = _samples(data, kernel, candidates)
     result = invert_terminal_cost(samples, kernel, tol=config.tolerance)
     if not result.feasible:
-        return (
-            1,
-            {"feasible": False, "blocking_index": result.blocking_index + 1},
-            None,
+        raise InfeasibleConstraintsError(
+            "no anchor serves a sample", blocking_index=result.blocking_index
         )
     payload = {
         "feasible": True,

@@ -37,8 +37,6 @@ witness search over the final slice).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -54,8 +52,11 @@ from .core import (
     PreconditionError,
     SizeError,
     as_point,
+    decode_extreal,
+    decode_values,
     ext_close,
     owned_array,
+    point_array,
 )
 from .kernels import GramKernel
 from .representer import SampleSet, feasible_witnesses
@@ -82,21 +83,28 @@ class LagrangianSpec:
     velocities: tuple[Point, ...] | None = None
     costs: tuple[float, ...] | None = None
     convex_flag: bool = False
+    _table: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.name not in ("quadratic", "absolute", "table"):
             raise ValueError(f"unknown running-cost form {self.name!r}")
         if self.name == "table":
-            if not self.velocities or self.costs is None:
+            if self.velocities is None or self.costs is None:
                 raise ValueError("table form requires velocities and costs")
-            if len(self.velocities) != len(self.costs):
+            vels = point_array(self.velocities)
+            try:
+                costs = decode_values(self.costs)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"table costs must be numbers: {exc}") from None
+            if costs.shape != (len(vels),):
                 raise ValueError("one cost per tabulated velocity is required")
-            vels = tuple(as_point(v) for v in self.velocities)
-            costs = tuple(float(c) for c in self.costs)
-            if not all(map(math.isfinite, costs)):
+            if not np.isfinite(costs).all():
                 raise ValueError("table costs must be finite")
-            object.__setattr__(self, "velocities", vels)
-            object.__setattr__(self, "costs", costs)
+            object.__setattr__(self, "velocities", tuple(map(tuple, vels.tolist())))
+            object.__setattr__(self, "costs", tuple(costs.tolist()))
+            object.__setattr__(self, "_table", (vels, costs))
 
     @property
     def convex(self) -> bool:
@@ -125,15 +133,15 @@ class LagrangianSpec:
             return np.sum(v * v, axis=1)
         if self.name == "absolute":
             return np.sum(np.abs(v), axis=1)
-        hits = np.zeros((len(v), len(self.velocities)), dtype=bool)
-        for j, tab_v in enumerate(self.velocities):
-            if len(tab_v) == v.shape[1]:
-                hits[:, j] = (np.abs(np.array(tab_v) - v) <= 1e-9).all(axis=1)
+        table, costs = self._table
+        hits = np.zeros((len(v), len(table)), dtype=bool)
+        if v.shape[1] == table.shape[1]:
+            hits = (np.abs(v[:, None, :] - table) <= 1e-9).all(axis=2)
         found = hits.any(axis=1)
         if not found.all():
-            target = tuple(float(c) for c in v[np.argmin(found)])
+            target = tuple(v[np.argmin(found)].tolist())
             raise ValueError(f"velocity {target} is not tabulated")
-        return np.array(self.costs)[np.argmax(hits, axis=1)]
+        return costs[np.argmax(hits, axis=1)]
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, object] | "LagrangianSpec") -> "LagrangianSpec":
@@ -146,8 +154,8 @@ class LagrangianSpec:
         if name == "table":
             return cls(
                 "table",
-                velocities=tuple(as_point(v) for v in spec["velocities"]),
-                costs=tuple(_cost(c) for c in spec["costs"]),
+                velocities=spec["velocities"],
+                costs=spec["costs"],
                 convex_flag=_spec_flag(spec, "convex", False),
             )
         return cls(str(name))
@@ -223,7 +231,7 @@ class MaupertuisProblem:
     stencil: tuple[Point, ...]
     claim_reversible: bool = True
     require_nonneg: bool = True
-    _offsets: tuple[tuple[int, ...], ...] = field(
+    _offsets: np.ndarray = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
 
@@ -237,34 +245,23 @@ class MaupertuisProblem:
             raise ValueError("at least one space axis is required")
         object.__setattr__(self, "space_axes", axes)
 
-        sten = tuple(as_point(v) for v in self.stencil)
-        if not sten:
-            raise ValueError("stencil must be nonempty")
-        dim = len(axes)
-        offsets = []
-        for v in sten:
-            if len(v) != dim:
-                raise ValueError("stencil displacements must match space dim")
-            off = []
-            for j, c in enumerate(v):
-                step = self.space_step(j)
-                k = c / step
-                if abs(k - round(k)) > 1e-6:
-                    raise ValueError(
-                        f"stencil displacement {v} is not a lattice displacement"
-                    )
-                off.append(int(round(k)))
-            offsets.append(tuple(off))
-        object.__setattr__(self, "stencil", sten)
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        sten = point_array(self.stencil)
+        if sten.shape[1] != len(axes):
+            raise ValueError("stencil displacements must match space dim")
+        steps = sten / [self.space_step(j) for j in range(len(axes))]
+        rounded = np.round(steps)
+        with np.errstate(invalid="ignore"):  # inf - inf at an infinite displacement
+            off_lattice = ~(np.abs(steps - rounded) <= 1e-6).all(axis=1)
+        if off_lattice.any():
+            v = tuple(sten[np.argmax(off_lattice)].tolist())
+            raise ValueError(f"stencil displacement {v} is not a lattice displacement")
+        offsets = rounded.astype(int)
+        object.__setattr__(self, "stencil", tuple(map(tuple, sten.tolist())))
+        object.__setattr__(self, "_offsets", offsets)
 
-        if self.claim_reversible:
-            have = set(offsets)
-            for off in offsets:
-                if tuple(-k for k in off) not in have:
-                    raise ValueError(
-                        "reversibility claimed but stencil is not symmetric"
-                    )
+        have = set(map(tuple, offsets.tolist()))
+        if self.claim_reversible and not set(map(tuple, (-offsets).tolist())) <= have:
+            raise ValueError("reversibility claimed but stencil is not symmetric")
         if self.require_nonneg and (self._stencil_costs() < 0).any():
             raise ValueError(
                 "nonnegative running cost required but L < 0 on the stencil"
@@ -322,13 +319,11 @@ class MaupertuisProblem:
             axes = tuple(_parse_grid(ax) for ax in sg["axes"])
         else:
             axes = (_parse_grid(sg),)
-        sten_raw = spec["stencil"]
-        stencil = tuple(as_point(v) for v in sten_raw)
         return cls(
             time_grid=time_grid,
             space_axes=axes,
             lagrangian=LagrangianSpec.from_spec(spec.get("lagrangian", {"name": "quadratic"})),
-            stencil=stencil,
+            stencil=spec["stencil"],
             claim_reversible=_spec_flag(spec, "reversible", True),
             require_nonneg=_spec_flag(spec, "require_nonneg", True),
         )
@@ -349,13 +344,6 @@ def _uniform_axis(values: Sequence[float], what: str) -> np.ndarray:
     return ax
 
 
-def _cost(value: object) -> float:
-    """A table cost: a JSON number; booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"table costs must be numbers, got {type(value).__name__}")
-    return float(value)
-
-
 def _spec_flag(spec: Mapping[str, object], key: str, default: bool) -> bool:
     """A JSON boolean of a spec; anything else (such as "no") is an error."""
     value = spec.get(key, default)
@@ -365,9 +353,12 @@ def _spec_flag(spec: Mapping[str, object], key: str, default: bool) -> bool:
 
 
 def _parse_grid(g) -> np.ndarray:
+    """A grid: a list of coordinates, or {start, stop, num} with a JSON integer num."""
     if isinstance(g, Mapping):
-        return np.linspace(float(g["start"]), float(g["stop"]), int(g["num"]))
-    return np.asarray(list(g), dtype=float)
+        if type(g["num"]) is not int:
+            raise ValueError(f"grid num must be an integer, got {g['num']!r}")
+        return np.linspace(decode_extreal(g["start"]), decode_extreal(g["stop"]), g["num"])
+    return decode_values(g)
 
 
 def _stepper(
@@ -385,7 +376,7 @@ def _stepper(
     which is finite, so no sum meets (+inf) + (-inf).
     """
     shape = problem.space_shape
-    shifts = sign * np.array(problem._offsets)
+    shifts = sign * problem._offsets
     lo, hi = np.maximum(-shifts.min(axis=0), 0), np.maximum(shifts.max(axis=0), 0)
     buffer = np.full((*batch, *(shape + lo + hi)), POS_INF)
 

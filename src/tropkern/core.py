@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -361,64 +361,23 @@ def as_point(p: float | Sequence[float]) -> Point:
     return tuple(ext(c) for c in p)
 
 
-def _is_number(t: type) -> bool:
-    return issubclass(t, (int, float))
-
-
 def point_array(points: Sequence[float | Sequence[float]] | np.ndarray) -> np.ndarray:
     """Read a list of points into one new (n, d) float64 array.
 
-    A point is a list (or other iterable) of d coordinates, or a bare
-    number, which is a 1-D point; one list holds points of one kind.  An
-    array is read as its rows, or a 1-D array as 1-D points.  Coordinates
-    are numbers, ±inf included, and bools count as 0 and 1.  The types of
-    the entries are checked in one pass and one ``np.array`` call converts
-    them; only a coordinate of another type (a numeric string such as
-    "inf") is read one at a time, by ``ext``.  Repeated points are allowed.
+    ``decode_values`` reads the coordinates; a list of bare numbers (or a
+    1-D array) is a list of 1-D points.  Repeated points are allowed.
 
     Raises:
-        TypeError: If ``points`` or a point is a string, or a point is
-            neither a number nor iterable, or a coordinate is not a number.
-        ValueError: For no points, points of different dimensions, bare
-            numbers mixed with coordinate lists, a NaN coordinate or string,
-            an array of more than two dimensions, or an integer too large
-            for a float.
+        TypeError, ValueError: As ``decode_values``, for more than two
+            dimensions, or for no points.
     """
-    if isinstance(points, np.ndarray):
-        arr = np.array(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        elif arr.ndim != 2:
-            raise ValueError(f"expected an (n, d) array of points, got shape {arr.shape}")
-    else:
-        if isinstance(points, (str, bytes)):
-            raise TypeError("expected a list of points, got a string")
-        raw = points if isinstance(points, (list, tuple)) else list(points)
-        types = set(map(type, raw))
-        if all(map(_is_number, types)):
-            entries, shape = raw, (len(raw), 1)
-        else:
-            if any(map(_is_number, types)):
-                raise ValueError("a point list must not mix bare numbers with coordinate lists")
-            if any(issubclass(t, (str, bytes)) for t in types):
-                raise TypeError("a point must be a number or a list of coordinates, not a string")
-            if not types <= {list, tuple}:
-                raw = [p if type(p) in (list, tuple) else tuple(p) for p in raw]
-            dims = set(map(len, raw))
-            if len(dims) > 1:
-                raise ValueError("all points must share one dimension")
-            entries = list(itertools.chain.from_iterable(raw))
-            shape = (len(raw), dims.pop())
-        if not all(map(_is_number, set(map(type, entries)))):
-            entries = [ext(c) for c in entries]
-        try:
-            arr = np.array(entries, dtype=float).reshape(shape)
-        except OverflowError as exc:
-            raise ValueError("integer too large for a float") from exc
+    arr = decode_values(points)  # type: ignore[arg-type]
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    elif arr.ndim != 2:
+        raise ValueError(f"expected an (n, d) array of points, got shape {arr.shape}")
     if not len(arr):
         raise ValueError("at least one point is required")
-    if np.isnan(arr).any():
-        raise ValueError("point coordinates must not be NaN")
     return arr
 
 
@@ -691,15 +650,20 @@ def encode_extreal(v: float) -> float | str:
     return float(v)
 
 
+#: Types of an input number: Python and numpy reals (bools are ints, and
+#: are refused by name).
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def decode_extreal(obj: float | int | str) -> float:
     """Decode one extended real from JSON (number or "inf"/"-inf")."""
-    if isinstance(obj, str):
+    if type(obj) is str:
         if obj == "inf":
             return POS_INF
         if obj == "-inf":
             return NEG_INF
         raise ValueError(f"invalid extended-real string {obj!r}")
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+    if isinstance(obj, bool) or not isinstance(obj, _REAL_TYPES):
         raise ValueError(f"invalid extended-real value {obj!r}")
     return ext(obj)
 
@@ -718,12 +682,31 @@ def encode_values(values: np.ndarray) -> list:
     return out.tolist()
 
 
-def decode_values(obj: Sequence) -> np.ndarray:
-    """Decode a (possibly nested) JSON list of extended reals.
+def _is_list(obj: object) -> bool:
+    """Whether ``obj`` reads as a list: any iterable but a string or a mapping."""
+    return isinstance(obj, (list, tuple)) or (
+        hasattr(obj, "__iter__") and not isinstance(obj, (str, bytes, Mapping))
+    )
 
-    The entry types of a list, or of a list of lists, are checked in one
-    pass and one ``np.array`` converts the entries, "inf" and "-inf"
-    included; deeper lists are decoded row by row.
+
+def _sequence(obj: object) -> list | tuple:
+    """``obj`` as a list or tuple, or TypeError if it does not read as a list."""
+    if isinstance(obj, (list, tuple)):
+        return obj
+    if not _is_list(obj):
+        raise TypeError(f"expected a list of extended reals, got {type(obj).__name__}")
+    return list(obj)
+
+
+def decode_values(obj: Sequence) -> np.ndarray:
+    """Decode extended reals into a new float64 array: the one reader of
+    input numbers.
+
+    An entry is a number (a Python or numpy real, not a bool) or one of the
+    strings "inf" and "-inf".  ``obj`` is a list (or other iterable) of
+    entries or of equal-length lists of entries, or a numeric array; deeper
+    lists are decoded row by row.  The entry types are scanned once and one
+    ``np.array`` converts the entries.
 
     Raises:
         TypeError: If ``obj`` or one of its rows is not a list.
@@ -731,30 +714,35 @@ def decode_values(obj: Sequence) -> np.ndarray:
             than "inf" and "-inf", NaN, rows of unequal lengths, or an
             integer too large for a float.
     """
-    if not isinstance(obj, (list, tuple)):
-        raise TypeError(f"expected a list of extended reals, got {type(obj).__name__}")
-    entries = obj
-    if obj and isinstance(obj[0], (list, tuple)):
-        for row in obj:
-            if not isinstance(row, (list, tuple)):
-                raise TypeError(
-                    f"expected a list of extended reals, got {type(row).__name__}"
-                )
-        if any(row and isinstance(row[0], (list, tuple)) for row in obj):
-            return np.array([decode_values(row) for row in obj], dtype=float)
-        entries = list(itertools.chain.from_iterable(obj))
-    types = set(map(type, entries))
-    if not types <= {int, float, str}:
-        bad = next(v for v in entries if type(v) not in (int, float, str))
-        raise ValueError(f"invalid extended-real value {bad!r}")
-    if str in types:
-        bad = next((v for v in entries if type(v) is str and v not in ("inf", "-inf")), None)
-        if bad is not None:
-            raise ValueError(f"invalid extended-real string {bad!r}")
-    try:
-        arr = np.array(obj, dtype=float)
-    except OverflowError as exc:
-        raise ValueError("integer too large for a float") from exc
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iuf":
+        arr = obj.astype(float)
+    else:
+        entries, rows = _sequence(obj), None
+        if entries and _is_list(entries[0]):
+            rows = entries
+            if not set(map(type, entries)) <= {list, tuple}:
+                rows = list(map(_sequence, entries))
+            if len(set(map(len, rows))) > 1:
+                raise ValueError("all rows must have the same length")
+            entries = list(itertools.chain.from_iterable(rows))
+        types = set(map(type, entries))
+        if not types <= {int, float, str}:
+            if rows is not None and types & {list, tuple}:
+                return np.array([decode_values(row) for row in rows], dtype=float)
+            odd = {t for t in types if t is bool or not issubclass(t, _REAL_TYPES)} - {str}
+            if odd:
+                bad = next(v for v in entries if type(v) in odd)
+                raise ValueError(f"invalid extended-real value {bad!r}")
+        if str in types:
+            bad = next((v for v in entries if type(v) is str and v not in ("inf", "-inf")), None)
+            if bad is not None:
+                raise ValueError(f"invalid extended-real string {bad!r}")
+        try:
+            arr = np.array(entries, dtype=float)
+        except OverflowError as exc:
+            raise ValueError("integer too large for a float") from exc
+        if rows is not None:
+            arr = arr.reshape(len(rows), len(rows[0]))
     if np.isnan(arr).any():
         raise ValueError("NaN is not an extended real")
     return arr

@@ -15,7 +15,6 @@ both constructed explicitly below.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -30,11 +29,13 @@ from .core import (
     PreconditionError,
     SizeError,
     _adopted,
+    _checked,
     as_point,
+    decode_extreal,
     decode_values,
     encode_values,
     ext_close,
-    lower_sub,
+    lower_add_arrays,
     max_plus,
     owned_array,
     square_matrix,
@@ -47,14 +48,11 @@ CLOSED_FORM_NAMES = ("conv", "sconv", "lip", "dirac", "power_distance", "lax_hop
 
 
 def _number_param(params: Mapping[str, object], key: str) -> float:
-    """The finite number ``params[key]`` (default 1); booleans are refused."""
-    value = params.get(key, 1.0)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"param {key!r} must be a number, got {type(value).__name__}")
+    """The finite number ``params[key]`` (default 1), read by ``decode_extreal``."""
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+        number = decode_extreal(params.get(key, 1.0))
+    except ValueError as exc:
+        raise ValueError(f"param {key!r}: {exc}") from None
     if not math.isfinite(number):
         raise ValueError(f"param {key!r} must be finite")
     return number
@@ -177,8 +175,8 @@ class ClosedFormKernel:
         # scalar rounding (a sum of squares does not).
         dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
         if self.name == "lip":
-            return -float(self.params.get("alpha", 1.0)) * dist
-        return -(dist ** float(self.params.get("p", 1.0)))
+            return -_number_param(self.params, "alpha") * dist
+        return -(dist ** _number_param(self.params, "p"))
 
 
 KernelRep = GramKernel | ClosedFormKernel
@@ -195,11 +193,14 @@ def gram_on(
     points.  A Gram kernel is read by index, the rows and the columns each
     mapped to its grid once, and raises KeyError for a point off its grid
     (on its own grid, it gives a writable copy of its matrix); a closed
-    form is evaluated by its array formula.
+    form is evaluated by its array formula and checked once: it is
+    undefined where the formula gives NaN or +inf, as ``conv`` does at an
+    infinite coordinate.
 
     Raises:
         SizeError: If the table would hold more than PAIR_GUARD entries;
             checked before anything is allocated.
+        PreconditionError: If a closed-form table holds NaN or +inf.
     """
     if rows is None:
         if not isinstance(kernel, GramKernel):
@@ -217,7 +218,12 @@ def gram_on(
         at_rows = _grid_indices(grid, rows)
         at_cols = at_rows if cols is rows else _grid_indices(grid, cols)
         return kernel.matrix[np.ix_(at_rows, at_cols)]
-    return kernel.table(rows.as_array(), cols.as_array())
+    with np.errstate(invalid="ignore", over="ignore"):
+        table = kernel.table(rows.as_array(), cols.as_array())
+    try:
+        return _checked(table, f"kernel {kernel.name!r} values", below_inf=True)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def _grid_indices(grid: PointSet, points: PointSet) -> np.ndarray:
@@ -399,9 +405,9 @@ class FeatureMap:
     z_labels: tuple[tuple[int, int], ...]
     psi: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, adopted: bool = False) -> None:
         shape = (len(self.points), len(self.z_labels))
-        psi = owned_array(self.psi, "feature values", shape, below_inf=True)
+        psi = owned_array(self.psi, "feature values", shape, below_inf=True, copy=not adopted)
         object.__setattr__(self, "psi", psi)
 
     def recompose(self) -> np.ndarray:
@@ -426,12 +432,12 @@ def factorize(gram: GramKernel) -> FeatureMap:
         raise SizeError(f"{n}^3 feature entries exceed the guard of {PAIR_GUARD}")
     _require_tpsd(gram, "factorize")
     labels = tuple((i, j) for i in range(n) for j in range(n))
+    half = np.diag(b) / 2.0
     psi = np.full((n, n * n), NEG_INF, dtype=float)
-    for i in range(n):
-        for j in range(n):
-            psi[i, i * n + j] = b[i, i] / 2.0
-            psi[i, j * n + i] = lower_sub(b[i, j], b[j, j] / 2.0)
-    return FeatureMap(gram.points, labels, psi)
+    cube, at = psi.reshape(n, n, n), np.arange(n)  # cube[i, a, c] = psi[i, a * n + c]
+    cube[at, at, :] = half[:, None]
+    cube[at, :, at] = lower_add_arrays(b, -half)  # written last where both meet
+    return _adopted(FeatureMap, points=gram.points, z_labels=labels, psi=psi)
 
 
 # ---------------------------------------------------------------------------

@@ -539,11 +539,18 @@ class TestOneKernelTable:
 
 
 def per_point_rule(raw, grid=None):
-    """The points of a JSON point list by the rule of one ``as_point`` call
-    per point and a dict index, with its error messages; ``grid`` is a Gram
-    kernel's point set."""
+    """The points of a JSON point list read one point at a time, with a dict
+    index, by the README's rule for every input number: a coordinate is a
+    JSON number (not a boolean) or the string "inf" or "-inf".  ``grid`` is a
+    Gram kernel's point set; the messages are the library's."""
 
     def coordinate(value):
+        if isinstance(value, str):
+            if value not in ("inf", "-inf"):
+                raise ValueError(f"invalid extended-real string {value!r}")
+            return float(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"invalid extended-real value {value!r}")
         try:
             out = float(value)
         except OverflowError as exc:
@@ -553,7 +560,7 @@ def per_point_rule(raw, grid=None):
         return out
 
     points = [
-        (coordinate(p),) if isinstance(p, (int, float)) else tuple(map(coordinate, p))
+        (coordinate(p),) if isinstance(p, (int, float, str)) else tuple(map(coordinate, p))
         for p in raw
     ]
     if grid is not None:
@@ -577,8 +584,8 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=False),
     st.integers(min_value=-(2**1100), max_value=2**1100),
 )
-# Numbers, numeric strings ("1e400" reads as inf), and strings and None
-# that are no number.
+# Numbers, booleans, numeric strings (refused but "inf" and "-inf"), and
+# strings and None that are no number.
 _COORDINATES = st.one_of(
     _NUMBERS, _NUMBERS, _NUMBERS,
     st.sampled_from([None, "inf", "-inf", "1.5", "-0.0", "2", " 3 ", "1e400", "nan", "x", ""]),
@@ -606,19 +613,18 @@ _POINT_LISTS = st.one_of(
 
 class TestPointParse:
     """The one-array parse of a JSON point list gives the points, bit for
-    bit, or the schema error on the field, of one ``as_point`` per point and
-    a dict index; a bare string point and a list mixing bare numbers with
-    coordinate lists, which that rule read, are schema errors."""
+    bit, or the schema error on the field, of a per-point reading by the
+    README's number rule, a bare number (or "inf", "-inf") being a 1-D
+    point; a list mixing bare numbers with coordinate lists, which a
+    per-point reading would take, is a schema error."""
 
     @settings(max_examples=400, deadline=None)
     @given(raw=_POINT_LISTS, on_grid=st.booleans())
     def test_matches_the_per_point_rule(self, raw, on_grid):
         kernel = kernel_from_spec(GRAM_3) if on_grid else None
         grid = kernel.points if on_grid else None
-        numbers = [isinstance(p, (int, float)) for p in raw]
-        departure = any(isinstance(p, str) for p in raw) or (
-            any(numbers) and any(isinstance(p, list) for p in raw)
-        )
+        numbers = [isinstance(p, (int, float, str)) for p in raw]
+        departure = any(numbers) and any(isinstance(p, list) for p in raw)
         try:
             expected = per_point_rule(raw, grid)
         except (TypeError, ValueError) as exc:
@@ -644,7 +650,7 @@ class TestPointParse:
         "raw, message",
         [
             ([[0.0], [1.0], [-0.0], [1.0]], "points must be pairwise distinct, got (-0.0,) twice"),
-            ([1, 0.5, True], "points must be pairwise distinct, got (1.0,) twice"),
+            ([1, 0.5, 1.0], "points must be pairwise distinct, got (1.0,) twice"),
             ([[2, 1], [1, 2], [1, 2], [2, 1]], "points must be pairwise distinct, got (1.0, 2.0) twice"),
         ],
     )
@@ -1662,6 +1668,75 @@ class TestInfiniteCoordinates:
         text = _dump_json({"points": lattice})
         out = json.loads(text, parse_constant=lambda name: pytest.fail(name))
         assert np.array_equal(decode_values(out["points"]), lattice.as_array())
+
+
+    @pytest.mark.parametrize("command", ["conjugate", "check-tpsd", "membership"])
+    @pytest.mark.parametrize(
+        "name, points",
+        [("conv", [[0.0], ["inf"]]), ("conv", [[1.0], ["inf"]]), ("sconv", [[0.0], ["-inf"]]),
+         ("lip", [[0.0, "inf"], [1.0, 2.0]]), ("power_distance", [["-inf"], [1.0]])],
+    )
+    def test_closed_forms_are_undefined_at_an_infinite_coordinate(
+        self, capsys, tmp_path, command, name, points
+    ):
+        # NaN or +inf in the table: exit 1 with JSON, not a traceback.
+        payload = {"kernel": {"type": "closed_form", "name": name},
+                   "points": points, "values": [0.0, 0.0]}
+        code, out = invoke(capsys, tmp_path, command, payload)
+        assert code == 1
+        assert out["error"]["kind"] == "precondition"
+        assert f"kernel {name!r} values must" in out["error"]["message"]
+
+
+class TestOneNumberRule:
+    """Every input number is a JSON number (not a boolean) or "inf"/"-inf",
+    in point lists, grids, stencils and velocity tables as in values."""
+
+    GRID = {"start": -0.5, "stop": 0.5, "num": 5}
+
+    @pytest.mark.parametrize(
+        "points",
+        [[[True], ["2.5"]], [[0.0], ["2.5"]], [[0.0], ["1e400"]], [False, 1.0], [[0.0], [" 3 "]]],
+    )
+    def test_point_coordinates(self, capsys, tmp_path, points):
+        payload = {"kernel": {"type": "closed_form", "name": "sconv"}, "points": points}
+        code, out = invoke(capsys, tmp_path, "check-tpsd", payload)
+        assert (code, out["error"]["field"]) == (2, "points")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"time_grid": {"start": 0, "stop": 0.75, "num": 3.9}},
+            {"time_grid": {"start": 0, "stop": 0.75, "num": 4.0}},
+            {"time_grid": {"start": 0, "stop": 0.75, "num": "4"}},
+            {"space_grid": {**GRID, "start": "-0.5"}},
+            {"space_grid": {"start": 0, "stop": True, "num": 5}},
+            {"space_grid": {"start": 0, "stop": 0, "num": True}, "stencil": [[0.0]]},
+            {"space_grid": [-0.5, -0.25, "0", 0.25, 0.5]},
+            {"time_grid": [False, 0.25, 0.5, 0.75]},
+            {"stencil": [["-0.25"], [0.0], [0.25]]},
+            {"stencil": [[-0.25], [False], [0.25]]},
+            {"stencil": [-0.25, [0.0], 0.25]},
+            {"lagrangian": {"name": "table", "velocities": [[-1.0], [False], [1.0]],
+                            "costs": [1.0, 0.0, 1.0]}},
+            {"lagrangian": {"name": "table", "velocities": [[-1.0], [0.0], [1.0], [1.0, 0.0]],
+                            "costs": [1.0, 0.0, 1.0, 1.0]}},
+        ],
+    )
+    def test_problem_numbers(self, capsys, tmp_path, change):
+        payload = {"problem": {**PROBLEM_4X5, **change}, "terminal_values": [0.0] * 5}
+        code, out = invoke(capsys, tmp_path, "value-function", payload)
+        assert (code, out["error"]["field"]) == (2, "problem")
+
+    def test_the_same_problem_in_numbers_runs(self, capsys, tmp_path):
+        problem = {**PROBLEM_4X5, "time_grid": {"start": 0, "stop": 0.75, "num": 4},
+                   "space_grid": self.GRID, "stencil": [[-0.25], [0], [0.25]],
+                   "lagrangian": {"name": "table", "velocities": [[-1], [0], [1]],
+                                  "costs": [1, 0, 1]}}
+        code, out = invoke(capsys, tmp_path, "value-function",
+                           {"problem": problem, "terminal_values": [0.0] * 5})
+        assert code == 0
+        assert out["values"] == [0.0] * 20
 
 
 class TestLatticeWriter:

@@ -1,6 +1,7 @@
 """Least-action kernels, value functions, and the two inverse workflows."""
 
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -190,6 +191,29 @@ class TestLagrangianSpec:
         with pytest.raises(ValueError):
             LagrangianSpec("table", velocities=((0.0,),), costs=(POS_INF,))
 
+    @pytest.mark.parametrize(
+        "velocities, costs",
+        [(((0.0,), (1.0, 0.0)), (0.0, 1.0)), ([[0.0], [True]], [0.0, 1.0]),
+         ([["0.5"]], [1.0]), ([[0.0]], [True]), ([[0.0]], ["1.0"]), ([], [])],
+    )
+    def test_table_reads_one_array_of_numbers(self, velocities, costs):
+        # Mixed dimensions never matched a velocity of the problem's.
+        with pytest.raises(ValueError):
+            LagrangianSpec("table", velocities=velocities, costs=costs)
+
+    def test_table_looks_up_each_row_within_1e_9(self):
+        table = LagrangianSpec("table", velocities=np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 1.0]]),
+                               costs=range(3))
+        assert table.velocities == ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0))
+        assert table.costs == (0.0, 1.0, 2.0)
+        v = np.array([[1.0, 0.0], [-1.0 + 1e-10, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        assert table.on_velocities(v).tolist() == [1.0, 2.0, 0.0, 1.0]
+        for bad in (np.array([[1.0, 2e-9]]), np.array([[1.0]])):
+            with pytest.raises(ValueError, match="is not tabulated"):
+                table.on_velocities(bad)
+        with pytest.raises(ValueError, match=re.escape("velocity (1.0, 1.0) is not tabulated")):
+            LagrangianSpec("table", velocities=[[1.0]], costs=[0.0]).on_velocities(np.ones((1, 2)))
+
     def test_untabulated_velocity_rejected(self):
         table = LagrangianSpec("table", velocities=((0.0,),), costs=(0.0,))
         with pytest.raises(ValueError):
@@ -233,6 +257,22 @@ class TestProblemValidation:
     def test_off_lattice_displacement_rejected(self):
         with pytest.raises(ValueError):
             MaupertuisProblem([0.0, 1.0], [np.array([0.0, 1.0])], QUAD, [(0.5,)])
+
+    @pytest.mark.parametrize(
+        "stencil", [[(POS_INF,)], [(NEG_INF,)], [(True,)], [("0.0",)], [0.0, (1.0,)], [(0.25 + 2e-6,)]]
+    )
+    def test_stencil_is_lattice_numbers(self, stencil):
+        with pytest.raises(ValueError):
+            MaupertuisProblem([0.0, 1.0], [np.array([0.0, 0.25, 0.5])], QUAD, stencil,
+                              claim_reversible=False)
+
+    def test_stencil_offsets_round_each_quotient(self):
+        axes = [np.array([0.0, 0.1, 0.2]), np.array([0.0, 0.3, 0.6])]
+        stencil = [(0.1 * k, 0.3 * m) for k in (-2, 0, 1) for m in (-1, 0, 2)]
+        prob = MaupertuisProblem([0.0, 1.0], axes, QUAD, stencil, claim_reversible=False)
+        expected = [(k, m) for k in (-2, 0, 1) for m in (-1, 0, 2)]
+        assert prob._offsets.tolist() == [list(o) for o in expected]
+        assert prob.stencil == tuple(map(tuple, np.array(stencil).tolist()))
 
     def test_stencil_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

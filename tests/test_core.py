@@ -432,3 +432,51 @@ class TestJsonEncoding:
         assert decode_values([[[1, 2]], [[3, "inf"]]]).shape == (2, 1, 2)
         assert decode_values([[]]).shape == (1, 0)
         assert decode_values([]).shape == (0,)
+
+    def test_decode_reads_what_library_callers_pass(self):
+        # numpy real scalars, iterables that are not lists, and numeric arrays.
+        rows = ((np.float64(0.5), np.int64(2)), [np.float32(1.5), "-inf"])
+        assert decode_values(rows).tolist() == [[0.5, 2.0], [1.5, NEG_INF]]
+        assert decode_values(range(3)).tolist() == [0.0, 1.0, 2.0]
+        assert decode_values(iter([np.array([1, 2]), (3, 4)])).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        given = np.array([[1, -2]])
+        out = decode_values(given)
+        assert out.dtype == np.float64 and out.tolist() == [[1.0, -2.0]]
+        out[0, 0] = 9.0
+        assert given[0, 0] == 1  # a new array
+        assert decode_extreal(np.float32(0.5)) == 0.5 and decode_extreal(np.int64(-3)) == -3.0
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[np.bool_(True)], [[1.0, 2.0], [np.bool_(False), 3.0]], ["1.5"], [[1.0], ["1e400"]],
+         [np.str_("1.5")], np.array([True]), [np.array([1.0, np.nan])]],
+    )
+    def test_decode_refuses_bools_and_numeric_strings(self, obj):
+        with pytest.raises(ValueError):
+            decode_values(obj)
+
+    @pytest.mark.parametrize("obj", [np.True_, np.str_("inf"), None, [1.0, 2.0], "1.5"])
+    def test_decode_extreal_refuses_what_is_no_number(self, obj):
+        with pytest.raises(ValueError):
+            decode_extreal(obj)
+
+    @pytest.mark.parametrize(
+        "points, shape",
+        [([0.5, -1], (2, 1)), (range(4), (4, 1)), ([(np.float64(1.0), 2)], (1, 2)),
+         (np.arange(6).reshape(3, 2), (3, 2)), (np.array([2.0, "-inf"], dtype=object), (2, 1)),
+         ([["inf", -0.0]], (1, 2))],
+    )
+    def test_point_array_reads_through_decode_values(self, points, shape):
+        arr = core.point_array(points)
+        assert arr.shape == shape
+        assert np.array_equal(arr.ravel(), decode_values(points).ravel())
+
+    @pytest.mark.parametrize(
+        "points, error",
+        [([True, 1.0], ValueError), ([[0.0], ["2.5"]], ValueError), ([], ValueError),
+         ([[[0.0]]], ValueError), ([[0.0], [1.0, 2.0]], ValueError), ([1.0, [2.0]], ValueError),
+         ([[1.0], 2.0], TypeError), ("12", TypeError), ([[0.0], "5"], TypeError)],
+    )
+    def test_point_array_refuses(self, points, error):
+        with pytest.raises(error):
+            core.point_array(points)

@@ -1,11 +1,12 @@
 """Kernel families, tpsd checks, decomposition, and factorization."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tropkern.core import NEG_INF, POS_INF, PointSet, PreconditionError, SizeError
+from tropkern.core import NEG_INF, POS_INF, PointSet, PreconditionError, SizeError, lower_sub
 from tropkern.kernels import (
     ClosedFormKernel,
     GramKernel,
@@ -184,6 +185,23 @@ class TestGramOn:
     def test_closed_form_needs_rows(self):
         with pytest.raises(ValueError):
             gram_on(ClosedFormKernel("conv"))
+
+    @pytest.mark.parametrize(
+        "name, points, message",
+        [("conv", [[0.0], [POS_INF]], "must not contain NaN"),
+         ("conv", [[1.0], [POS_INF]], "must be < +inf"),
+         ("sconv", [[0.0], [NEG_INF]], "must not contain NaN"),
+         ("lip", [[0.0, 1.0], [POS_INF, 1.0]], "must not contain NaN"),
+         ("power_distance", [[NEG_INF]], "must not contain NaN")],
+    )
+    def test_closed_form_undefined_at_an_infinite_coordinate(self, name, points, message):
+        with pytest.raises(PreconditionError, match=re.escape(f"kernel {name!r} values {message}")):
+            gram_on(ClosedFormKernel(name), PointSet(points))
+
+    def test_dirac_is_defined_at_infinite_coordinates(self):
+        pts = PointSet([[0.0], [POS_INF], [NEG_INF]])
+        assert np.array_equal(gram_on(ClosedFormKernel("dirac"), pts),
+                              np.where(np.eye(3, dtype=bool), 0.0, NEG_INF))
 
 
 class TestClosedFormEval:
@@ -464,6 +482,33 @@ class TestFactorize:
         pts = PointSet.make([float(i) for i in range(101)])
         with pytest.raises(SizeError):
             factorize(GramKernel(pts, gram_on(ClosedFormKernel("lip"), pts)))
+
+    def test_matches_the_entry_loop(self):
+        # Bit for bit, signed zeros and -inf rows included; where the two
+        # entries of (i, i) meet, the second one is kept.
+        def loop(b):
+            n = len(b)
+            psi = np.full((n, n * n), NEG_INF)
+            for i in range(n):
+                for j in range(n):
+                    psi[i, i * n + j] = b[i, i] / 2.0
+                    psi[i, j * n + i] = lower_sub(b[i, j], b[j, j] / 2.0)
+            return psi
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            phi = rng.choice([NEG_INF, -1.5, -0.0, 0.0, 0.25, 3.0], n, p=[0.1] + [0.18] * 5)
+            pool = np.array([0.0, -0.0, -0.5, -1.0, -2.0, NEG_INF])
+            b0 = pool[rng.integers(0, len(pool), (n, n))]
+            below = np.tril_indices(n, -1)
+            b0[below] = b0.T[below]
+            np.fill_diagonal(b0, pool[rng.integers(0, 2, n)])
+            m = phi[:, None] + b0 + phi[None, :]  # b0 <= 0 is symmetric, so m is tpsd
+            gram = GramKernel(PointSet.make(range(n)), m)
+            fm = factorize(gram)
+            assert not fm.psi.flags.writeable
+            assert np.array_equal(fm.psi.view(np.int64), loop(gram.matrix).view(np.int64))
 
     def test_requires_tpsd(self):
         with pytest.raises(PreconditionError):
