@@ -155,8 +155,6 @@ def _read(field: str, reader: Callable, *args: object):
 def _point_array(raw: object, field: str, kernel=None) -> np.ndarray:
     """Points in input order as one (n, d) array (``point_array``); a Gram
     ``kernel`` is defined only on its grid."""
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise _SchemaError(field, "expected a list of points")
     points = _read(field, point_array, raw)
     if isinstance(kernel, GramKernel):
         off = np.flatnonzero(kernel.points.indices(points) < 0)
