@@ -1669,7 +1669,6 @@ class TestInfiniteCoordinates:
         out = json.loads(text, parse_constant=lambda name: pytest.fail(name))
         assert np.array_equal(decode_values(out["points"]), lattice.as_array())
 
-
     @pytest.mark.parametrize("command", ["conjugate", "check-tpsd", "membership"])
     @pytest.mark.parametrize(
         "name, points",
@@ -1711,7 +1710,8 @@ class TestOneNumberRule:
             {"time_grid": {"start": 0, "stop": 0.75, "num": "4"}},
             {"space_grid": {**GRID, "start": "-0.5"}},
             {"space_grid": {"start": 0, "stop": True, "num": 5}},
-            {"space_grid": {"start": 0, "stop": 0, "num": True}, "stencil": [[0.0]]},
+            {"space_grid": {"axes": [GRID, {"start": 0, "stop": 0, "num": True}]},
+             "stencil": [[-0.25, 0.0], [0.0, 0.0], [0.25, 0.0]]},
             {"space_grid": [-0.5, -0.25, "0", 0.25, 0.5]},
             {"time_grid": [False, 0.25, 0.5, 0.75]},
             {"stencil": [["-0.25"], [0.0], [0.25]]},
