@@ -353,10 +353,13 @@ def _spec_flag(spec: Mapping[str, object], key: str, default: bool) -> bool:
 
 
 def _parse_grid(g) -> np.ndarray:
-    """A grid: a list of coordinates, or {start, stop, num} with a JSON integer num."""
+    """A grid: a list of coordinates, or {start, stop, num} with a JSON integer
+    num of at most PAIR_GUARD (SizeError, raised before the axis is built)."""
     if isinstance(g, Mapping):
         if type(g["num"]) is not int:
             raise ValueError(f"grid num must be an integer, got {g['num']!r}")
+        if g["num"] > PAIR_GUARD:
+            raise SizeError(f"grid num {g['num']} exceeds the guard of {PAIR_GUARD}")
         return np.linspace(decode_extreal(g["start"]), decode_extreal(g["stop"]), g["num"])
     return decode_values(g)
 

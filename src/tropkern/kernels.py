@@ -144,8 +144,8 @@ class ClosedFormKernel:
             object.__setattr__(self, "_lagrangian", LagrangianSpec.from_spec(spec))
 
     def eval(self, x: float | Sequence[float], y: float | Sequence[float]) -> float:
-        """b(x, y): the 1x1 case of ``table``."""
-        return float(self.table(np.array([as_point(x)]), np.array([as_point(y)]))[0, 0])
+        """b(x, y): the 1x1 ``gram_on``, so PreconditionError where it is NaN or +inf."""
+        return float(gram_on(self, PointSet([as_point(x)]), PointSet([as_point(y)]))[0, 0])
 
     def table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[b(x, y)] for the rows x of ``xs`` (n, d) and y of ``ys`` (m, d)."""

@@ -506,6 +506,43 @@ class TestKernelTableGuard:
         assert int(peak_kb) < 100 * 1024
 
 
+    def test_a_grid_num_above_the_guard_is_refused_before_its_axis(self, tmp_path):
+        # The axis of 10^9 points would take 8 GB.  The child caps its own
+        # address space 1 GiB above its size after the imports, so without
+        # the guard the axis fails fast with MemoryError and no JSON record.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("reads the address-space size from /proc/self/status")
+        path = tmp_path / "in.json"
+        problem = {**PROBLEM_4X5, "space_grid": {"start": 0.0, "stop": 1.0, "num": 10**9}}
+        path.write_text(json.dumps({"problem": problem, "terminal_values": [0.0]}))
+        script = (
+            "import resource, sys, time\n"
+            "from tropkern.cli import main\n"
+            "size = [int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "        if line.startswith('VmSize:')][0] * 1024\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = size + (1 << 30)\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    soft = min(soft, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "start = time.perf_counter()\n"
+            "code = main(['value-function', '--input', sys.argv[1]])\n"
+            "print(code, time.perf_counter() - start, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=module_env("0"), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, elapsed = proc.stderr.split()
+        assert int(code) == 1
+        assert json.loads(proc.stdout) == {
+            "error": {"kind": "precondition",
+                      "message": "grid num 1000000000 exceeds the guard of 1000000"}
+        }
+        assert float(elapsed) < 1.0
+
+
 class TestOneKernelTable:
     """A representer fit on a closed form evaluates one table b(x, p)."""
 

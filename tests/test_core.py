@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +53,25 @@ ext_integers = st.one_of(
     st.just(NEG_INF),
     st.integers(min_value=-1_000_000, max_value=1_000_000).map(float),
 )
+
+
+def split_every_product(patch):
+    """Have every product of two or more blocks split its blocks between two threads."""
+    patch.setattr(core, "_SPLIT_TERMS", 0)
+    patch.setattr(core, "_cpus", lambda: 2)
+
+
+def before_helper_allocations(patch, act):
+    """Call ``act()`` before each product buffer allocated off the calling thread."""
+    caller = threading.get_ident()
+    aligned_empty = core._aligned_empty
+
+    def allocate(shape):
+        if threading.get_ident() != caller:
+            act()
+        return aligned_empty(shape)
+
+    patch.setattr(core, "_aligned_empty", allocate)
 
 
 def assert_products_match_broadcast_forms(a, b):
@@ -167,7 +188,7 @@ class TestArrayArithmetic:
         mode = data.draw(st.sampled_from(["general", "a.T", "-a.T"]))
         # (_LONG_K, _TERM_BLOCK) overrides: small inputs then also take the
         # k-last block order, whose mirrored shapes compute one triangle,
-        # and cross many block boundaries.
+        # and cross many block boundaries, split between two threads.
         long_k, term_block = data.draw(st.sampled_from([(None, None), (0, None), (0, 8), (None, 8)]))
         entries = st.lists(ext_integers | st.just(-0.0), min_size=m * k + k * n, max_size=m * k + k * n)
         flat = np.array(data.draw(entries), dtype=float)
@@ -175,6 +196,7 @@ class TestArrayArithmetic:
         if mode != "general":
             b = a.T if mode == "a.T" else -a.T
         with pytest.MonkeyPatch.context() as patch:
+            split_every_product(patch)
             if long_k is not None:
                 patch.setattr(core, "_LONG_K", long_k)
             if term_block is not None:
@@ -191,13 +213,65 @@ class TestArrayArithmetic:
             (4, 0),  # no terms: every entry is the empty value
         ],
     )
-    def test_tropical_products_across_block_boundaries(self, mode, m, k):
+    def test_tropical_products_across_block_boundaries(self, monkeypatch, mode, m, k):
+        split_every_product(monkeypatch)
         rng = np.random.default_rng(m + k)
         pool = np.array([POS_INF, NEG_INF, -0.0, 0.0, 1.0, -1.0, 2.0, -3.0])
         a, b = rng.choice(pool, (m, k)), rng.choice(pool, (k, m))
         if mode != "general":
             b = a.T if mode == "a.T" else -a.T
         assert_products_match_broadcast_forms(a, b)
+
+    @pytest.mark.parametrize("mode", ["general", "a.T", "-a.T"])
+    @pytest.mark.parametrize("k", [64, 150])  # both sides of _LONG_K
+    def test_split_products_equal_serial_products_bitwise(self, mode, k):
+        rng = np.random.default_rng(k)
+        pool = np.array([POS_INF, NEG_INF, -0.0, 0.0, 1.0, -1.0, 2.5, -3.0])
+        a, b = rng.choice(pool, (240, k)), rng.choice(pool, (k, 240))
+        if mode != "general":
+            b = a.T if mode == "a.T" else -a.T
+        for product in (max_plus, min_plus):
+            with pytest.MonkeyPatch.context() as patch:
+                split_every_product(patch)
+                split = product(a, b)
+                patch.setattr(core, "_SPLIT_TERMS", 240 * 240 * k + 1)
+                serial = product(a, b)
+            assert split.tobytes() == serial.tobytes()
+
+    def test_products_below_the_split_start_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        a = np.arange(100.0 * 100).reshape(100, 100)
+        assert max_plus(a, a).shape == (100, 100)
+        assert min_plus(a, -a.T).shape == (100, 100)
+
+    def test_split_products_leave_no_thread(self, monkeypatch):
+        # The helper's share starts late, so a product that did not wait for
+        # it would return while it is still alive.
+        before_helper_allocations(monkeypatch, lambda: time.sleep(0.2))
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        started = threading.active_count()
+        a = np.arange(240.0 * 240).reshape(240, 240)
+        max_plus(a, a.T)
+        assert threading.active_count() == started
+
+    def test_split_products_raise_the_helpers_error(self, monkeypatch):
+        class HelperFailed(Exception):
+            pass
+
+        def fail():
+            raise HelperFailed
+
+        before_helper_allocations(monkeypatch, fail)
+        split_every_product(monkeypatch)
+        started = threading.active_count()
+        a = np.zeros((70, 150))  # several triangle blocks
+        with pytest.raises(HelperFailed):
+            max_plus(a, a.T)
+        assert threading.active_count() == started
 
     def test_zero_entries_are_positive_zero(self):
         # Every entry is the max (or min) of the same two terms, +0.0 and

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,15 @@ class TestGramOn:
 
 
 class TestClosedFormEval:
+    def test_eval_is_checked_as_gram_on_is(self):
+        conv = ClosedFormKernel("conv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="values must not contain NaN"):
+                conv.eval((0.0,), (POS_INF,))
+            with pytest.raises(PreconditionError, match=re.escape("values must be < +inf")):
+                conv.eval(1.0, POS_INF)
+
     def test_conv_inner_product(self):
         k = ClosedFormKernel("conv")
         assert k.eval((1, 2), (3, -1)) == 1.0
