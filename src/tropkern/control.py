@@ -43,6 +43,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    CELL_GUARD,
     NEG_INF,
     PAIR_GUARD,
     POS_INF,
@@ -210,7 +211,8 @@ def lax_hopf(
 
 @dataclass(frozen=True)
 class MaupertuisProblem:
-    """A least-action problem on a uniform spacetime lattice.
+    """A least-action problem on a uniform spacetime lattice of at most
+    CELL_GUARD cells (SizeError, raised before the stencil is read).
 
     Attributes:
         time_grid: Increasing, uniformly spaced times t_0 .. T.
@@ -244,6 +246,9 @@ class MaupertuisProblem:
         if not axes:
             raise ValueError("at least one space axis is required")
         object.__setattr__(self, "space_axes", axes)
+        if self.n_time * self.n_space > CELL_GUARD:
+            raise SizeError(f"{self.n_time} x {self.n_space} spacetime cells exceed "
+                            f"the guard of {CELL_GUARD}")
 
         sten = point_array(self.stencil)
         if sten.shape[1] != len(axes):

@@ -42,6 +42,8 @@ class SizeError(ValueError):
 #: Largest element count of a dense pair table (n^2 or n^3 entries) an
 #: operation may build before it raises SizeError.
 PAIR_GUARD = 10**6
+#: Largest spacetime cell count of a least-action lattice (64 MiB per array).
+CELL_GUARD = 1 << 23
 
 #: Value of a supremum over an empty set.
 SUP_EMPTY = NEG_INF

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     NEG_INF,
     PAIR_GUARD,
+    _TERM_BLOCK,
     GridFunction,
     Point,
     PointSet,
@@ -170,13 +171,17 @@ class ClosedFormKernel:
                 d *= d
                 total += d
             return np.negative(total, out=total)
-        diff = xs[:, None, :] - ys[None, :, :]
-        # One dot product per pair, as np.linalg.norm takes it, keeps the
-        # scalar rounding (a sum of squares does not).
-        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        # One dot product per pair keeps np.linalg.norm's scalar rounding (a
+        # sum of squares does not), in row blocks of at most _TERM_BLOCK pairs.
+        dist = np.empty((len(xs), len(ys)))
+        rows = max(1, _TERM_BLOCK // max(len(ys), 1))
+        for i in range(0, len(xs), rows):
+            diff = xs[i : i + rows, None, :] - ys[None, :, :]
+            np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0], out=dist[i : i + rows])
         if self.name == "lip":
-            return -_number_param(self.params, "alpha") * dist
-        return -(dist ** _number_param(self.params, "p"))
+            return np.multiply(-_number_param(self.params, "alpha"), dist, out=dist)
+        dist **= _number_param(self.params, "p")  # the scalar power's fast paths, as **
+        return np.negative(dist, out=dist)
 
 
 KernelRep = GramKernel | ClosedFormKernel

@@ -29,8 +29,9 @@ sup-norm fit in closed form, the l1 fit as the potentials of a min-cost
 flow on the dual.  Over all anchors, the targets some assignment
 reproduces form the column span itself, so the best sup-norm fit is the
 Chebyshev distance to it, read from the same principal solution.  An l1
-anchor search enumerates assignments, dropping those with a positive
-two-cycle before it closes any system.
+anchor search enumerates assignments, drops those with a positive two-cycle,
+closes the rest as one stack and fits those that a disjoint-pair bound on
+the loss does not rule out, with the result that fitting them all gives.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from .core import (
     NEG_INF,
     POS_INF,
+    _TERM_BLOCK,
     GridFunction,
     Point,
     PointSet,
@@ -257,14 +259,6 @@ def _sections(kernel: KernelRep, xs: PointSet, anchors: np.ndarray) -> np.ndarra
     return table[:, [column[p] for p in keys]]
 
 
-def _exchange_gaps(sections: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Self-evaluations b(x_m, p_m) and gaps[k, m] = b(x_k, p_m) - b(x_m, p_m)
-    (lower difference; meaningful where the self-evaluation is finite) from
-    sections[k, m] = b(x_k, p_m)."""
-    self_eval = np.diag(sections)
-    return self_eval, lower_add_arrays(sections, -self_eval)
-
-
 def build_f0(
     samples: SampleSet,
     witnesses: tuple[Point, ...] | WitnessResult,
@@ -311,7 +305,8 @@ def _interpolant(
     """``build_f0`` on the sections[k, m] = b(x_k, p_m) of the anchors'
     (n, d) array, given as ``given``."""
     y = samples.ys
-    self_eval, need = _exchange_gaps(sections)
+    self_eval = np.diag(sections)
+    need = lower_add_arrays(sections, -self_eval)  # b(x_k, p_m) - b(x_m, p_m)
     finite = np.isfinite(self_eval)
     violated = y[:, None] - y[None, :] < need - tol  # [k, m]
     failing = np.flatnonzero(~finite | violated.any(axis=0))
@@ -330,35 +325,53 @@ def _interpolant(
 
 
 def _closure(sections: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
-    """Max-plus closure of the exchange constraints y_k - y_m >= gaps[k, m]
-    of sections[k, m] = b(x_k, p_m) (``_exchange_gaps``, without +inf).
+    """``_closures`` of the stack of one system, sections[k, m] = b(x_k, p_m)."""
+    closures, cycles = _closures(sections[None])
+    return closures[0], cycles[0]
+
+
+def _closures(stack: np.ndarray) -> tuple[np.ndarray, list[list[int] | None]]:
+    """Max-plus closures D of the exchange constraints y_k - y_m >= b(x_k, p_m)
+    - b(x_m, p_m) (lower difference, never +inf) of each member sections[k, m]
+    = b(x_k, p_m) of an (A, n, n) stack, and each member's cycle or None.
 
     D[k, m] is the largest gap sum along a path from k to m (0 on the
-    diagonal, -inf where no path exists), built by one rank-1 update per
-    pivot; y satisfies the system exactly when y_k - y_m >= D[k, m] for all
-    k, m.  A positive diagonal entry marks a candidate cycle, read back from
-    the successor matrix.  If the cycle's weight, the exact (math.fsum) sum
-    of its kernel values b(x_a, p_b) and -b(x_b, p_b), is positive, no
-    finite y exists and (D, cycle) is returned; otherwise the entry is float
-    drift and is reset to 0.
+    diagonal, -inf where no path exists), built by one rank-1 update of the
+    stack per pivot; y satisfies a member's system exactly when all
+    y_k - y_m >= D[k, m].  A positive diagonal entry marks a candidate
+    cycle, read back from the member's successor matrix.  If the cycle's
+    weight, the exact (math.fsum) sum of its kernel values b(x_a, p_b) and
+    -b(x_b, p_b), is positive, no finite y exists and the member's D stays
+    as it is then; otherwise the entry is float drift and is reset to 0.
     """
-    n = len(sections)
-    closure = _exchange_gaps(sections)[1]
-    np.fill_diagonal(closure, 0.0)
-    succ = np.tile(np.arange(n), (n, 1))  # succ[k, m]: next node from k to m
+    count, n = stack.shape[:2]
+    diagonal = np.arange(n)
+    closure = lower_add_arrays(stack, -stack[:, diagonal, diagonal][:, None, :])
+    closure[:, diagonal, diagonal] = 0.0
+    succ = np.tile(diagonal, (count, n, 1))  # succ[a, k, m]: next node from k to m
+    through, better = np.empty_like(closure), np.empty(closure.shape, dtype=bool)
+    live, alive, cycles = np.ones(count, dtype=bool), count, [None] * count
     for j in range(n):
-        through = closure[:, j, None] + closure[j]
-        better = through > closure
+        np.add(closure[:, :, j, None], closure[:, None, j, :], out=through)
+        if alive < count:
+            through[~live] = NEG_INF  # a member with a cycle keeps its D
+        np.greater(through, closure, out=better)
+        # A diagonal entry turns positive exactly where through's is.
+        positive = through.diagonal(0, 1, 2) > 0
         before = succ  # the paths of pivots < j, which the cycle consists of
-        closure = np.where(better, through, closure)
-        succ = np.where(better, succ[:, j, None], succ)
-        for i in np.flatnonzero(np.diag(closure) > 0):
-            walk = _path(before, i, j)[:-1] + _path(before, j, i)[:-1]
-            cycle = _heaviest_cycle(walk, sections)
-            if cycle is not None:
-                return closure, cycle
-            closure[i, i] = 0.0
-    return closure, None
+        np.maximum(through, closure, out=closure)  # keeps closure on ties, as better does
+        succ = np.where(better, succ[:, :, j, None], succ)
+        for a in np.flatnonzero(positive.any(axis=1)) if positive.any() else ():
+            for i in np.flatnonzero(positive[a]):
+                walk = _path(before[a], i, j)[:-1] + _path(before[a], j, i)[:-1]
+                cycles[a] = _heaviest_cycle(walk, stack[a])
+                if cycles[a] is not None:
+                    live[a], alive = False, alive - 1
+                    break
+                closure[a, i, i] = 0.0
+        if not alive:
+            break
+    return closure, cycles
 
 
 def _path(succ: np.ndarray, u: int, v: int) -> list[int]:
@@ -431,28 +444,30 @@ def _fit_l1(closure: np.ndarray, ybar: np.ndarray) -> np.ndarray:
     capacity = np.full((n + 1, n + 1), POS_INF)
     capacity[root], capacity[:, root] = 1.0, 1.0
     potential = np.append(_greatest_below(closure, ybar), 0.0)
-    owing = np.append(potential[:n] < ybar, False)
+    owing = (potential[:n] < ybar).tolist() + [False]
     flow = np.zeros((n + 1, n + 1))
     flow[:, root] = owing
-    for _ in range(int(owing.sum())):
-        residual = np.minimum(
-            np.where(flow < capacity, cost, POS_INF),
-            np.where(flow.T > 0, -cost.T, POS_INF),
-        )
+    residual = np.minimum(
+        np.where(flow < capacity, cost, POS_INF),
+        np.where(flow.T > 0, -cost.T, POS_INF),
+    )
+    # Unsettled nodes hold dist in key and gate, settled ones +inf and -inf.
+    dist, key, gate, through = np.empty((4, n + 1))
+    better, pred = np.empty(n + 1, dtype=bool), np.zeros(n + 1, dtype=int)
+    for _ in range(sum(owing)):
         reduced = residual + potential[:, None] - potential[None, :]
-        dist = np.full(n + 1, POS_INF)
-        dist[root] = 0.0
-        pred = np.zeros(n + 1, dtype=int)
-        unsettled = np.ones(n + 1, dtype=bool)
+        dist[:] = key[:] = gate[:] = POS_INF
+        dist[root] = key[root] = gate[root] = 0.0
         while True:
-            u = int(np.argmin(np.where(unsettled, dist, POS_INF)))
+            u = int(key.argmin())
             if owing[u]:
                 break
-            unsettled[u] = False
-            through = dist[u] + reduced[u]
-            better = unsettled & (through < dist)
-            dist[better] = through[better]
-            pred[better] = u
+            key[u], gate[u] = POS_INF, NEG_INF
+            np.add(dist[u], reduced[u], out=through)
+            np.less(through, gate, out=better)
+            for target in (dist, key, gate):
+                np.copyto(target, through, where=better)
+            np.copyto(pred, u, where=better)
         potential += np.minimum(dist, dist[u])
         owing[u] = False
         while u != root:
@@ -461,6 +476,10 @@ def _fit_l1(closure: np.ndarray, ybar: np.ndarray) -> np.ndarray:
                 flow[v, u] -= 1.0  # cancel flow rather than add it
             else:
                 flow[u, v] += 1.0
+            for a, b in ((u, v), (v, u)):  # the residual costs that changed
+                ahead = cost[a, b] if flow[a, b] < capacity[a, b] else POS_INF
+                back = -cost[b, a] if flow[b, a] > 0 else POS_INF
+                residual[a, b] = ahead if ahead < back else back  # as np.minimum
     return potential[:n] - potential[root]
 
 
@@ -511,9 +530,11 @@ def regress(
     b(x_k, p): z, the greatest span point below ybar, raised by
     eps* = 1/2 max_k (ybar_k - z_k), optimal over all anchors; its anchors
     attain z, a tie going to the least exchange-gap mass.  The l1 search
-    fits every assignment without a positive two-cycle, keeping the best
-    (a tie within 1e-12 to the least constraining), when there are at most
-    SEARCH_ENUMERATION_BUDGET; beyond it, it fits the projection's anchors.
+    keeps the best assignment without a positive two-cycle (a tie within
+    1e-12 to the least constraining), when there are at most
+    SEARCH_ENUMERATION_BUDGET, closed as one stack and fitted where a
+    disjoint-pair bound on the loss cannot rule them out (the same result as
+    fitting each); beyond it, it fits the projection's anchors.
 
     Raises InfeasibleConstraintsError when fixed anchors admit no fit (with
     a positive cycle) or no candidate can serve a sample (with its index).
@@ -600,27 +621,53 @@ def _drop_two_cycles(bxp: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _l1_bounds(closures: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+    """A lower bound on the least l1 loss sum_i |y_i - ybar_i| subject to
+    y_k - y_m >= D[k, m], for each closure D of an (A, n, n) stack: the
+    violations v[k, m] = max(0, D[k, m] - (ybar_k - ybar_m)) summed over
+    disjoint pairs, picked greedily by largest v.  Any feasible y has
+    |y_k - ybar_k| + |y_m - ybar_m| >= v[k, m], and disjoint pairs add up."""
+    count, n = closures.shape[:2]
+    violation = np.maximum(closures - np.subtract.outer(ybar, ybar), 0.0)
+    bounds, members = np.zeros(count), np.arange(count)[:, None]
+    for _ in range(n // 2):
+        pair = np.stack(np.divmod(violation.reshape(count, -1).argmax(axis=1), n), axis=1)
+        bounds += violation[members[:, 0], pair[:, 0], pair[:, 1]]
+        violation[members, pair] = violation[members, :, pair] = 0.0
+    return bounds
+
+
 def _enumerate_l1(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The anchors of the least l1 fit over every assignment of usable
-    anchors (each sample has one), from bxp[k, p] = b(x_k, p)."""
+    anchors (each sample has one), from bxp[k, p] = b(x_k, p).  Those without
+    a positive two-cycle are closed in stacks of at most ``_TERM_BLOCK``
+    entries; one whose ``_l1_bounds`` exceeds the best loss so far by more
+    than a fit's rounding at the data's magnitude would lose, tie included,
+    and is not fitted."""
     n = len(y)
     usable = [np.flatnonzero(row > NEG_INF) for row in bxp]
+    kept = _drop_two_cycles(bxp, _assignments(usable))
     best: np.ndarray | None = None
     best_loss = best_mass = POS_INF
-    for idx in _drop_two_cycles(bxp, _assignments(usable)):
-        sections = bxp[:, idx]
-        closure, cycle = _closure(sections)
-        if cycle is not None:
-            continue
-        _, loss_value = _fit(closure, y, "l1")
-        # Exact optima often tie across assignments; a tie goes to the least
-        # constraining one, with the smallest total exchange gap
-        # sum_{k,m} b(x_k, p_m) - b(x_m, p_m), whatever the enumeration order.
-        mass = float(sections.sum() - n * np.diag(sections).sum())
-        if best is None or loss_value < best_loss - 1e-12 or (
-            loss_value <= best_loss + 1e-12 and mass < best_mass
-        ):
-            best, best_loss, best_mass = idx, loss_value, mass
+    size = max(1, _TERM_BLOCK // (n * n))
+    for chunk in (kept[start:start + size] for start in range(0, len(kept), size)):
+        stack = bxp[np.arange(n)[:, None], chunk[:, None, :]]  # [a, k, m]
+        closures, cycles = _closures(stack)
+        bounds = _l1_bounds(closures, y).tolist()
+        scale = np.max(np.abs(closures), initial=1.0, where=closures > NEG_INF)
+        margin = 1e-9 * n * max(scale, float(np.abs(y).max()))
+        for idx, sections, closure, cycle, bound in zip(chunk, stack, closures, cycles, bounds):
+            if cycle is not None or bound > best_loss + margin:
+                continue
+            _, loss_value = _fit(closure, y, "l1")
+            # Exact optima often tie across assignments; a tie goes to the
+            # least constraining one, with the smallest total exchange gap
+            # sum_{k,m} b(x_k, p_m) - b(x_m, p_m), whatever the order.
+            mass = float(sections.sum() - n * np.diag(sections).sum())
+            if best is None or loss_value < best_loss - 1e-12 or (
+                loss_value <= best_loss + 1e-12 and mass < best_mass
+            ):
+                best, best_loss, best_mass = idx, loss_value, mass
     if best is None:
         raise InfeasibleConstraintsError("no anchor assignment is feasible")
     return best

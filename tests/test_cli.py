@@ -506,15 +506,27 @@ class TestKernelTableGuard:
         assert int(peak_kb) < 100 * 1024
 
 
+    GUARDED_GRIDS = [
+        # An axis of 10^9 points would take 8 GB.
+        ({"space_grid": {"start": 0.0, "stop": 1.0, "num": 10**9}},
+         "grid num 1000000000 exceeds the guard of 1000000"),
+        # Each axis passes, but one float64 array over either lattice (1-D,
+        # and 2-D space over 10 times) would take 7.45 GiB.
+        ({"time_grid": {"start": 0.0, "stop": 1.0, "num": 10**4},
+          "space_grid": {"start": 0.0, "stop": 1.0, "num": 10**5}},
+         "10000 x 100000 spacetime cells exceed the guard of 8388608"),
+        ({"time_grid": {"start": 0.0, "stop": 1.0, "num": 10},
+          "space_grid": {"axes": [{"start": 0.0, "stop": 1.0, "num": 10**4}] * 2},
+          "stencil": [[0.0, 0.0]]},
+         "10 x 100000000 spacetime cells exceed the guard of 8388608"),
+    ]
+
     def test_a_grid_num_above_the_guard_is_refused_before_its_axis(self, tmp_path):
-        # The axis of 10^9 points would take 8 GB.  The child caps its own
-        # address space 1 GiB above its size after the imports, so without
-        # the guard the axis fails fast with MemoryError and no JSON record.
+        # Each child caps its own address space 1 GiB above its size after
+        # the imports, so without the guard the allocation fails fast with
+        # MemoryError and no JSON record.
         if not Path("/proc/self/status").exists():
             pytest.skip("reads the address-space size from /proc/self/status")
-        path = tmp_path / "in.json"
-        problem = {**PROBLEM_4X5, "space_grid": {"start": 0.0, "stop": 1.0, "num": 10**9}}
-        path.write_text(json.dumps({"problem": problem, "terminal_values": [0.0]}))
         script = (
             "import resource, sys, time\n"
             "from tropkern.cli import main\n"
@@ -529,18 +541,21 @@ class TestKernelTableGuard:
             "code = main(['value-function', '--input', sys.argv[1]])\n"
             "print(code, time.perf_counter() - start, file=sys.stderr)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(path)],
-            capture_output=True, text=True, env=module_env("0"), timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, elapsed = proc.stderr.split()
-        assert int(code) == 1
-        assert json.loads(proc.stdout) == {
-            "error": {"kind": "precondition",
-                      "message": "grid num 1000000000 exceeds the guard of 1000000"}
-        }
-        assert float(elapsed) < 1.0
+        path = tmp_path / "in.json"
+        for grids, message in self.GUARDED_GRIDS:
+            problem = {**PROBLEM_4X5, **grids}
+            path.write_text(json.dumps({"problem": problem, "terminal_values": [0.0]}))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                capture_output=True, text=True, env=module_env("0"), timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, elapsed = proc.stderr.split()
+            assert int(code) == 1
+            assert json.loads(proc.stdout) == {
+                "error": {"kind": "precondition", "message": message}
+            }
+            assert float(elapsed) < 1.0
 
 
 class TestOneKernelTable:

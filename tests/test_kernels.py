@@ -146,6 +146,37 @@ class TestGramOn:
         # An (n, n, 3) difference tensor alone would be three outputs.
         assert peak <= 3 * matrix.nbytes
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_lip_and_power_tables_in_row_blocks_match_the_whole_table(self, dim):
+        # 300 x 250 pairs fill two row blocks; each entry is the dot product
+        # of its pair, as the (n, m, d) difference tensor gives it.
+        rng = np.random.default_rng(30 + dim)
+        xs = rng.integers(-300, 301, (300, dim)) / 10
+        ys = rng.integers(-300, 301, (250, dim)) / 10
+        diff = xs[:, None, :] - ys[None, :, :]
+        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        for params, expected in [
+            ({"alpha": 0.7}, -0.7 * dist),
+            ({"p": 2}, -(dist ** 2)),
+            ({"p": 0.5}, -(dist ** 0.5)),
+            ({"p": 1.7}, -(dist ** 1.7)),
+        ]:
+            name = "lip" if "alpha" in params else "power_distance"
+            got = ClosedFormKernel(name, params).table(xs, ys)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["lip", "power_distance"])
+    def test_lip_and_power_tables_allocate_no_point_pair_axis_tensor(self, name):
+        pts = PointSet.make([tuple(p) for p in np.random.default_rng(4).normal(size=(1000, 3))])
+        tracemalloc.start()
+        try:
+            matrix = gram_on(ClosedFormKernel(name), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The (n, n, 3) difference tensor alone would be three outputs.
+        assert peak <= 2.1 * matrix.nbytes
+
     def test_gram_kernel_copies_the_callers_matrix(self):
         matrix = BIPARTITE_5.copy()
         gram = GramKernel(PointSet.make(range(5)), matrix)

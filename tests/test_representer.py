@@ -23,8 +23,10 @@ from tropkern.representer import (
     SampleSet,
     _assignments,
     _closure,
+    _closures,
     _drop_two_cycles,
     _greatest_below,
+    _l1_bounds,
     build_f0,
     feasible_witnesses,
     reconstruct_stopping_cost,
@@ -489,6 +491,62 @@ class TestDifferenceConstraints:
         assert cycle is None
         assert np.isfinite(_greatest_below(closure, np.zeros(4))).all()
 
+    def test_a_tied_path_keeps_the_gap_and_its_sign(self):
+        # Gaps 0.0 and -0.0 are equal: a path whose sum ties the direct gap
+        # does not replace it, so its sign of zero stays.
+        stack = np.full((2, 3, 3), NEG_INF)
+        stack[:, np.arange(3), np.arange(3)] = 0.0
+        stack[0, 0, 1] = stack[0, 1, 2] = -0.0
+        stack[0, 0, 2] = 0.0
+        stack[1, 0, 1] = stack[1, 1, 2] = 0.0
+        stack[1, 0, 2] = -0.0
+        closures, cycles = _closures(stack)
+        assert cycles == [None, None]
+        assert [math.copysign(1.0, d[0, 2]) for d in closures] == [1.0, -1.0]
+
+    def test_stack_closes_each_member_as_alone(self):
+        # Dyadic and decimal members with -inf entries, members whose only
+        # positive diagonal is the float drift of the test above, and
+        # members with a certified cycle, closed together and each as a
+        # stack of one, bit for bit.
+        rng = np.random.default_rng(57)
+        drift = np.full((4, 4), NEG_INF)
+        np.fill_diagonal(drift, 0.0)
+        for i, c in enumerate([-1e16, -1.0, -1.0, 1e16 + 2]):
+            drift[i, (i + 1) % 4] = c
+        seen = {"drift": 0, "feasible": 0, "cycle": 0}
+        for trial in range(30):
+            n, count = int(rng.integers(4, 8)), int(rng.integers(2, 12))
+            if trial % 2:
+                stack = rng.integers(-8, 9, (count, n, n)) / 4.0
+            else:
+                stack = rng.integers(-30, 31, (count, n, n)) / 10
+            stack[rng.random(stack.shape) < 0.4] = NEG_INF
+            stack[:, np.arange(n), np.arange(n)] = rng.integers(-3, 4, (count, n)) / 10
+            drifting = rng.choice(count, count // 3, replace=False)
+            for a in drifting:
+                # The drift cycle on 0..3; the other samples reach it but
+                # are not reached from it, and every cycle among them is
+                # negative.
+                stack[a, :4] = NEG_INF
+                stack[a, :4, :4] = drift
+                stack[a, 4:, :4] = rng.choice([NEG_INF, -50.0], (n - 4, 4))
+                stack[a, 4:, 4:] += np.where(np.eye(n - 4), 0.0, -50.0)
+            closures, cycles = _closures(stack)
+            for a in range(count):
+                alone, cycle = _closure(stack[a])
+                assert closures[a].tobytes() == alone.tobytes()
+                assert cycles[a] == cycle
+                if a in drifting:
+                    assert cycle is None
+                    seen["drift"] += 1
+                elif cycle is None:
+                    seen["feasible"] += 1
+                else:
+                    assert exact_weight(stack[a], cycle) > 0
+                    seen["cycle"] += 1
+        assert min(seen.values()) >= 10, seen
+
 
 def exact_weight(sections, cycle):
     """The weight of a cycle of exchange constraints, summed in fractions
@@ -705,8 +763,10 @@ class TestRegress:
 
     def test_search_closes_only_two_cycle_free_assignments(self, monkeypatch):
         # The fixed l1 search input of the regression benchmark: 243
-        # assignments, of which 21 have no positive two-cycle.  Each of those
-        # is closed once, and the winner once more by its fixed-anchor fit.
+        # assignments, of which 21 have no positive two-cycle.  They are
+        # closed as one stack, and the winner once more, as a stack of one,
+        # by its fixed-anchor fit.  The disjoint-pair bound rules out 13 of
+        # the 21, so 8 are fitted, then the winner once more.
         samples = SampleSet(
             PointSet.make([-8.0, -4.0, -1.0, 3.0, 7.0]),
             np.array([-3.0, 8.0, -9.0, -9.0, -6.0]),
@@ -714,17 +774,74 @@ class TestRegress:
         )
         bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
         assert len(two_cycle_free_assignments(bxp)) == 21
-        calls = []
+        stacks, fits = [], []
 
-        def counting_closure(sections):
-            calls.append(sections)
-            return _closure(sections)
+        def counting_closures(stack):
+            stacks.append(len(stack))
+            return _closures(stack)
 
-        monkeypatch.setattr(representer, "_closure", counting_closure)
+        def counting_fit(closure, ybar):
+            fits.append(len(ybar))
+            return fit_l1(closure, ybar)
+
+        fit_l1 = representer._fit_l1
+        monkeypatch.setattr(representer, "_closures", counting_closures)
+        monkeypatch.setattr(representer, "_fit_l1", counting_fit)
         result = regress(samples, CONV, loss="l1")
-        assert len(calls) == 21 + 1
+        assert stacks == [21, 1]
+        assert len(fits) - 1 <= 21
+        assert len(fits) == 8 + 1
         assert result.p_indices in two_cycle_free_assignments(bxp)
         assert result.loss_value == unpruned_search(samples, CONV, "l1").loss_value
+
+    @pytest.mark.parametrize("problem", ["decimal", "integer ties", "scaled by 1e8"])
+    def test_bounded_l1_search_matches_unpruned_enumeration(self, problem):
+        # The search fits only the assignments its bound cannot rule out; it
+        # picks what fitting all of them picks, ties included, at any scale.
+        # Two of the scaled problems (seed 24) lose a tie to a margin of a
+        # fixed 1e-9 that does not grow with the data.
+        rng = np.random.default_rng({"decimal": 0, "integer ties": 1, "scaled by 1e8": 24}[problem])
+        for _ in range(25):
+            n, k = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+            if problem == "integer ties":
+                xs = rng.choice(np.arange(-4, 5), n, replace=False).astype(float)
+                ps = rng.choice(np.arange(-2, 3), k, replace=False).astype(float)
+                ys = rng.integers(-2, 3, n).astype(float)
+            else:
+                xs = rng.choice(np.arange(-30, 31), n, replace=False) / 10
+                ps = rng.choice(np.arange(-30, 31), k, replace=False) / 10
+                ys = rng.integers(-30, 31, n) / 10
+            if problem == "scaled by 1e8":
+                xs, ys = xs * 1e8, ys * 1e8
+            samples = SampleSet(PointSet.make(np.sort(xs)), ys, PointSet.make(np.sort(ps)))
+            expected = unpruned_search(samples, CONV, "l1")
+            got = regress(samples, CONV, loss="l1")
+            assert got.loss_value == expected.loss_value
+            assert np.array_equal(got.y_star, expected.y_star)
+            assert got.p_star == expected.p_star
+            assert got.p_indices == expected.p_indices
+            assert got.interpolant.offsets == expected.interpolant.offsets
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_l1_bounds_stay_below_the_lp_optimum(self, dim):
+        rng = np.random.default_rng(61 + dim)
+        positive = 0
+        for _ in range(40):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            xs = _grid_points(rng, n, dim, 0.1, -30, 31)
+            ps = _grid_points(rng, k, dim, 0.1, -30, 31)
+            ys = rng.integers(-30, 31, n) / 10
+            bxp = gram_on(CONV, xs, ps)
+            idx = rng.integers(0, k, n)
+            closure, cycle = _closure(bxp[:, idx])
+            if cycle is not None:
+                continue
+            bound = _l1_bounds(closure[None], ys)[0]
+            feasible, lp_loss, _ = lp_regression(anchor_gaps(bxp, idx), ys, "l1")
+            assert feasible
+            assert bound <= lp_loss + 1e-9
+            positive += bound > 0
+        assert positive >= 10
 
     def test_search_sup_norm_at_scale_is_lp_optimal(self):
         # 200 samples and 200 candidates, far beyond any enumeration.
