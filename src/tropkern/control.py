@@ -47,6 +47,7 @@ from .core import (
     NEG_INF,
     PAIR_GUARD,
     POS_INF,
+    _TERM_BLOCK,
     GridFunction,
     Point,
     PointSet,
@@ -180,7 +181,8 @@ def lax_hopf_table(
     For a convex state-independent running cost, the optimal trajectory is a
     straight line and the kernel value is -|t1 - t0| * L((r1-r0)/(t1-t0));
     0 when the points coincide; -inf between distinct simultaneous points,
-    where L is never consulted.
+    where L is never consulted.  Filled in row blocks whose pair by
+    coordinate temporaries hold at most ``_TERM_BLOCK`` entries (or one row).
 
     Raises:
         PreconditionError: If the running cost is not certified convex.
@@ -189,12 +191,15 @@ def lax_hopf_table(
         raise PreconditionError("closed form requires a convex running cost")
     if xs.shape[1] != ys.shape[1] or xs.shape[1] < 2:
         raise ValueError("spacetime points need a time plus space coordinates")
-    x0, x1 = xs[:, None, :], ys[None, :, :]
-    tau = x1[..., 0] - x0[..., 0]
-    out = np.where((x0[..., 1:] == x1[..., 1:]).all(axis=2), 0.0, NEG_INF)
-    moving = x0[..., 0] != x1[..., 0]
-    velocity = (x1 - x0)[..., 1:][moving] / tau[moving][:, None]
-    out[moving] = -np.abs(tau[moving]) * lagrangian.on_velocities(velocity)
+    out = np.empty((len(xs), len(ys)))
+    rows = max(1, _TERM_BLOCK // max(len(ys) * xs.shape[1], 1))
+    for i in range(0, len(xs), rows):
+        x0, x1, block = xs[i : i + rows, None, :], ys[None, :, :], out[i : i + rows]
+        tau = x1[..., 0] - x0[..., 0]
+        block[...] = np.where((x0[..., 1:] == x1[..., 1:]).all(axis=2), 0.0, NEG_INF)
+        moving = x0[..., 0] != x1[..., 0]
+        velocity = (x1 - x0)[..., 1:][moving] / tau[moving][:, None]
+        block[moving] = -np.abs(tau[moving]) * lagrangian.on_velocities(velocity)
     return out
 
 
@@ -494,17 +499,18 @@ def lift_terminal(problem: MaupertuisProblem, psi_T: GridFunction) -> GridFuncti
 
 
 def _sweep(
-    problem: MaupertuisProblem, costs: np.ndarray, g: np.ndarray, sign: int
+    problem: MaupertuisProblem, costs: np.ndarray, h: np.ndarray, sign: int
 ) -> np.ndarray:
-    """Min-plus sweep of ``g`` (shape (n_time, *space_shape)) along time.
+    """Min-plus sweep of the float array ``h`` (shape (n_time, *space_shape))
+    along time, in place.
 
     h_i = min(g_i, step(h_{i+sign})) with one ``_stepper`` in direction
-    ``sign``, starting from the last slice for sign = +1 (backward: h_i is
-    the least of g_j plus the path cost from (t_i, r) to (t_j, s), j >= i)
-    and from the first slice for sign = -1 (forward: the same over paths
-    from (t_j, s) to (t_i, r), j <= i).  Returns a new array.
+    ``sign``, g the array as given, starting from the last slice for
+    sign = +1 (backward: h_i is the least of g_j plus the path cost from
+    (t_i, r) to (t_j, s), j >= i) and from the first slice for sign = -1
+    (forward: the same over paths from (t_j, s) to (t_i, r), j <= i).
+    Returns ``h``; a caller that keeps g passes a copy.
     """
-    h = np.array(g, dtype=float)
     step, stepped = _stepper(problem, costs, sign), np.empty(problem.space_shape)
     for i in range(len(h) - 2, -1, -1) if sign > 0 else range(1, len(h)):
         np.minimum(h[i], step(h[i + sign], stepped), out=h[i])
@@ -515,11 +521,18 @@ def _conjugate(problem: MaupertuisProblem, costs: np.ndarray, g: np.ndarray) -> 
     """Sesquilinear conjugate of ``g`` under the symmetric least-action kernel.
 
     max_y b(x, y) - g(y) with b(x, y) = -(least path cost between x and y)
-    in either time order is -min(backward sweep, forward sweep) of g.
+    in either time order is -min(backward sweep, forward sweep) of g,
+    written into ``g`` (a caller that keeps g passes a copy).
     """
-    out = _sweep(problem, costs, g, 1)
-    np.minimum(out, _sweep(problem, costs, g, -1), out=out)
+    backward = _sweep(problem, costs, g.copy(), 1)
+    out = np.minimum(backward, _sweep(problem, costs, g, -1), out=g)
     return np.negative(out, out=out)
+
+
+def _close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """``ext_close(a, b, tol).all()``, one time slice at a time, so that no
+    spacetime-sized temporary is made."""
+    return all(ext_close(x, y, tol).all() for x, y in zip(a, b))
 
 
 def largest_subsolution_check(
@@ -544,11 +557,12 @@ def largest_subsolution_check(
     No kernel is built: the conjugate under B is -min of a backward and a
     forward stencil sweep, and the causal kernel's linear map of
     f is -(backward sweep of -f), so the check costs O(nt * ns * |S|) time
-    and a few spacetime-sized arrays.  Conditions 2 and 3 reduce to sweep
-    identities: the forward sweep of the lifted terminal cost is the lifted
-    cost itself, and both backward sweeps are the recursion of
-    ``value_function``.  The dense composition over ``maupertuis_dp``,
-    ``conj_sesqui`` and ``apply_linear`` survives as the test oracle.
+    and holds at most three spacetime-sized arrays.  Conditions 2 and 3
+    reduce to sweep identities, and share one backward sweep of the lifted
+    terminal cost: the forward sweep of the lifted cost is the lifted cost
+    itself, and the backward sweep is the recursion of ``value_function``.
+    The dense composition over ``maupertuis_dp``, ``conj_sesqui`` and
+    ``apply_linear`` survives as the test oracle.
 
     Returns True iff all three hold.
 
@@ -561,14 +575,20 @@ def largest_subsolution_check(
     shape = (problem.n_time, *problem.space_shape)
     neg_v = -value_function(problem, psi_T).values.reshape(shape)
 
-    bicon = _conjugate(problem, costs, _conjugate(problem, costs, neg_v))
-    if not ext_close(bicon, neg_v, tol).all():
+    bicon = _conjugate(problem, costs, _conjugate(problem, costs, neg_v.copy()))
+    if not _close(bicon, neg_v, tol):
         return False
     del bicon
 
-    lifted = lift_terminal(problem, psi_T).values.reshape(shape)
-    if not ext_close(_conjugate(problem, costs, lifted), neg_v, tol).all():
+    # The lifted terminal cost, its backward sweep, and in its place the
+    # forward sweep and then its conjugate -min(backward, forward).
+    lifted = np.full(shape, POS_INF)
+    lifted[-1] = psi_T.values.reshape(problem.space_shape)
+    backward = _sweep(problem, costs, lifted.copy(), 1)
+    conj = np.minimum(backward, _sweep(problem, costs, lifted, -1), out=lifted)
+    if not _close(np.negative(conj, out=conj), neg_v, tol):
         return False
+    del lifted, conj
 
     step = _stepper(problem, costs, 1)
     least = np.zeros(problem.space_shape)  # least cost of k-step paths from r
@@ -579,8 +599,7 @@ def largest_subsolution_check(
 
     # The -inf-floored generator is -lifted, so its causal image is
     # -(backward sweep of lifted).
-    attained = np.negative(_sweep(problem, costs, lifted, 1))
-    return bool(ext_close(attained, neg_v, tol).all())
+    return _close(np.negative(backward, out=backward), neg_v, tol)
 
 
 def space_slice_kernel(

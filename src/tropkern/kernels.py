@@ -155,7 +155,11 @@ class ClosedFormKernel:
         if self.name == "conv":
             return xs @ ys.T
         if self.name == "dirac":
-            return np.where((xs[:, None, :] == ys[None, :, :]).all(axis=2), 0.0, NEG_INF)
+            # One coordinate at a time, as sconv adds, so no (n, m, d) tensor.
+            same = np.ones((len(xs), len(ys)), dtype=bool)
+            for k in range(xs.shape[1]):
+                same &= np.equal.outer(xs[:, k], ys[:, k])
+            return np.where(same, 0.0, NEG_INF)
         if self.name == "lax_hopf":
             from .control import lax_hopf_table
 

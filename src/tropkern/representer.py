@@ -29,9 +29,11 @@ sup-norm fit in closed form, the l1 fit as the potentials of a min-cost
 flow on the dual.  Over all anchors, the targets some assignment
 reproduces form the column span itself, so the best sup-norm fit is the
 Chebyshev distance to it, read from the same principal solution.  An l1
-anchor search enumerates assignments, drops those with a positive two-cycle,
-closes the rest as one stack and fits those that a disjoint-pair bound on
-the loss does not rule out, with the result that fitting them all gives.
+anchor search builds the assignments one sample at a time, drops each with
+a positive two-cycle as soon as both its samples are fixed, closes the rest
+as one stack and fits those that a disjoint-pair bound on the loss does not
+rule out, with the result that fitting them all gives; when more than a
+budget of them would be built, it takes the sup-norm search's anchors.
 """
 
 from __future__ import annotations
@@ -498,8 +500,8 @@ class RegressionResult:
         exact: True for a sup_norm fit, whose loss is the closed-form
             optimum: over the fixed anchors, or in a search over all
             candidate anchors.  False for an l1 fit, although the fit is
-            optimal for its anchors (a min-cost flow) and, within
-            SEARCH_ENUMERATION_BUDGET assignments, over all of them.
+            optimal for its anchors (a min-cost flow) and, in a search whose
+            assignments fit SEARCH_ENUMERATION_BUDGET, over all of them.
     """
 
     y_star: np.ndarray
@@ -531,10 +533,11 @@ def regress(
     eps* = 1/2 max_k (ybar_k - z_k), optimal over all anchors; its anchors
     attain z, a tie going to the least exchange-gap mass.  The l1 search
     keeps the best assignment without a positive two-cycle (a tie within
-    1e-12 to the least constraining), when there are at most
-    SEARCH_ENUMERATION_BUDGET, closed as one stack and fitted where a
-    disjoint-pair bound on the loss cannot rule them out (the same result as
-    fitting each); beyond it, it fits the projection's anchors.
+    1e-12 to the least constraining).  It builds them one sample at a time,
+    extending at most SEARCH_ENUMERATION_BUDGET rows at each step, closes
+    them as one stack and fits those that a disjoint-pair bound on the loss
+    cannot rule out (the same result as fitting each); a search that would
+    extend more fits the projection's anchors.
 
     Raises InfeasibleConstraintsError when fixed anchors admit no fit (with
     a positive cycle) or no candidate can serve a sample (with its index).
@@ -554,13 +557,8 @@ def regress(
 
 
 def _regress_fixed(
-    samples: SampleSet,
-    kernel: KernelRep,
-    loss: str,
-    anchors: np.ndarray,
-    anchor_indices: tuple[int, ...] | None,
-    sections: np.ndarray,
-    tol: float,
+    samples: SampleSet, kernel: KernelRep, loss: str, anchors: np.ndarray,
+    anchor_indices: tuple[int, ...] | None, sections: np.ndarray, tol: float,
 ) -> RegressionResult:
     """The fit for the (n, d) array of anchors, from their sections[k, m] =
     b(x_k, p_m) at the samples."""
@@ -570,55 +568,58 @@ def _regress_fixed(
         )
     closure, cycle = _closure(sections)
     if cycle is not None:
-        raise InfeasibleConstraintsError(
-            "exchange constraints admit no solution", cycle=cycle
-        )
-    fitted, loss_value = _fit(closure, samples.ys, loss)
+        raise InfeasibleConstraintsError("exchange constraints admit no solution", cycle=cycle)
+    return _result(samples, kernel, loss, anchors, anchor_indices, sections,
+                   *_fit(closure, samples.ys, loss), tol)
+
+
+def _result(
+    samples: SampleSet, kernel: KernelRep, loss: str, anchors: np.ndarray,
+    anchor_indices: tuple[int, ...] | None, sections: np.ndarray,
+    fitted: np.ndarray, loss_value: float, tol: float,
+) -> RegressionResult:
+    """The result of the ``fitted`` targets at the (n, d) array of anchors,
+    with the interpolant through them built on their sections."""
     fitted_samples = SampleSet(samples.xs, fitted, samples.dual_candidates)
     p_star = tuple(map(tuple, anchors.tolist()))
     interp = _interpolant(fitted_samples, p_star, anchors, kernel, sections, max(tol, 1e-6))
-    return RegressionResult(
-        fitted, p_star, anchor_indices, loss_value, interp,
-        exact=(loss == "sup_norm"),
-    )
+    return RegressionResult(fitted, p_star, anchor_indices, loss_value, interp,
+                            exact=(loss == "sup_norm"))
 
 
 SEARCH_ENUMERATION_BUDGET = 20_000
-"""An l1 anchor search enumerates the assignments when there are at most
-this many; beyond it the l1 fit takes the sup-norm projection's anchors."""
+"""An l1 anchor search, adding one sample's usable anchors at a time, builds
+at most this many assignments at each step, so it closes and fits at most
+this many; a search that would build more takes the projection's anchors."""
 
 
-def _assignments(usable: list[np.ndarray]) -> np.ndarray:
-    """Every anchor assignment, one row of candidate indices per assignment,
-    in ``itertools.product(*usable)`` order."""
-    sizes = [len(u) for u in usable]
-    return np.stack([
-        np.tile(np.repeat(u, math.prod(sizes[m + 1:])), math.prod(sizes[:m]))
-        for m, u in enumerate(usable)
-    ], axis=1)
+def _two_cycle_free(bxp: np.ndarray) -> np.ndarray | None:
+    """The assignments of usable anchors (b(x_m, p_m) finite) without a
+    positive two-cycle, one row of candidate indices each, in
+    ``itertools.product`` order, from bxp[k, p] = b(x_k, p); None if a step
+    would build more than SEARCH_ENUMERATION_BUDGET rows.
 
-
-def _drop_two_cycles(bxp: np.ndarray, assignments: np.ndarray) -> np.ndarray:
-    """The assignments without a positive two-cycle: for k < m, the weight
-    w = b(x_k, p_m) - b(x_m, p_m) + b(x_m, p_k) - b(x_k, p_k) may not
-    exceed 0.
-
-    Every anchor is usable (b(x_m, p_m) finite).  w is taken as t(p_m) -
-    t(p_k) of the rounded t(p) = b(x_k, p) - b(x_m, p), and every drop is
-    exact: w > 0 means t(p_m) > t(p_k), and rounding is monotone, so the
-    exact differences are in the same order and the exact w is positive.
-    The closure, whose gaps are these t, rejects every assignment dropped.
+    Sample m's usable anchors extend each row, which is dropped if some
+    k < m has w = b(x_k, p_m) - b(x_m, p_m) + b(x_m, p_k) - b(x_k, p_k)
+    above 0.  w is taken as t(p_m) - t(p_k) of the rounded t(p) = b(x_k, p)
+    - b(x_m, p), and every drop is exact: w > 0 means t(p_m) > t(p_k), and
+    rounding is monotone, so the exact differences are in the same order
+    and the exact w is positive.  The closure, whose gaps are these t,
+    rejects every assignment dropped.
     """
-    keep = assignments
-    for k in range(len(bxp) - 1):
-        # t[i, p] = b(x_k, p) - b(x_{k+1+i}, p); NaN (both -inf) is never
-        # read, and -t is the gap of sample k+1+i against an anchor of k.
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for m in range(len(bxp)):
+        usable = np.flatnonzero(bxp[m] > NEG_INF)
+        if len(rows) * len(usable) > SEARCH_ENUMERATION_BUDGET:
+            return None
+        rows = np.column_stack([np.repeat(rows, len(usable), axis=0), np.tile(usable, len(rows))])
+        # t[k, p] = b(x_k, p) - b(x_m, p); NaN (both -inf) is never read,
+        # and -t is the gap of sample m against an anchor of k.
         with np.errstate(invalid="ignore"):
-            t = bxp[k] - bxp[k + 1:]
-        rows = np.arange(len(t))
-        w = t[rows, keep[:, k + 1:]] - t[rows, keep[:, k, None]]
-        keep = keep[~(w > 0).any(axis=1)]
-    return keep
+            t = bxp[:m] - bxp[m]
+        w = t[np.arange(m), rows[:, m, None]] - t[np.arange(m), rows[:, :m]]
+        rows = rows[~(w > 0).any(axis=1)]
+    return rows
 
 
 def _l1_bounds(closures: np.ndarray, ybar: np.ndarray) -> np.ndarray:
@@ -637,17 +638,19 @@ def _l1_bounds(closures: np.ndarray, ybar: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def _enumerate_l1(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The anchors of the least l1 fit over every assignment of usable
-    anchors (each sample has one), from bxp[k, p] = b(x_k, p).  Those without
-    a positive two-cycle are closed in stacks of at most ``_TERM_BLOCK``
-    entries; one whose ``_l1_bounds`` exceeds the best loss so far by more
-    than a fit's rounding at the data's magnitude would lose, tie included,
-    and is not fitted."""
+def _enumerate_l1(
+    bxp: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """The least l1 fit over the ``_two_cycle_free`` assignments, from
+    bxp[k, p] = b(x_k, p): its anchor indices, sections, fitted targets and
+    loss, or None if there are too many to build.  They are closed in stacks
+    of at most ``_TERM_BLOCK`` entries; one whose ``_l1_bounds`` exceeds the
+    best loss so far by more than a fit's rounding at the data's magnitude
+    would lose, tie included, and is not fitted."""
     n = len(y)
-    usable = [np.flatnonzero(row > NEG_INF) for row in bxp]
-    kept = _drop_two_cycles(bxp, _assignments(usable))
-    best: np.ndarray | None = None
+    if (kept := _two_cycle_free(bxp)) is None:
+        return None
+    best: tuple[np.ndarray, np.ndarray] | None = None
     best_loss = best_mass = POS_INF
     size = max(1, _TERM_BLOCK // (n * n))
     for chunk in (kept[start:start + size] for start in range(0, len(kept), size)):
@@ -659,7 +662,7 @@ def _enumerate_l1(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
         for idx, sections, closure, cycle, bound in zip(chunk, stack, closures, cycles, bounds):
             if cycle is not None or bound > best_loss + margin:
                 continue
-            _, loss_value = _fit(closure, y, "l1")
+            fitted, loss_value = _fit(closure, y, "l1")
             # Exact optima often tie across assignments; a tie goes to the
             # least constraining one, with the smallest total exchange gap
             # sum_{k,m} b(x_k, p_m) - b(x_m, p_m), whatever the order.
@@ -667,10 +670,10 @@ def _enumerate_l1(bxp: np.ndarray, y: np.ndarray) -> np.ndarray:
             if best is None or loss_value < best_loss - 1e-12 or (
                 loss_value <= best_loss + 1e-12 and mass < best_mass
             ):
-                best, best_loss, best_mass = idx, loss_value, mass
+                best, best_loss, best_mass = (idx, fitted), loss_value, mass
     if best is None:
         raise InfeasibleConstraintsError("no anchor assignment is feasible")
-    return best
+    return best[0], bxp[:, best[0]], best[1], best_loss
 
 
 def _regress_search(
@@ -686,21 +689,18 @@ def _regress_search(
         raise InfeasibleConstraintsError(
             "some sample admits no usable anchor", blocking_index=int(blocked[0])
         )
-    if loss == "l1" and len(candidates) ** len(samples) <= SEARCH_ENUMERATION_BUDGET:
-        chosen = _enumerate_l1(bxp, y)
-    indices = tuple(chosen.tolist())
-    anchors, sections = candidates.as_array()[chosen], bxp[:, chosen]
-    if loss == "l1":
-        return _regress_fixed(samples, kernel, loss, anchors, indices, sections, tol)
-    # z + eps*, as the closure of these anchors gives it, but never meeting a
-    # positive cycle that only the rounding of their gaps makes.
-    z = y + shortfall
-    fitted = z + 0.5 * float((y - z).max())
-    p_star = tuple(map(tuple, anchors.tolist()))
-    interp = _interpolant(SampleSet(samples.xs, fitted, candidates), p_star, anchors,
-                          kernel, sections, max(tol, 1e-6))
-    loss_value = float(np.abs(fitted - y).max())
-    return RegressionResult(fitted, p_star, indices, loss_value, interp, exact=True)
+    if loss == "sup_norm":
+        # z + eps*, as the closure of these anchors gives it, but never
+        # meeting a positive cycle that only the rounding of their gaps makes.
+        z = y + shortfall
+        fitted = z + 0.5 * float((y - z).max())
+        best = chosen, bxp[:, chosen], fitted, float(np.abs(fitted - y).max())
+    elif (best := _enumerate_l1(bxp, y)) is None:  # beyond the budget
+        return _regress_fixed(samples, kernel, loss, candidates.as_array()[chosen],
+                              tuple(chosen.tolist()), bxp[:, chosen], tol)
+    chosen, *fit = best
+    return _result(samples, kernel, loss, candidates.as_array()[chosen],
+                   tuple(chosen.tolist()), *fit, tol)
 
 
 @dataclass(frozen=True)

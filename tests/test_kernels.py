@@ -146,6 +146,26 @@ class TestGramOn:
         # An (n, n, 3) difference tensor alone would be three outputs.
         assert peak <= 3 * matrix.nbytes
 
+    def test_dirac_table_compares_one_coordinate_at_a_time(self):
+        # Coincident rows, some with 0.0 against -0.0, and rows that differ
+        # in one of 20 coordinates only.
+        rng = np.random.default_rng(12)
+        xs = rng.integers(-1, 2, (60, 20)) * rng.choice([1.0, -0.0], (60, 20))
+        ys = np.concatenate([np.where(xs[:20] == 0, 0.0, xs[:20]), xs[20:40], rng.normal(size=(10, 20))])
+        ys[30:40, 19] += 1.0
+        expected = np.where((xs[:, None, :] == ys[None, :, :]).all(axis=2), 0.0, NEG_INF)
+        assert (expected == 0.0).sum() >= 20
+        assert np.array_equal(ClosedFormKernel("dirac").table(xs, ys), expected)
+        big = rng.integers(0, 2, (2, 1000, 20)).astype(float)
+        tracemalloc.start()
+        try:
+            table = ClosedFormKernel("dirac").table(*big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An (n, m, 20) bool tensor alone would be 2.5 tables.
+        assert peak <= 1.5 * table.nbytes
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_lip_and_power_tables_in_row_blocks_match_the_whole_table(self, dim):
         # 300 x 250 pairs fill two row blocks; each entry is the dot product

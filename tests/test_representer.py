@@ -21,12 +21,11 @@ from tropkern.representer import (
     CanonicalInterpolant,
     InfeasibleConstraintsError,
     SampleSet,
-    _assignments,
     _closure,
     _closures,
-    _drop_two_cycles,
     _greatest_below,
     _l1_bounds,
+    _two_cycle_free,
     build_f0,
     feasible_witnesses,
     reconstruct_stopping_cost,
@@ -560,8 +559,9 @@ class TestExactCycles:
     from the float kernel values, is positive."""
 
     def test_reported_cycles_are_positive_on_decimal_conv(self):
-        # 8 samples x 4 candidates, one decimal place: beyond the l1 search
-        # budget, so the search fits the sup-norm projection's anchors.
+        # 8 samples x 4 candidates, one decimal place: of the 4^8
+        # assignments, the l1 search keeps the 165 monotone ones and fits
+        # those its bound does not rule out.
         rng = np.random.default_rng(19)
         raised = 0
         for trial in range(200):
@@ -589,13 +589,40 @@ class TestExactCycles:
         dropped = 0
         for _ in range(100):
             bxp = rng.choice([0.0, 2.0**52], size=(4, 3)) + rng.integers(-20, 21, (4, 3)) / 10
-            every = _assignments([np.arange(3)] * 4)
-            kept = set(map(tuple, _drop_two_cycles(bxp, every).tolist()))
-            for idx in set(map(tuple, every.tolist())) - kept:
+            kept = set(map(tuple, _two_cycle_free(bxp).tolist()))
+            for idx in set(itertools.product(range(3), repeat=4)) - kept:
                 dropped += 1
                 assert any(exact_weight(bxp[:, list(idx)], [k, m]) > 0
                            for k in range(4) for m in range(k + 1, 4))
         assert dropped > 1000
+
+    def test_two_cycle_free_rows_match_the_oracle(self):
+        # Integer, one-decimal and near-2^52 tables with -inf entries: the
+        # same rows in the same (product) order as the exact oracle.
+        rng = np.random.default_rng(21)
+        kept = 0
+        for trial in range(150):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            bxp = [rng.integers(-5, 6, (n, k)).astype(float),
+                   rng.integers(-50, 51, (n, k)) / 10,
+                   rng.choice([0.0, 2.0**52], (n, k)) + rng.integers(-20, 21, (n, k)) / 10,
+                   ][trial % 3]
+            bxp[rng.random((n, k)) < 0.2] = NEG_INF
+            rows = _two_cycle_free(bxp)
+            assert rows.shape[1] == n
+            assert list(map(tuple, rows.tolist())) == two_cycle_free_assignments(bxp)
+            kept += len(rows)
+        assert kept > 500
+
+    def test_two_cycle_free_stops_before_the_budget(self, monkeypatch):
+        # The third sample's 3 anchors would extend the 6 rows kept of 9,
+        # 18 in all: a budget of 17 stops the pass and one of 18 does not.
+        bxp = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 4.0], [0.0, 3.0, 6.0]])
+        assert len(_two_cycle_free(bxp[:2])) == 6
+        monkeypatch.setattr(representer, "SEARCH_ENUMERATION_BUDGET", 17)
+        assert _two_cycle_free(bxp) is None
+        monkeypatch.setattr(representer, "SEARCH_ENUMERATION_BUDGET", 18)
+        assert len(_two_cycle_free(bxp)) == 10
 
 
 class TestRegress:
@@ -764,9 +791,9 @@ class TestRegress:
     def test_search_closes_only_two_cycle_free_assignments(self, monkeypatch):
         # The fixed l1 search input of the regression benchmark: 243
         # assignments, of which 21 have no positive two-cycle.  They are
-        # closed as one stack, and the winner once more, as a stack of one,
-        # by its fixed-anchor fit.  The disjoint-pair bound rules out 13 of
-        # the 21, so 8 are fitted, then the winner once more.
+        # closed as one stack, and the disjoint-pair bound rules out 13 of
+        # the 21, so 8 are fitted; the winner is neither closed nor fitted
+        # again.
         samples = SampleSet(
             PointSet.make([-8.0, -4.0, -1.0, 3.0, 7.0]),
             np.array([-3.0, 8.0, -9.0, -9.0, -6.0]),
@@ -788,9 +815,8 @@ class TestRegress:
         monkeypatch.setattr(representer, "_closures", counting_closures)
         monkeypatch.setattr(representer, "_fit_l1", counting_fit)
         result = regress(samples, CONV, loss="l1")
-        assert stacks == [21, 1]
-        assert len(fits) - 1 <= 21
-        assert len(fits) == 8 + 1
+        assert stacks == [21]
+        assert len(fits) == 8
         assert result.p_indices in two_cycle_free_assignments(bxp)
         assert result.loss_value == unpruned_search(samples, CONV, "l1").loss_value
 
@@ -875,8 +901,9 @@ class TestRegress:
         assert fitted == pytest.approx(result.y_star, abs=1e-12)
 
     def test_search_beyond_budget_fits_every_usable_instance(self):
-        # 4 ** 9 assignments exceed the enumeration budget, and every sample
-        # has a usable anchor, so both losses return a fit.
+        # 4 ** 9 assignments exceed the enumeration budget, but the l1
+        # search keeps only the 220 without a positive two-cycle; every
+        # sample has a usable anchor, so both losses return a fit.
         rng = np.random.default_rng(0)
         xs = np.sort(rng.choice(np.arange(-20, 21), 9, replace=False)) * 0.5
         cands = np.sort(rng.choice(np.arange(-8, 9), 4, replace=False)) * 0.5
@@ -891,6 +918,45 @@ class TestRegress:
                 anchor_gaps(bxp, result.p_indices), samples.ys, loss
             )
             assert feasible and result.loss_value == pytest.approx(lp_loss, abs=1e-6)
+
+    def test_l1_search_past_the_product_budget_is_lp_optimal(self):
+        # 9 sorted one-decimal sites and 4 sorted slopes of conv: 4^9
+        # assignments, of which an assignment whose slopes decrease has a
+        # two-cycle of weight (x_k - x_m)(p_m - p_k) > 0.  The least LP loss
+        # over the C(12, 3) = 220 monotone ones is the optimum over all.
+        rng = np.random.default_rng(23)
+        assert 4 ** 9 > representer.SEARCH_ENUMERATION_BUDGET
+        better = 0
+        for _ in range(3):
+            xs = np.sort(rng.choice(np.arange(-30, 31), 9, replace=False)) / 10
+            ps = np.sort(rng.choice(np.arange(-30, 31), 4, replace=False)) / 10
+            samples = SampleSet(PointSet.make(xs), rng.integers(-30, 31, 9) / 10,
+                                PointSet.make(ps))
+            bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
+            optimum = POS_INF
+            for idx in itertools.combinations_with_replacement(range(4), 9):
+                feasible, lp_loss, _ = lp_regression(anchor_gaps(bxp, idx), samples.ys, "l1")
+                if feasible:
+                    optimum = min(optimum, lp_loss)
+            result = regress(samples, CONV, loss="l1")
+            assert result.loss_value == pytest.approx(optimum, abs=1e-6)
+            projection = regress(samples, CONV, loss="sup_norm").p_star
+            fallback = regress(samples, CONV, loss="l1", fixed_p=projection).loss_value
+            assert result.loss_value <= fallback
+            better += result.loss_value < fallback - 1e-9
+        assert better >= 1
+
+    def test_l1_search_past_the_budget_takes_the_projection_anchors(self):
+        # 2-D one-decimal conv at 12 x 8: the kept assignments outgrow the
+        # budget, so the l1 search fits the sup-norm search's anchors.
+        rng = np.random.default_rng(24)
+        samples = SampleSet(_grid_points(rng, 12, 2, 0.1, -30, 31),
+                            rng.integers(-30, 31, 12) / 10, _grid_points(rng, 8, 2, 0.1, -30, 31))
+        bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
+        assert _two_cycle_free(bxp) is None
+        result = regress(samples, CONV, loss="l1")
+        assert result.p_indices == regress(samples, CONV, loss="sup_norm").p_indices
+        assert not result.exact
 
 
 class TestEquivalenceInvariant:
