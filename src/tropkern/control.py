@@ -558,16 +558,18 @@ def largest_subsolution_check(
     forward stencil sweep, and the causal kernel's linear map of
     f is -(backward sweep of -f), so the check costs O(nt * ns * |S|) time
     and holds at most three spacetime-sized arrays.  Conditions 2 and 3
-    reduce to sweep identities, and share one backward sweep of the lifted
-    terminal cost: the forward sweep of the lifted cost is the lifted cost
-    itself, and the backward sweep is the recursion of ``value_function``.
-    The dense composition over ``maupertuis_dp``, ``conj_sesqui`` and
+    reduce to one identity, -(backward sweep of the lifted terminal cost)
+    = -V: the forward sweep of the lifted cost (+inf off the final slice,
+    finite stencil costs) is the lifted cost itself, which the backward
+    sweep never exceeds, so the conjugate is -(backward sweep), and that is
+    also the causal image of the -inf-floored generator.  The dense
+    composition over ``maupertuis_dp``, ``conj_sesqui`` and
     ``apply_linear`` survives as the test oracle.
 
     Returns True iff all three hold.
 
     Raises:
-        PreconditionError: After conditions 1 and 2 hold, if some path of
+        PreconditionError: After all three hold, if some path of
             1 .. nt-1 steps has negative cost (the causal kernel then has a
             positive entry, which ``asymmetrize`` refuses).
     """
@@ -580,15 +582,12 @@ def largest_subsolution_check(
         return False
     del bicon
 
-    # The lifted terminal cost, its backward sweep, and in its place the
-    # forward sweep and then its conjugate -min(backward, forward).
     lifted = np.full(shape, POS_INF)
     lifted[-1] = psi_T.values.reshape(problem.space_shape)
-    backward = _sweep(problem, costs, lifted.copy(), 1)
-    conj = np.minimum(backward, _sweep(problem, costs, lifted, -1), out=lifted)
-    if not _close(np.negative(conj, out=conj), neg_v, tol):
+    backward = _sweep(problem, costs, lifted, 1)
+    if not _close(np.negative(backward, out=backward), neg_v, tol):
         return False
-    del lifted, conj
+    del lifted, backward
 
     step = _stepper(problem, costs, 1)
     least = np.zeros(problem.space_shape)  # least cost of k-step paths from r
@@ -596,10 +595,7 @@ def largest_subsolution_check(
         step(least, least)
         if (least < 0).any():
             raise PreconditionError("asymmetrize requires nonpositive kernel values")
-
-    # The -inf-floored generator is -lifted, so its causal image is
-    # -(backward sweep of lifted).
-    return _close(np.negative(backward, out=backward), neg_v, tol)
+    return True
 
 
 def space_slice_kernel(

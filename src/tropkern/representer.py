@@ -534,10 +534,11 @@ def regress(
     attain z, a tie going to the least exchange-gap mass.  The l1 search
     keeps the best assignment without a positive two-cycle (a tie within
     1e-12 to the least constraining).  It builds them one sample at a time,
-    extending at most SEARCH_ENUMERATION_BUDGET rows at each step, closes
-    them as one stack and fits those that a disjoint-pair bound on the loss
-    cannot rule out (the same result as fitting each); a search that would
-    extend more fits the projection's anchors.
+    at most SEARCH_ENUMERATION_BUDGET rows at each step (one over n samples
+    with 2 ** n above it), closes them as one stack and fits those that a
+    disjoint-pair bound on the loss cannot rule out (the same result as
+    fitting each); a search that would build more fits the projection's
+    anchors.
 
     Raises InfeasibleConstraintsError when fixed anchors admit no fit (with
     a positive cycle) or no candidate can serve a sample (with its index).
@@ -557,8 +558,13 @@ def regress(
 
 
 def _regress_fixed(
-    samples: SampleSet, kernel: KernelRep, loss: str, anchors: np.ndarray,
-    anchor_indices: tuple[int, ...] | None, sections: np.ndarray, tol: float,
+    samples: SampleSet,
+    kernel: KernelRep,
+    loss: str,
+    anchors: np.ndarray,
+    anchor_indices: tuple[int, ...] | None,
+    sections: np.ndarray,
+    tol: float,
 ) -> RegressionResult:
     """The fit for the (n, d) array of anchors, from their sections[k, m] =
     b(x_k, p_m) at the samples."""
@@ -568,36 +574,53 @@ def _regress_fixed(
         )
     closure, cycle = _closure(sections)
     if cycle is not None:
-        raise InfeasibleConstraintsError("exchange constraints admit no solution", cycle=cycle)
-    return _result(samples, kernel, loss, anchors, anchor_indices, sections,
-                   *_fit(closure, samples.ys, loss), tol)
+        raise InfeasibleConstraintsError(
+            "exchange constraints admit no solution", cycle=cycle
+        )
+    fitted, loss_value = _fit(closure, samples.ys, loss)
+    return _result(
+        samples, kernel, loss, anchors, anchor_indices, sections, fitted, loss_value, tol
+    )
 
 
 def _result(
-    samples: SampleSet, kernel: KernelRep, loss: str, anchors: np.ndarray,
-    anchor_indices: tuple[int, ...] | None, sections: np.ndarray,
-    fitted: np.ndarray, loss_value: float, tol: float,
+    samples: SampleSet,
+    kernel: KernelRep,
+    loss: str,
+    anchors: np.ndarray,
+    anchor_indices: tuple[int, ...] | None,
+    sections: np.ndarray,
+    fitted: np.ndarray,
+    loss_value: float,
+    tol: float,
 ) -> RegressionResult:
     """The result of the ``fitted`` targets at the (n, d) array of anchors,
     with the interpolant through them built on their sections."""
     fitted_samples = SampleSet(samples.xs, fitted, samples.dual_candidates)
     p_star = tuple(map(tuple, anchors.tolist()))
     interp = _interpolant(fitted_samples, p_star, anchors, kernel, sections, max(tol, 1e-6))
-    return RegressionResult(fitted, p_star, anchor_indices, loss_value, interp,
-                            exact=(loss == "sup_norm"))
+    return RegressionResult(
+        fitted, p_star, anchor_indices, loss_value, interp,
+        exact=(loss == "sup_norm"),
+    )
 
 
 SEARCH_ENUMERATION_BUDGET = 20_000
 """An l1 anchor search, adding one sample's usable anchors at a time, builds
 at most this many assignments at each step, so it closes and fits at most
-this many; a search that would build more takes the projection's anchors."""
+this many; over n samples with 2 ** n above this, it builds at most one.
+A search that would build more takes the projection's anchors."""
 
 
 def _two_cycle_free(bxp: np.ndarray) -> np.ndarray | None:
     """The assignments of usable anchors (b(x_m, p_m) finite) without a
     positive two-cycle, one row of candidate indices each, in
     ``itertools.product`` order, from bxp[k, p] = b(x_k, p); None if a step
-    would build more than SEARCH_ENUMERATION_BUDGET rows.
+    would build more than SEARCH_ENUMERATION_BUDGET rows, or more than one
+    of n samples with 2 ** n above it.  A row's closure and fit grow faster
+    than n^3, so no search closes more or longer rows than the product test
+    len(candidates) ** n <= SEARCH_ENUMERATION_BUDGET admitted, and every
+    search that test admitted is built in full.
 
     Sample m's usable anchors extend each row, which is dropped if some
     k < m has w = b(x_k, p_m) - b(x_m, p_m) + b(x_m, p_k) - b(x_k, p_k)
@@ -607,10 +630,11 @@ def _two_cycle_free(bxp: np.ndarray) -> np.ndarray | None:
     and the exact w is positive.  The closure, whose gaps are these t,
     rejects every assignment dropped.
     """
+    budget = SEARCH_ENUMERATION_BUDGET if 2 ** len(bxp) <= SEARCH_ENUMERATION_BUDGET else 1
     rows = np.zeros((1, 0), dtype=np.intp)
     for m in range(len(bxp)):
         usable = np.flatnonzero(bxp[m] > NEG_INF)
-        if len(rows) * len(usable) > SEARCH_ENUMERATION_BUDGET:
+        if len(rows) * len(usable) > budget:
             return None
         rows = np.column_stack([np.repeat(rows, len(usable), axis=0), np.tile(usable, len(rows))])
         # t[k, p] = b(x_k, p) - b(x_m, p); NaN (both -inf) is never read,

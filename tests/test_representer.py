@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -624,6 +625,17 @@ class TestExactCycles:
         monkeypatch.setattr(representer, "SEARCH_ENUMERATION_BUDGET", 18)
         assert len(_two_cycle_free(bxp)) == 10
 
+    def test_two_cycle_free_builds_one_row_past_the_product_test_length(self):
+        # conv on sorted sites and 2 slopes keeps the n + 1 monotone rows.
+        # 2^14 <= 20,000 < 2^15: 14 samples are built in full; over 15 a
+        # row's closure and fit are longer than the product test admitted,
+        # so the pass stops at the first sample with two anchors.
+        xs = PointSet.make(np.arange(15.0))
+        bxp = gram_on(CONV, xs, PointSet.make([-1.0, 1.0]))
+        assert len(_two_cycle_free(bxp[:14])) == 15
+        assert _two_cycle_free(bxp) is None
+        assert _two_cycle_free(bxp[:, :1]).tolist() == [[0] * 15]
+
 
 class TestRegress:
     def test_exact_data_zero_loss(self):
@@ -945,6 +957,27 @@ class TestRegress:
             assert result.loss_value <= fallback
             better += result.loss_value < fallback - 1e-9
         assert better >= 1
+
+    def test_long_two_slope_search_closes_only_the_projection_anchors(self, monkeypatch):
+        # 200 sorted integer sites and 2 slopes of conv: 201 monotone
+        # assignments, each a 200-sample closure and fit, so the search
+        # fits the projection's anchors alone, as the product test did.
+        rng = np.random.default_rng(25)
+        xs = np.sort(rng.choice(np.arange(-1000, 1000), 200, replace=False)) * 1.0
+        samples = SampleSet(PointSet.make(xs), rng.integers(-30, 31, 200) * 1.0,
+                            PointSet.make([-1.0, 1.0]))
+        stacks = []
+
+        def counting_closures(stack):
+            stacks.append(len(stack))
+            return _closures(stack)
+
+        monkeypatch.setattr(representer, "_closures", counting_closures)
+        start = time.perf_counter()
+        result = regress(samples, CONV, loss="l1")
+        assert time.perf_counter() - start < 1.0
+        assert stacks == [1]
+        assert result.p_indices == regress(samples, CONV, loss="sup_norm").p_indices
 
     def test_l1_search_past_the_budget_takes_the_projection_anchors(self):
         # 2-D one-decimal conv at 12 x 8: the kept assignments outgrow the
