@@ -28,9 +28,10 @@ duals = PointSet.make([-1.0, 0.0, 1.0])
 # two supporting lines, max(0, x-1).
 convex = SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), duals)
 wit = feasible_witnesses(convex, conv)
-print("feasible:", wit.feasible, "| anchors:", wit.witnesses)
+# The anchors are one (n, d) array, one row per sample.
+print("feasible:", wit.feasible, "| anchors:", wit.witnesses[:, 0].tolist())
 
-f0 = build_f0(convex, wit.witnesses, conv)
+f0 = build_f0(convex, wit, conv)
 xs = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 print("f0 on", xs, "->", [f0(x) for x in xs])
 print("reproduces every sample:",
@@ -47,6 +48,7 @@ print("\nconcave data feasible:", blocked.feasible,
 # sup-norm fit flattens the bump to its average, at distance 0.5.
 fit = regress(concave, conv, loss="sup_norm")
 print("\nsup-norm fit:", np.round(fit.y_star, 6), "| loss:", fit.loss_value)
+print("its anchors:", fit.p_star[:, 0].tolist(), "| offsets:", fit.interpolant.offsets.tolist())
 print("optimal over all candidate anchors:", fit.exact)
 
 # The l1 fit of each anchor assignment is exact too (a min-cost flow); here

@@ -67,6 +67,7 @@ slice_kernel = space_slice_kernel(problem)
 obs = SampleSet(PointSet.make(list(sample_rs)), ys, slice_kernel.points)
 result = invert_terminal_cost(obs, slice_kernel)
 print("feasible:", result.feasible, "| witness slice indices:", result.witness_indices)
+print("final-slice anchors:", result.witnesses[:, 0].tolist())
 print("reconstructed terminal cost:", list(result.psi_T.values))
 
 regen = value_function(problem, result.psi_T)

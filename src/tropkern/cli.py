@@ -231,16 +231,18 @@ def _flag(data: Mapping, field: str) -> bool:
     return value
 
 
-def _f0_payload(anchors: np.ndarray, interpolant) -> dict:
-    offsets = map(encode_extreal, interpolant.offsets)
-    return {"terms": [list(term) for term in zip(encode_values(anchors), offsets)]}
+def _f0_payload(f0) -> dict:
+    """The (anchor, offset) terms of a canonical interpolant."""
+    return {"terms": [list(term) for term in zip(encode_values(f0.anchors),
+                                                 encode_values(f0.offsets))]}
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: input mapping -> (exit_code, payload, optional grid fn).
+# Subcommand handlers: input mapping -> (payload, optional grid fn); a handler
+# that returns ran (exit 0), and ``run`` maps each error to its exit code.
 # ---------------------------------------------------------------------------
 
-Handler = Callable[[Mapping, RunConfig], tuple[int, dict, GridFunction | None]]
+Handler = Callable[[Mapping, RunConfig], tuple[dict, GridFunction | None]]
 
 
 def _cmd_check_tpsd(data: Mapping, config: RunConfig):
@@ -259,7 +261,7 @@ def _cmd_check_tpsd(data: Mapping, config: RunConfig):
             gram.matrix, m_max=m_max, tol=config.tolerance
         )
         payload["permutation_positive"] = perm.holds
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_factorize(data: Mapping, config: RunConfig):
@@ -270,7 +272,7 @@ def _cmd_factorize(data: Mapping, config: RunConfig):
         "labels": [list(z) for z in feature_map.z_labels],
         "features": feature_map.psi,
     }
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_conjugate(data: Mapping, config: RunConfig):
@@ -285,7 +287,7 @@ def _cmd_conjugate(data: Mapping, config: RunConfig):
         "points": out.domain,
         "values": out.values,
     }
-    return 0, payload, out
+    return payload, out
 
 
 def _cmd_membership(data: Mapping, config: RunConfig):
@@ -298,7 +300,7 @@ def _cmd_membership(data: Mapping, config: RunConfig):
         "gap": verdict.gap.values,
         "biconjugate": verdict.biconjugate.values,
     }
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_funk(data: Mapping, config: RunConfig):
@@ -308,7 +310,7 @@ def _cmd_funk(data: Mapping, config: RunConfig):
         "points": domain,
         "matrix": funk_kernel(op),
     }
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_cg_kernel(data: Mapping, config: RunConfig):
@@ -326,14 +328,14 @@ def _cmd_cg_kernel(data: Mapping, config: RunConfig):
         "matrix": cg,
         "idempotent": is_idempotent(cg, tol=config.tolerance),
     }
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_regularity(data: Mapping, config: RunConfig):
     """The verdicts of ``is_idempotent`` and ``is_von_neumann_regular``, via ``regularity``."""
     kernel, domain = _kernel_domain(data)
     idempotent, regular = regularity(gram_on(kernel, domain), tol=config.tolerance)
-    return 0, {"idempotent": idempotent, "von_neumann_regular": regular}, None
+    return {"idempotent": idempotent, "von_neumann_regular": regular}, None
 
 
 def _cmd_interpolate(data: Mapping, config: RunConfig):
@@ -345,15 +347,14 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
             "no anchor serves a sample", blocking_index=wit.blocking_index
         )
     f0 = build_f0(samples, wit, kernel, tol=config.tolerance)
-    anchors = samples.dual_candidates.as_array()[list(wit.witness_indices)]
     payload = {
         "feasible": True,
-        "witnesses": anchors,
+        "witnesses": wit.witnesses,
         "witness_indices": list(wit.witness_indices),
-        "f0": _f0_payload(anchors, f0),
+        "f0": _f0_payload(f0),
         "values_at_xs": f0.on_grid(samples.xs).values,
     }
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_regress(data: Mapping, config: RunConfig):
@@ -375,16 +376,15 @@ def _cmd_regress(data: Mapping, config: RunConfig):
     elif mode != "search":
         raise _SchemaError("mode", "expected 'search' or {'fixed_p': [...]}")
     result = regress(samples, kernel, loss=loss, fixed_p=fixed_p, tol=config.tolerance)
-    anchors = np.array(result.p_star)
     payload = {
         "feasible": True,
-        "witnesses": anchors,
+        "witnesses": result.p_star,
         "y_star": result.y_star,
         "loss_value": encode_extreal(result.loss_value),
         "exact": result.exact,
-        "f0": _f0_payload(anchors, result.interpolant),
+        "f0": _f0_payload(result.interpolant),
     }
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_maupertuis(data: Mapping, config: RunConfig):
@@ -398,7 +398,7 @@ def _cmd_maupertuis(data: Mapping, config: RunConfig):
         "matrix": gram.matrix,
         "asymmetric": asymmetric,
     }
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_value_function(data: Mapping, config: RunConfig):
@@ -416,7 +416,7 @@ def _cmd_value_function(data: Mapping, config: RunConfig):
         payload["largest_subsolution"] = largest_subsolution_check(
             problem, psi, tol=config.tolerance
         )
-    return 0, payload, v
+    return payload, v
 
 
 def _cmd_invert_stopping_cost(data: Mapping, config: RunConfig):
@@ -432,7 +432,7 @@ def _cmd_invert_stopping_cost(data: Mapping, config: RunConfig):
         "y_star": result.y_star,
         "loss_value": encode_extreal(result.loss_value),
     }
-    return 0, payload, out
+    return payload, out
 
 
 def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
@@ -450,12 +450,12 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
         )
     payload = {
         "feasible": True,
-        "witnesses": np.array(result.witnesses),
+        "witnesses": result.witnesses,
         "witness_indices": list(result.witness_indices),
         "points": result.psi_T.domain,
         "psi_T": result.psi_T.values,
     }
-    return 0, payload, result.psi_T
+    return payload, result.psi_T
 
 
 _HANDLERS: dict[str, Handler] = {
@@ -800,12 +800,12 @@ def _emit(
 
 def run(config: RunConfig) -> int:
     """Execute one configured invocation; returns the process exit status."""
-    grid_fn = None
+    code, grid_fn = 0, None
     try:
         handler = _HANDLERS.get(config.command)
         if handler is None:
             raise _SchemaError("command", f"unknown command {config.command!r}")
-        code, payload, grid_fn = handler(_load(config.input_path), config)
+        payload, grid_fn = handler(_load(config.input_path), config)
     except _SchemaError as exc:
         code = 2
         payload = {"error": {"kind": exc.kind, "field": exc.field, "message": str(exc)}}

@@ -555,21 +555,24 @@ def largest_subsolution_check(
        range element dominates -V.
 
     No kernel is built: the conjugate under B is -min of a backward and a
-    forward stencil sweep, and the causal kernel's linear map of
-    f is -(backward sweep of -f), so the check costs O(nt * ns * |S|) time
-    and holds at most three spacetime-sized arrays.  Conditions 2 and 3
-    reduce to one identity, -(backward sweep of the lifted terminal cost)
-    = -V: the forward sweep of the lifted cost (+inf off the final slice,
-    finite stencil costs) is the lifted cost itself, which the backward
-    sweep never exceeds, so the conjugate is -(backward sweep), and that is
-    also the causal image of the -inf-floored generator.  The dense
-    composition over ``maupertuis_dp``, ``conj_sesqui`` and
-    ``apply_linear`` survives as the test oracle.
+    forward stencil sweep, and the causal kernel's linear map of f is
+    -(backward sweep of -f), so condition 1 costs O(nt * ns * |S|) time and
+    holds at most three spacetime-sized arrays.  Conditions 2 and 3 hold by
+    construction.  Both reduce to -(backward sweep of the lifted terminal
+    cost) = -V: the forward sweep of the lifted cost (+inf off the final
+    slice, finite stencil costs) is the lifted cost itself, which the
+    backward sweep never exceeds, so the conjugate is -(backward sweep),
+    and that is also the causal image of the -inf-floored generator.  That
+    sweep computes h_i = min(+inf, step(h_{i+1})) = step(h_{i+1}) from
+    h_{nt-1} = psi_T with the stepper and costs of ``value_function``, so
+    it is V bit for bit and is not run.  The dense composition over
+    ``maupertuis_dp``, ``conj_sesqui`` and ``apply_linear`` survives as the
+    test oracle.
 
-    Returns True iff all three hold.
+    Returns True iff all three hold, that is iff condition 1 does.
 
     Raises:
-        PreconditionError: After all three hold, if some path of
+        PreconditionError: After condition 1 holds, if some path of
             1 .. nt-1 steps has negative cost (the causal kernel then has a
             positive entry, which ``asymmetrize`` refuses).
     """
@@ -581,13 +584,6 @@ def largest_subsolution_check(
     if not _close(bicon, neg_v, tol):
         return False
     del bicon
-
-    lifted = np.full(shape, POS_INF)
-    lifted[-1] = psi_T.values.reshape(problem.space_shape)
-    backward = _sweep(problem, costs, lifted, 1)
-    if not _close(np.negative(backward, out=backward), neg_v, tol):
-        return False
-    del lifted, backward
 
     step = _stepper(problem, costs, 1)
     least = np.zeros(problem.space_shape)  # least cost of k-step paths from r
@@ -628,16 +624,16 @@ class TerminalCostResult:
 
     Attributes:
         feasible: Whether the samples are consistent with some terminal cost.
-        witnesses: One final-slice anchor point per sample (None if
-            infeasible).
-        witness_indices: Their indices on the space grid.
+        witnesses: The final-slice anchors, one read-only (n, d) row per
+            sample (None if infeasible).
+        witness_indices: Their indices in the candidate set.
         psi_T: The reconstructed terminal cost: b(r_m, p_m) - y_m at each
             witness (least over coinciding witnesses), +inf elsewhere.
         blocking_index: First sample with no valid anchor, when infeasible.
     """
 
     feasible: bool
-    witnesses: tuple[Point, ...] | None
+    witnesses: np.ndarray | None
     witness_indices: tuple[int, ...] | None
     psi_T: GridFunction | None
     blocking_index: int | None

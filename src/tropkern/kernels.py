@@ -193,18 +193,20 @@ KernelRep = GramKernel | ClosedFormKernel
 
 def gram_on(
     kernel: KernelRep,
-    rows: PointSet | None = None,
-    cols: PointSet | None = None,
+    rows: PointSet | np.ndarray | None = None,
+    cols: PointSet | np.ndarray | None = None,
 ) -> np.ndarray:
     """Dense matrix [b(x, y)] for x in ``rows``, y in ``cols``.
 
-    ``cols`` defaults to ``rows``, and ``rows`` to a Gram kernel's own
-    points.  A Gram kernel is read by index, the rows and the columns each
-    mapped to its grid once, and raises KeyError for a point off its grid
-    (on its own grid, it gives a writable copy of its matrix); a closed
-    form is evaluated by its array formula and checked once: it is
-    undefined where the formula gives NaN or +inf, as ``conv`` does at an
-    infinite coordinate.
+    Each of ``rows`` and ``cols`` is a PointSet or an (n, d) float64 array
+    of points as ``point_array`` reads them, repeats allowed.  ``cols``
+    defaults to ``rows``, and ``rows`` to a Gram kernel's own points.  A
+    Gram kernel is read by index, the rows and the columns each mapped to
+    its grid once, and raises KeyError for a point off its grid (on its own
+    grid, it gives a writable copy of its matrix); a closed form is
+    evaluated by its array formula and checked once: it is undefined where
+    the formula gives NaN or +inf, as ``conv`` does at an infinite
+    coordinate.
 
     Raises:
         SizeError: If the table would hold more than PAIR_GUARD entries;
@@ -222,25 +224,31 @@ def gram_on(
         )
     if isinstance(kernel, GramKernel):
         grid = kernel.points
-        if rows == grid and cols == grid:
+        if all(isinstance(s, PointSet) and s == grid for s in (rows, cols)):
             return kernel.matrix.copy()
         at_rows = _grid_indices(grid, rows)
         at_cols = at_rows if cols is rows else _grid_indices(grid, cols)
         return kernel.matrix[np.ix_(at_rows, at_cols)]
     with np.errstate(invalid="ignore", over="ignore"):
-        table = kernel.table(rows.as_array(), cols.as_array())
+        table = kernel.table(_coords(rows), _coords(cols))
     try:
         return _checked(table, f"kernel {kernel.name!r} values", below_inf=True)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
 
 
-def _grid_indices(grid: PointSet, points: PointSet) -> np.ndarray:
+def _coords(points: PointSet | np.ndarray) -> np.ndarray:
+    """The (n, d) array of a PointSet, or the array itself."""
+    return points if isinstance(points, np.ndarray) else points.as_array()
+
+
+def _grid_indices(grid: PointSet, points: PointSet | np.ndarray) -> np.ndarray:
     """The index on ``grid`` of each point; KeyError names the first one off it."""
-    at = grid.indices(points.as_array())
+    coords = _coords(points)
+    at = grid.indices(coords)
     off = np.flatnonzero(at < 0)
     if off.size:
-        raise KeyError(f"point {points.points[off[0]]} is not in the set")
+        raise KeyError(f"point {tuple(coords[off[0]].tolist())} is not in the set")
     return at
 
 

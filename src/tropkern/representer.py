@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -111,7 +112,8 @@ class WitnessResult:
 
     Attributes:
         feasible: True iff every sample has at least one valid anchor.
-        witnesses: One chosen anchor point per sample (None if infeasible).
+        witnesses: The chosen anchors, one read-only (n, d) row per sample
+            (None if infeasible).
         witness_indices: Indices of the chosen anchors within the candidate
             set (None if infeasible).
         blocking_index: If infeasible, the first sample index (0-based) that
@@ -121,7 +123,7 @@ class WitnessResult:
     """
 
     feasible: bool
-    witnesses: tuple[Point, ...] | None
+    witnesses: np.ndarray | None
     witness_indices: tuple[int, ...] | None
     blocking_index: int | None
     sections: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -161,11 +163,10 @@ def feasible_witnesses(
         return WitnessResult(False, None, None, int(blocked[0]))
     least = np.where(valid, totals, POS_INF).min(axis=1, keepdims=True)
     chosen = np.argmax(valid & (totals == least), axis=1)
-    indices = tuple(chosen.tolist())
-    points = tuple(samples.dual_candidates.points[k] for k in indices)
-    sections = bxp[:, chosen]
+    anchors, sections = samples.dual_candidates.as_array()[chosen], bxp[:, chosen]
+    anchors.setflags(write=False)
     sections.setflags(write=False)
-    return WitnessResult(True, points, indices, None, sections)
+    return WitnessResult(True, anchors, tuple(chosen.tolist()), None, sections)
 
 
 def _projection(bxp: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,45 +192,35 @@ class CanonicalInterpolant:
 
     Attributes:
         kernel: The kernel whose sections are combined.
-        anchor_points: The section centres p_m, as given.
-        offsets: Finite shifts, offset_m = y_m - b(x_m, p_m).
+        anchors: The section centres p_m, a read-only (n, d) float64 array
+            (read by ``point_array``).
+        offsets: Finite shifts, offset_m = y_m - b(x_m, p_m), read-only.
     """
 
     kernel: KernelRep
-    anchor_points: tuple[Point, ...]
-    offsets: tuple[float, ...]
+    anchors: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self, adopted: bool = False) -> None:
         if adopted:
+            self.offsets.setflags(write=False)
             self._sites[1].setflags(write=False)
         else:
-            object.__setattr__(self, "_anchors", point_array(self.anchor_points))
+            object.__setattr__(self, "anchors", point_array(self.anchors))
+            object.__setattr__(self, "offsets",
+                               owned_array(self.offsets, "offsets", (len(self.anchors),)))
             object.__setattr__(self, "_sites", None)
+        self.anchors.setflags(write=False)
 
     @classmethod
     def _adopt(
-        cls,
-        kernel: KernelRep,
-        anchor_points: tuple[Point, ...],
-        offsets: tuple[float, ...],
-        anchors: np.ndarray,
-        sites: PointSet,
-        sections: np.ndarray,
+        cls, kernel: KernelRep, anchors: np.ndarray, offsets: np.ndarray,
+        sites: PointSet, sections: np.ndarray,
     ) -> "CanonicalInterpolant":
-        """Take over the (m, d) array of the anchors and their sections at
-        the sample sites, sections[k, m] = b(x_k, p_m), as a fit built them."""
-        return _adopted(cls, kernel=kernel, anchor_points=anchor_points, offsets=offsets,
-                        _anchors=anchors, _sites=(sites, sections))
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        """The centres as point tuples, read once by ``point_array``."""
-        return tuple(map(tuple, self._anchors.tolist()))
-
-    @property
-    def terms(self) -> tuple[tuple[Point, float], ...]:
-        """The (anchor, offset) pairs defining the max of sections."""
-        return tuple(zip(self.anchor_points, self.offsets))
+        """Take over the arrays a fit built: the (n, d) anchors, their offsets
+        and their sections at the sample sites, sections[k, m] = b(x_k, p_m)."""
+        return _adopted(cls, kernel=kernel, anchors=anchors, offsets=offsets,
+                        _sites=(sites, sections))
 
     def __call__(self, x: Point) -> float:
         return float(self.on_grid(PointSet([x])).values[0])
@@ -239,31 +230,21 @@ class CanonicalInterpolant:
 
         On the sample sites of the fit that built the interpolant (the same
         PointSet object), the sections of that fit are read; on any other
-        grid the sections are evaluated.
+        grid the sections are evaluated, each anchor as given.
         """
         if self._sites is not None and domain is self._sites[0]:
             sections = self._sites[1]
         else:
-            sections = _sections(self.kernel, domain, self._anchors)
-        terms = lower_add_arrays(sections, np.array(self.offsets))
+            sections = gram_on(self.kernel, domain, self.anchors)
+        terms = lower_add_arrays(sections, self.offsets)
         # The first maximal term, as a running max keeps it (a tie of 0.0
         # and -0.0 resolves by order, not by the reduction's lane layout).
         return GridFunction(domain, terms[np.arange(len(domain)), terms.argmax(axis=1)])
 
 
-def _sections(kernel: KernelRep, xs: PointSet, anchors: np.ndarray) -> np.ndarray:
-    """[b(x, p_m)] for x in ``xs`` and each row p_m of ``anchors``; a
-    repeated anchor is read once (0.0 and -0.0 are one coordinate, the
-    first one met is evaluated)."""
-    keys = list(map(tuple, anchors.tolist()))
-    column = {p: j for j, p in enumerate(dict.fromkeys(keys))}
-    table = gram_on(kernel, xs, PointSet(list(column)))
-    return table[:, [column[p] for p in keys]]
-
-
 def build_f0(
     samples: SampleSet,
-    witnesses: tuple[Point, ...] | WitnessResult,
+    witnesses: Sequence[Point] | np.ndarray | WitnessResult,
     kernel: KernelRep,
     tol: float = 1e-9,
 ) -> CanonicalInterpolant:
@@ -282,30 +263,25 @@ def build_f0(
     if isinstance(witnesses, WitnessResult):
         if not witnesses.feasible:
             raise ValueError("an infeasible WitnessResult has no witnesses")
-        if len(witnesses.witnesses) != len(samples):
-            raise ValueError("one witness per sample is required")
-        anchors = samples.dual_candidates.as_array()[list(witnesses.witness_indices)]
-        return _interpolant(samples, witnesses.witnesses, anchors, kernel,
-                            witnesses.sections, tol)
-    given = tuple(witnesses)
-    if len(given) != len(samples):
+        anchors, sections = witnesses.witnesses, witnesses.sections
+    else:
+        anchors, sections = point_array(witnesses), None
+    if len(anchors) != len(samples):
         raise ValueError("one witness per sample is required")
-    anchors = point_array(given)
-    return _interpolant(
-        samples, given, anchors, kernel, _sections(kernel, samples.xs, anchors), tol
-    )
+    if sections is None:
+        sections = gram_on(kernel, samples.xs, anchors)
+    return _interpolant(samples, anchors, kernel, sections, tol)
 
 
 def _interpolant(
     samples: SampleSet,
-    given: tuple[Point, ...],
     anchors: np.ndarray,
     kernel: KernelRep,
     sections: np.ndarray,
     tol: float,
 ) -> CanonicalInterpolant:
     """``build_f0`` on the sections[k, m] = b(x_k, p_m) of the anchors'
-    (n, d) array, given as ``given``."""
+    (n, d) array."""
     y = samples.ys
     self_eval = np.diag(sections)
     need = lower_add_arrays(sections, -self_eval)  # b(x_k, p_m) - b(x_m, p_m)
@@ -322,8 +298,7 @@ def _interpolant(
             f"witness for sample {m} violates the exchange inequality "
             f"against sample {int(np.argmax(violated[:, m]))}"
         )
-    offsets = tuple((y - self_eval).tolist())
-    return CanonicalInterpolant._adopt(kernel, given, offsets, anchors, samples.xs, sections)
+    return CanonicalInterpolant._adopt(kernel, anchors, y - self_eval, samples.xs, sections)
 
 
 def _closure(sections: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
@@ -491,7 +466,8 @@ class RegressionResult:
 
     Attributes:
         y_star: The fitted targets, feasible for the final anchors.
-        p_star: The anchor points used (fixed or found by search).
+        p_star: The anchors used (fixed or found by search), a read-only
+            (n, d) float64 array.
         p_indices: Their indices in the candidate set, when the anchors came
             from the candidate set (None for caller-supplied points outside
             it).
@@ -505,7 +481,7 @@ class RegressionResult:
     """
 
     y_star: np.ndarray
-    p_star: tuple[Point, ...]
+    p_star: np.ndarray
     p_indices: tuple[int, ...] | None
     loss_value: float
     interpolant: CanonicalInterpolant
@@ -516,7 +492,7 @@ def regress(
     samples: SampleSet,
     kernel: KernelRep,
     loss: str = "sup_norm",
-    fixed_p: tuple[Point, ...] | None = None,
+    fixed_p: Sequence[Point] | np.ndarray | None = None,
     tol: float = 1e-9,
 ) -> RegressionResult:
     """Fit targets minimally perturbed into kernel-section feasibility.
@@ -552,7 +528,7 @@ def regress(
             raise ValueError("one anchor per sample is required")
         at = samples.dual_candidates.indices(anchors)
         idx = None if (at < 0).any() else tuple(at.tolist())
-        sections = _sections(kernel, samples.xs, anchors)
+        sections = gram_on(kernel, samples.xs, anchors)
         return _regress_fixed(samples, kernel, loss, anchors, idx, sections, tol)
     return _regress_search(samples, kernel, loss, tol)
 
@@ -597,10 +573,9 @@ def _result(
     """The result of the ``fitted`` targets at the (n, d) array of anchors,
     with the interpolant through them built on their sections."""
     fitted_samples = SampleSet(samples.xs, fitted, samples.dual_candidates)
-    p_star = tuple(map(tuple, anchors.tolist()))
-    interp = _interpolant(fitted_samples, p_star, anchors, kernel, sections, max(tol, 1e-6))
+    interp = _interpolant(fitted_samples, anchors, kernel, sections, max(tol, 1e-6))
     return RegressionResult(
-        fitted, p_star, anchor_indices, loss_value, interp,
+        fitted, interp.anchors, anchor_indices, loss_value, interp,
         exact=(loss == "sup_norm"),
     )
 

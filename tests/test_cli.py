@@ -445,6 +445,104 @@ GUARD_ERROR = {
 }
 
 
+# Run in a fresh interpreter by ``run_capped``: the child caps its own
+# address space 1 GiB above its size after the imports, so an allocation
+# that a guard should have refused fails fast with MemoryError and no JSON
+# record; it prints the exit code of one command and the time ``main`` took.
+CAPPED_RUN = (
+    "import resource, sys, time\n"
+    "from tropkern.cli import main\n"
+    "size = [int(line.split()[1]) for line in open('/proc/self/status')\n"
+    "        if line.startswith('VmSize:')][0] * 1024\n"
+    "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+    "soft = size + (1 << 30)\n"
+    "if hard != resource.RLIM_INFINITY:\n"
+    "    soft = min(soft, hard)\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+    "start = time.perf_counter()\n"
+    "code = main([sys.argv[1], '--input', sys.argv[2]])\n"
+    "print(code, time.perf_counter() - start, file=sys.stderr)\n"
+)
+
+
+def run_capped(tmp_path, command, payload):
+    """Run one command on ``payload`` (or on what a callable ``payload``
+    builds) under CAPPED_RUN; returns (exit code, parsed stdout, seconds)."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload() if callable(payload) else payload))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_RUN, command, str(path)],
+        capture_output=True, text=True, env=module_env("0"), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, elapsed = proc.stderr.split()
+    return int(code), json.loads(proc.stdout), float(elapsed)
+
+
+def _problem_above(**grids):
+    return {"problem": {**PROBLEM_4X5, **grids}, "terminal_values": [0.0]}
+
+
+PAIR_MESSAGE = GUARD_ERROR["error"]["message"]
+
+# Each command on an input just above one of its guards, with the message it
+# exits 1 with and a bound on the seconds ``main`` takes.  The value-function
+# inputs are far above theirs: an axis of 10^9 points would take 8 GB, and
+# one float64 array over either lattice 7.45 GiB.
+ABOVE_GUARDS = [
+    pytest.param("check-tpsd", {"kernel": LIP, "points": GUARD_POINTS}, PAIR_MESSAGE, 1.0,
+                 id="check-tpsd"),
+    pytest.param("factorize", {"kernel": LIP, "points": GUARD_POINTS[:101]},
+                 "101^3 feature entries exceed the guard of 1000000", 1.0, id="factorize-cube"),
+    pytest.param("conjugate", {"kernel": LIP, "points": GUARD_POINTS, "values": [0.0] * 1001},
+                 PAIR_MESSAGE, 1.0, id="conjugate"),
+    pytest.param("membership", {"kernel": LIP, "points": GUARD_POINTS, "values": [0.0] * 1001},
+                 PAIR_MESSAGE, 1.0, id="membership"),
+    pytest.param("funk", {"kernel": LIP, "points": GUARD_POINTS}, PAIR_MESSAGE, 1.0, id="funk"),
+    pytest.param("cg-kernel", {"points": GUARD_POINTS, "members": [[0.0] * 1001]},
+                 PAIR_MESSAGE, 1.0, id="cg-kernel"),
+    pytest.param("regularity", {"kernel": LIP, "points": GUARD_POINTS}, PAIR_MESSAGE, 1.0,
+                 id="regularity"),
+    pytest.param("interpolate", {"kernel": CONV, "samples": GUARD_SAMPLES,
+                                 "dual_candidates": GUARD_POINTS}, PAIR_MESSAGE, 1.0,
+                 id="interpolate"),
+    pytest.param("regress", {"kernel": CONV, "samples": GUARD_SAMPLES,
+                             "dual_candidates": GUARD_POINTS}, PAIR_MESSAGE, 1.0,
+                 id="regress-search"),
+    pytest.param("regress", {"kernel": CONV, "samples": GUARD_SAMPLES, "dual_candidates": [[0.0]],
+                             "mode": {"fixed_p": GUARD_POINTS}}, PAIR_MESSAGE, 1.0,
+                 id="regress-fixed"),
+    pytest.param("maupertuis", {"problem": {**PAIR_GUARD_PROBLEM,
+                                            "space_grid": {"start": 0.0, "stop": 1.0, "num": 501}}},
+                 "1002^2 spacetime pairs exceed the guard of 1000000", 1.0, id="maupertuis"),
+    pytest.param("value-function",
+                 _problem_above(space_grid={"start": 0.0, "stop": 1.0, "num": 10**9}),
+                 "grid num 1000000000 exceeds the guard of 1000000", 1.0,
+                 id="value-function-grid-num"),
+    pytest.param("value-function",
+                 _problem_above(time_grid={"start": 0.0, "stop": 1.0, "num": 10**4},
+                                space_grid={"start": 0.0, "stop": 1.0, "num": 10**5}),
+                 "10000 x 100000 spacetime cells exceed the guard of 8388608", 1.0,
+                 id="value-function-cells-1d"),
+    pytest.param("value-function",
+                 _problem_above(time_grid={"start": 0.0, "stop": 1.0, "num": 10},
+                                space_grid={"axes": [{"start": 0.0, "stop": 1.0, "num": 10**4}] * 2},
+                                stencil=[[0.0, 0.0]]),
+                 "10 x 100000000 spacetime cells exceed the guard of 8388608", 1.0,
+                 id="value-function-cells-2d"),
+    # A stopping-cost kernel is a Gram table, so this input alone holds
+    # over 10^6 entries; the table's n^3 idempotency test runs before the
+    # samples' table meets the guard.
+    pytest.param("invert-stopping-cost",
+                 lambda: {"kernel": lip_gram_spec(range(1001)), "samples": GUARD_SAMPLES},
+                 PAIR_MESSAGE, 3.0, id="invert-stopping-cost"),
+    pytest.param("invert-terminal-cost",
+                 {"problem": {**PROBLEM_4X5, "space_grid": {"start": 0.0, "stop": 1.0, "num": 1001}},
+                  "samples": {"xs": [[0.0]], "ys": [0.0]}},
+                 "1001^2 space pairs exceed the guard of 1000000", 1.0, id="invert-terminal-cost"),
+]
+
+
 class TestKernelTableGuard:
     """Every command that builds a kernel table refuses one above PAIR_GUARD
     before it allocates it."""
@@ -506,56 +604,16 @@ class TestKernelTableGuard:
         assert int(peak_kb) < 100 * 1024
 
 
-    GUARDED_GRIDS = [
-        # An axis of 10^9 points would take 8 GB.
-        ({"space_grid": {"start": 0.0, "stop": 1.0, "num": 10**9}},
-         "grid num 1000000000 exceeds the guard of 1000000"),
-        # Each axis passes, but one float64 array over either lattice (1-D,
-        # and 2-D space over 10 times) would take 7.45 GiB.
-        ({"time_grid": {"start": 0.0, "stop": 1.0, "num": 10**4},
-          "space_grid": {"start": 0.0, "stop": 1.0, "num": 10**5}},
-         "10000 x 100000 spacetime cells exceed the guard of 8388608"),
-        ({"time_grid": {"start": 0.0, "stop": 1.0, "num": 10},
-          "space_grid": {"axes": [{"start": 0.0, "stop": 1.0, "num": 10**4}] * 2},
-          "stencil": [[0.0, 0.0]]},
-         "10 x 100000000 spacetime cells exceed the guard of 8388608"),
-    ]
-
-    def test_a_grid_num_above_the_guard_is_refused_before_its_axis(self, tmp_path):
-        # Each child caps its own address space 1 GiB above its size after
-        # the imports, so without the guard the allocation fails fast with
-        # MemoryError and no JSON record.
+    @pytest.mark.parametrize("command, payload, message, seconds", ABOVE_GUARDS)
+    def test_every_command_refuses_input_above_its_guard(
+        self, tmp_path, command, payload, message, seconds
+    ):
         if not Path("/proc/self/status").exists():
             pytest.skip("reads the address-space size from /proc/self/status")
-        script = (
-            "import resource, sys, time\n"
-            "from tropkern.cli import main\n"
-            "size = [int(line.split()[1]) for line in open('/proc/self/status')\n"
-            "        if line.startswith('VmSize:')][0] * 1024\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "soft = size + (1 << 30)\n"
-            "if hard != resource.RLIM_INFINITY:\n"
-            "    soft = min(soft, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
-            "start = time.perf_counter()\n"
-            "code = main(['value-function', '--input', sys.argv[1]])\n"
-            "print(code, time.perf_counter() - start, file=sys.stderr)\n"
-        )
-        path = tmp_path / "in.json"
-        for grids, message in self.GUARDED_GRIDS:
-            problem = {**PROBLEM_4X5, **grids}
-            path.write_text(json.dumps({"problem": problem, "terminal_values": [0.0]}))
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(path)],
-                capture_output=True, text=True, env=module_env("0"), timeout=60,
-            )
-            assert proc.returncode == 0, proc.stderr
-            code, elapsed = proc.stderr.split()
-            assert int(code) == 1
-            assert json.loads(proc.stdout) == {
-                "error": {"kind": "precondition", "message": message}
-            }
-            assert float(elapsed) < 1.0
+        code, out, elapsed = run_capped(tmp_path, command, payload)
+        assert code == 1
+        assert out == {"error": {"kind": "precondition", "message": message}}
+        assert elapsed < seconds
 
 
 class TestOneKernelTable:

@@ -907,6 +907,25 @@ class TestSweepCheckAgreesWithDense:
         assert seen == {True, "asymmetrize requires nonpositive kernel values"}
 
 
+class TestLiftedSweepIsTheValueFunction:
+    """Conditions 2 and 3 of ``largest_subsolution_check`` hold by
+    construction: the backward sweep of the lifted terminal cost computes
+    min(+inf, step(h)) with the stepper and costs of ``value_function``, so
+    it is V bit for bit, and the check does not run it."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bitwise_equal_with_signed_zeros_and_infinities(self, dim):
+        rng = np.random.default_rng([dim, 24])
+        for trial in range(60):
+            prob = random_dyadic_problem(rng, dim, FORMS[trial % 3], trial % 4 < 2)
+            psi = GridFunction(
+                prob.space_points(), random_argument(rng, prob.space_shape).reshape(-1)
+            )
+            lifted = lift_terminal(prob, psi).values.reshape(prob.n_time, *prob.space_shape)
+            swept = _sweep(prob, prob.dt * prob._stencil_costs(), lifted.copy(), 1)
+            assert_same_bits(swept.reshape(-1), value_function(prob, psi).values)
+
+
 def offset_problem(shape, offsets):
     """A problem on a unit-step lattice of ``shape`` with integer ``offsets``;
     its own running cost is not used by the steps under test."""
@@ -1141,7 +1160,8 @@ class TestInvertTerminalCost:
         result = invert_terminal_cost(samples, slice_kernel)
         last = len(slice_kernel.points) - 1
         assert result.witness_indices == (last - 3, last - 4, last - 5)
-        assert result.witnesses == tuple(slice_kernel.points.points[j] for j in (3, 4, 5))
+        assert np.array_equal(result.witnesses, slice_kernel.points.as_array()[[3, 4, 5]])
+        assert not result.witnesses.flags.writeable
         assert result.psi_T.domain == prob.space_points()
         regen = value_function(prob, result.psi_T)
         idx = grid_index(prob)

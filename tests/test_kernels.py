@@ -113,6 +113,22 @@ class TestGramOn:
         else:
             assert np.array_equal(got, reference)
 
+    def test_point_arrays_read_as_point_sets(self):
+        # An (n, d) array of points, repeats and signed zeros included, is
+        # read as given: a Gram kernel by index, a closed form by its formula.
+        grid = PointSet.make([-1.0, 0.0, 2.0])
+        gram = GramKernel(grid, [[0.0, -1.0, -3.0], [-1.0, 0.0, -2.0], [-3.0, -2.0, 0.0]])
+        anchors = np.array([[2.0], [-0.0], [2.0], [0.0]])
+        assert np.array_equal(gram_on(gram, grid, anchors), gram.matrix[:, [2, 1, 2, 1]])
+        assert np.array_equal(gram_on(gram, anchors), gram.matrix[np.ix_([2, 1, 2, 1], [2, 1, 2, 1])])
+        with pytest.raises(KeyError, match=re.escape("point (0.5,) is not in the set")):
+            gram_on(gram, grid, np.array([[2.0], [0.5]]))
+        conv = ClosedFormKernel("conv")
+        table = gram_on(conv, PointSet.make([1.0, 3.0]), anchors)
+        assert np.array_equal(table, [[2.0, -0.0, 2.0, 0.0], [6.0, -0.0, 6.0, 0.0]])
+        with pytest.raises(SizeError):
+            gram_on(conv, np.zeros((1001, 1)), np.zeros((1000, 1)))
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("cost", ["quadratic", "absolute", "table"])
     def test_lax_hopf_table_matches_eval(self, cost, dim):
