@@ -45,12 +45,12 @@ print("min over empty:", min_reduce(np.empty(0)))
 # values are float64 arrays that may contain either infinity but never NaN.
 grid = PointSet.make([-1.0, 0.0, 1.0])
 f = GridFunction(grid, np.array([0.5, NEG_INF, 2.0]))
-print("\nf on", list(grid.points), "->", list(f.values))
+print("\nf on", list(grid.points), "->", f.values.tolist())
 
 # Spikes: the "bottom" dirac is -inf away from its point (a generator for
 # sups), the "top" dirac is +inf away from it (a probe for infs).
-print("bottom spike at 0:", list(dirac(grid, 0.0, "bottom").values))
-print("top spike at 0:   ", list(dirac(grid, 0.0, "top").values))
+print("bottom spike at 0:", dirac(grid, 0.0, "bottom").values.tolist())
+print("top spike at 0:   ", dirac(grid, 0.0, "top").values.tolist())
 
 # Infinities survive a JSON round trip as the strings "inf" / "-inf".
 encoded = encode_values(f.values)

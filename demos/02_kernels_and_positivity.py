@@ -57,8 +57,8 @@ print("permutation check agrees:", bad_perm.holds, "| subset:", bad_perm.witness
 # Every tpsd kernel splits as b(x,y) = phi(x) + phi(y) + b0(x,y) with b0
 # nonpositive, zero on the diagonal -- the tropical polar form.
 phi, b0 = decompose_phi_b0(kernel)
-print("\nphi:", list(phi.values))
-print("b0 diagonal:", list(np.diag(b0.matrix)), "| max off-diag:", b0.matrix.max())
+print("\nphi:", phi.values.tolist())
+print("b0 diagonal:", np.diag(b0.matrix).tolist(), "| max off-diag:", b0.matrix.max())
 
 # And it admits a feature map psi with b(x,y) = max_z psi(x,z) + psi(y,z);
 # the recomposition is exact, entry for entry.

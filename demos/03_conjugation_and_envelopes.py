@@ -34,15 +34,15 @@ conv = ConjugationOp(ClosedFormKernel("conv"), sites)
 tent = GridFunction(sites, np.array([-1.0, 0.0, -1.0]))
 verdict = is_in_range(conv, tent)
 print("tent in range:", verdict.in_range)
-print("double conjugate:", list(verdict.biconjugate.values))
-print("gap:", list(verdict.gap.values))
+print("double conjugate:", verdict.biconjugate.values.tolist())
+print("gap:", verdict.gap.values.tolist())
 
 # A convex function comes back unchanged.
 vee = GridFunction(sites, np.array([1.0, 0.0, 1.0]))
 print("vee in range:", is_in_range(conv, vee).in_range)
 
 # The conjugate itself: slopes of supporting lines.
-print("\nconjugate of the vee:", list(conj_sesqui(conv, vee).values))
+print("\nconjugate of the vee:", conj_sesqui(conv, vee).values.tolist())
 
 # Positivity of the kernel is equivalent to a Cauchy-Schwarz inequality
 # between dual functions; for a kernel that is NOT tpsd, a pair of spikes

@@ -68,7 +68,7 @@ print("c_G idempotent:", is_idempotent(cg))
 
 probe = GridFunction(grid3, np.array([-1.0, 0.0, -1.0]))
 closed_probe = closure_CG(cg, probe)
-print("closure of the tent:", list(closed_probe.values))
+print("closure of the tent:", closed_probe.values.tolist())
 print("extensive:", bool((closed_probe.values >= probe.values).all()))
 print("fixed under a second closure:",
       bool(np.array_equal(closure_CG(cg, closed_probe).values, closed_probe.values)))

@@ -33,16 +33,16 @@ kernel = GramKernel(pts, -np.abs(xs[:, None] - xs[None, :]))
 
 # Ground truth: pay 0 to stop at x=0, pay 1 to stop at x=3.
 truth = np.maximum(-xs, -np.abs(xs - 3.0) - 1.0)
-print("true optimal values:", list(truth))
+print("true optimal values:", truth.tolist())
 
 # Observe only the two middle states.
 samples = SampleSet(PointSet.make([1.0, 2.0]), truth[[1, 2]], pts)
 rec = reconstruct_stopping_cost(samples, kernel)
-print("reconstructed stopping cost:", list(rec.stopping_cost.values))
+print("reconstructed stopping cost:", rec.stopping_cost.values.tolist())
 print("fit loss:", rec.loss_value)
 
 rebuilt = rec.generator.on_grid(pts)
-print("rebuilt values:", list(rebuilt.values))
+print("rebuilt values:", rebuilt.values.tolist())
 print("interpolates both observations:",
       bool(np.allclose(rebuilt.values[[1, 2]], truth[[1, 2]], atol=1e-12)))
 print("negated values dominate the truth:",
@@ -68,7 +68,7 @@ obs = SampleSet(PointSet.make(list(sample_rs)), ys, slice_kernel.points)
 result = invert_terminal_cost(obs, slice_kernel)
 print("feasible:", result.feasible, "| witness slice indices:", result.witness_indices)
 print("final-slice anchors:", result.witnesses[:, 0].tolist())
-print("reconstructed terminal cost:", list(result.psi_T.values))
+print("reconstructed terminal cost:", result.psi_T.values.tolist())
 
 regen = value_function(problem, result.psi_T)
 errs = [abs(regen.values[index[(0.0, r)]] + y) for r, y in zip(sample_rs, ys)]

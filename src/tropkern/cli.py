@@ -28,7 +28,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -56,6 +55,7 @@ from .core import (
     GridFunction,
     PointSet,
     PreconditionError,
+    Record,
     SizeError,
     decode_values,
     encode_extreal,
@@ -85,8 +85,7 @@ from .representer import (
     regress,
 )
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One reproducible CLI invocation.
 
     Attributes:

@@ -17,7 +17,6 @@ checks, the discrepancy d_B, and the Funk asymmetric modulus all live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .core import (
     GridFunction,
     PointSet,
     PreconditionError,
+    Record,
     lower_add,
     lower_add_arrays,
     max_plus,
@@ -114,8 +114,7 @@ def duality_product(g_hat: GridFunction, f: GridFunction) -> float:
     return float(max_reduce(lower_add_arrays(f.values, -g_hat.values)))
 
 
-@dataclass(frozen=True)
-class RangeVerdict:
+class RangeVerdict(Record):
     """Membership of g in the max-plus range of a symmetric kernel.
 
     Attributes:
@@ -167,8 +166,7 @@ def discrepancy_dB(op: ConjugationOp, f_hat: GridFunction, g_hat: GridFunction) 
     return 0.5 * upper_sub(upper_sub(upper_add(ff, gg), fg), gf)
 
 
-@dataclass(frozen=True)
-class MonotoneCheck:
+class MonotoneCheck(Record):
     """Results of the two pairwise monotonicity inequalities.
 
     Attributes:
@@ -202,8 +200,7 @@ def check_monotone(
     return MonotoneCheck(bool(holds_pair), bool(holds_max))
 
 
-@dataclass(frozen=True)
-class CyclicCheck:
+class CyclicCheck(Record):
     """Results of the cyclic monotonicity inequalities for a function tuple.
 
     Attributes:

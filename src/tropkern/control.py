@@ -37,7 +37,6 @@ witness search over the final slice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +51,7 @@ from .core import (
     Point,
     PointSet,
     PreconditionError,
+    Record,
     SizeError,
     as_point,
     decode_extreal,
@@ -64,8 +64,7 @@ from .kernels import GramKernel
 from .representer import SampleSet, feasible_witnesses
 
 
-@dataclass(frozen=True)
-class LagrangianSpec:
+class LagrangianSpec(Record):
     """A named running cost L(t, r, v), state- and time-independent.
 
     Supported forms:
@@ -85,9 +84,7 @@ class LagrangianSpec:
     velocities: tuple[Point, ...] | None = None
     costs: tuple[float, ...] | None = None
     convex_flag: bool = False
-    _table: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.name not in ("quadratic", "absolute", "table"):
@@ -214,8 +211,7 @@ def lax_hopf(
     return float(table[0, 0])
 
 
-@dataclass(frozen=True)
-class MaupertuisProblem:
+class MaupertuisProblem(Record):
     """A least-action problem on a uniform spacetime lattice of at most
     CELL_GUARD cells (SizeError, raised before the stencil is read).
 
@@ -238,9 +234,7 @@ class MaupertuisProblem:
     stencil: tuple[Point, ...]
     claim_reversible: bool = True
     require_nonneg: bool = True
-    _offsets: np.ndarray = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
+    _offsets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         times = _uniform_axis(self.time_grid, "time grid")
@@ -618,8 +612,7 @@ def space_slice_kernel(
     return GramKernel._adopt(problem.space_points(), -power.reshape(ns, ns))
 
 
-@dataclass(frozen=True)
-class TerminalCostResult:
+class TerminalCostResult(Record):
     """Outcome of terminal-cost reconstruction from value samples.
 
     Attributes:

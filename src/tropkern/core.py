@@ -22,7 +22,6 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -383,6 +382,74 @@ def square_matrix(values: Iterable[Iterable[float]], below_inf: bool = False) ->
     return _checked(arr, "kernel values", (n, n), below_inf=below_inf)
 
 
+class Record:
+    """Base of the package's immutable records: verdicts, kernels and fits.
+
+    The fields are the public names annotated in the class body, in order;
+    a class attribute of the same name is a default.  ``__init__`` binds
+    them by position or keyword, then calls ``__post_init__``, which may
+    normalize them, and set the underscore names, by ``object.__setattr__``.
+    Records compare by class and fields (arrays by ``np.array_equal``,
+    tuples element by element) and are unhashable.  Unlike a dataclass, a
+    record class generates no code; it holds ``__init__`` in its own
+    namespace, where ``bench/tracing.py`` wraps it class by class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls.__init__ = Record.__init__
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        name, fields, values = type(self).__name__, self._fields, vars(self)
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values.update(self._defaults)
+        values.update(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected argument {key!r}")
+            if key in fields[: len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        if len(values) < len(fields):
+            missing = ", ".join(key for key in fields if key not in values)
+            raise TypeError(f"{name}() is missing argument(s) {missing}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalize the fields (nothing to do by default)."""
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, key), getattr(other, key)) for key in self._fields)
+
+
+def _same(a: object, b: object) -> bool:
+    """Whether two field values are equal: arrays by ``np.array_equal``,
+    tuples element by element, anything else by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return bool(a == b)
+
+
 def _adopted(cls: type, **attrs: object):
     """The body of every ``_adopt``: ``cls`` holding ``attrs`` as given, built
     without ``__init__``, its arrays checked by ``__post_init__(adopted=True)``."""
@@ -610,8 +677,7 @@ class PointSet:
         return f"PointSet.lattice(axes={axes!r}, has_time={self.has_time!r})"
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Record):
     """A total extended-real-valued function on a PointSet.
 
     Attributes:

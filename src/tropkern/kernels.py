@@ -15,7 +15,6 @@ both constructed explicitly below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .core import (
     Point,
     PointSet,
     PreconditionError,
+    Record,
     SizeError,
     _adopted,
     _checked,
@@ -59,8 +59,7 @@ def _number_param(params: Mapping[str, object], key: str) -> float:
     return number
 
 
-@dataclass(frozen=True)
-class GramKernel:
+class GramKernel(Record):
     """A kernel given by a dense square matrix over a PointSet.
 
     Attributes:
@@ -96,8 +95,7 @@ class GramKernel:
 _CLOSED_FORM_PARAMS = {"lip": ("alpha",), "power_distance": ("p",), "lax_hopf": ("lagrangian",)}
 
 
-@dataclass(frozen=True)
-class ClosedFormKernel:
+class ClosedFormKernel(Record):
     """A named closed-form kernel evaluated on demand.
 
     Supported names:
@@ -121,9 +119,7 @@ class ClosedFormKernel:
 
     name: str
     params: Mapping[str, object] = None  # type: ignore[assignment]
-    _lagrangian: LagrangianSpec | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _lagrangian: LagrangianSpec | None = None
 
     def __post_init__(self) -> None:
         if self.name not in CLOSED_FORM_NAMES:
@@ -257,8 +253,7 @@ def _grid_indices(grid: PointSet, points: PointSet | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TpsdVerdict:
+class TpsdVerdict(Record):
     """Outcome of a pairwise tpsd check.
 
     Attributes:
@@ -317,8 +312,7 @@ def is_tpsd_pairwise(
     return _tpsd_verdict(gram_on(kernel, points), tol)
 
 
-@dataclass(frozen=True)
-class PermutationVerdict:
+class PermutationVerdict(Record):
     """Outcome of the subset/permutation positivity check.
 
     Attributes:
@@ -404,8 +398,7 @@ def decompose_phi_b0(gram: GramKernel) -> tuple[GridFunction, GramKernel]:
     return GridFunction(gram.points, phi), GramKernel(gram.points, b0)
 
 
-@dataclass(frozen=True)
-class FeatureMap:
+class FeatureMap(Record):
     """A max-plus feature map psi : X x Z -> [-inf, +inf).
 
     The defining property is that the sup-product of features recomposes the

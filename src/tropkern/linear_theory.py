@@ -31,8 +31,6 @@ that B (x) A* (x) B misses B by an ulp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -40,6 +38,7 @@ from .core import (
     POS_INF,
     GridFunction,
     PointSet,
+    Record,
     SizeError,
     ext_close,
     lower_add_arrays,
@@ -93,8 +92,7 @@ def right_residual(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return min_plus(y, -x.T)
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(Record):
     """Outcome of the von Neumann regularity decision.
 
     Attributes:
@@ -152,8 +150,7 @@ def regularity(gram: np.ndarray, tol: float = 1e-9) -> tuple[bool, bool]:
     return idempotent, _regular(b, square, tol).regular
 
 
-@dataclass(frozen=True)
-class FunctionFamily:
+class FunctionFamily(Record):
     """A finite family of proper functions on a common grid.
 
     Members take values in (-inf, +inf] and each is finite somewhere.

@@ -39,7 +39,6 @@ budget of them would be built, it takes the sup-norm search's anchors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +51,7 @@ from .core import (
     Point,
     PointSet,
     PreconditionError,
+    Record,
     _adopted,
     lower_add_arrays,
     owned_array,
@@ -75,8 +75,7 @@ class InfeasibleConstraintsError(RuntimeError):
         self.blocking_index = blocking_index
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Record):
     """Interpolation data: sites, finite targets, and candidate dual points.
 
     Attributes:
@@ -106,8 +105,7 @@ class SampleSet:
         return len(self.xs)
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(Record):
     """Outcome of the per-sample anchor search.
 
     Attributes:
@@ -126,7 +124,7 @@ class WitnessResult:
     witnesses: np.ndarray | None
     witness_indices: tuple[int, ...] | None
     blocking_index: int | None
-    sections: np.ndarray | None = field(default=None, repr=False, compare=False)
+    sections: np.ndarray | None = None
 
 
 def feasible_witnesses(
@@ -186,8 +184,7 @@ def _projection(bxp: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return slack, np.where(attained, mass, POS_INF).argmin(axis=1)
 
 
-@dataclass(frozen=True)
-class CanonicalInterpolant:
+class CanonicalInterpolant(Record):
     """Max of kernel sections: f0(x) = max_m b(x, p_m) + offset_m.
 
     Attributes:
@@ -460,8 +457,7 @@ def _fit_l1(closure: np.ndarray, ybar: np.ndarray) -> np.ndarray:
     return potential[:n] - potential[root]
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(Record):
     """Outcome of kernel-section regression.
 
     Attributes:
@@ -702,8 +698,7 @@ def _regress_search(
                    tuple(chosen.tolist()), *fit, tol)
 
 
-@dataclass(frozen=True)
-class StoppingCostResult:
+class StoppingCostResult(Record):
     """Reconstruction of a stopping cost from sampled values.
 
     Attributes:
@@ -733,17 +728,17 @@ def reconstruct_stopping_cost(
     """
     matrix = kernel.matrix
     points = kernel.points
-    if not is_idempotent(matrix, tol=max(tol, 1e-9)):
-        raise PreconditionError("kernel matrix must be idempotent")
     if np.abs(np.diag(matrix)).max() > tol:
         raise PreconditionError("kernel matrix must have zero diagonal")
     anchors = samples.xs.as_array()
     at = points.indices(anchors)
     if (at < 0).any():
         raise PreconditionError("sample points must lie on the kernel grid")
-    result = _regress_fixed(
-        samples, kernel, "sup_norm", anchors, tuple(at.tolist()), gram_on(kernel, samples.xs), tol
-    )
+    # The samples' table meets PAIR_GUARD before the n^3 idempotency product.
+    table = gram_on(kernel, samples.xs)
+    if not is_idempotent(matrix, tol=max(tol, 1e-9)):
+        raise PreconditionError("kernel matrix must be idempotent")
+    result = _regress_fixed(samples, kernel, "sup_norm", anchors, tuple(at.tolist()), table, tol)
     w_values = np.full(len(points), POS_INF)
     w_values[at] = -result.y_star
     return StoppingCostResult(

@@ -530,12 +530,9 @@ ABOVE_GUARDS = [
                                 stencil=[[0.0, 0.0]]),
                  "10 x 100000000 spacetime cells exceed the guard of 8388608", 1.0,
                  id="value-function-cells-2d"),
-    # A stopping-cost kernel is a Gram table, so this input alone holds
-    # over 10^6 entries; the table's n^3 idempotency test runs before the
-    # samples' table meets the guard.
     pytest.param("invert-stopping-cost",
                  lambda: {"kernel": lip_gram_spec(range(1001)), "samples": GUARD_SAMPLES},
-                 PAIR_MESSAGE, 3.0, id="invert-stopping-cost"),
+                 PAIR_MESSAGE, 1.0, id="invert-stopping-cost"),
     pytest.param("invert-terminal-cost",
                  {"problem": {**PROBLEM_4X5, "space_grid": {"start": 0.0, "stop": 1.0, "num": 1001}},
                   "samples": {"xs": [[0.0]], "ys": [0.0]}},

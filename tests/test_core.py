@@ -1,9 +1,11 @@
 """Extended-real arithmetic, grid functions, and JSON encoding."""
 
 import itertools
-import json
 import math
+import json
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -38,6 +40,10 @@ from tropkern.core import (
     upper_sub,
     validate_values,
 )
+from tropkern.kernels import ClosedFormKernel, PermutationVerdict, TpsdVerdict
+from tropkern.representer import RegressionResult, SampleSet, regress
+
+from test_cli import module_env
 
 ext_reals = st.one_of(
     st.just(POS_INF),
@@ -554,3 +560,138 @@ class TestJsonEncoding:
     def test_point_array_refuses(self, points, error):
         with pytest.raises(error):
             core.point_array(points)
+
+
+class Pair(core.Record):
+    """A record with a required field, a defaulted one and a private slot."""
+
+    first: int
+    second: tuple = ()
+    _cache: object = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "second", tuple(self.second))
+
+
+# Imports tropkern.cli in a fresh interpreter that has loaded numpy, counts
+# the builtins.exec calls that run source text (a dataclass execs its
+# generated methods; importing a module execs a code object, not text), and
+# prints what the import generated and loaded.
+IMPORT_GUARD = """
+import builtins, json, sys
+import numpy
+calls = []
+real_exec = builtins.exec
+def counted(source, *args, **kwargs):
+    if isinstance(source, str):
+        calls.append(source)
+    return real_exec(source, *args, **kwargs)
+builtins.exec = counted
+import tropkern.cli
+builtins.exec = real_exec
+modules = sorted(name for name in sys.modules if name.startswith("tropkern."))
+generated = sorted({
+    f"{obj.__module__}.{obj.__name__}"
+    for name in modules for obj in vars(sys.modules[name]).values()
+    if isinstance(obj, type) and obj.__module__.startswith("tropkern")
+    and "__dataclass_fields__" in vars(obj)
+})
+print(json.dumps({"exec_calls": len(calls), "generated": generated, "modules": modules}))
+"""
+
+
+class TestRecord:
+    """``core.Record``: binding, immutability, value equality, and an import
+    that generates no code."""
+
+    def test_arguments_bind_by_position_keyword_and_default(self):
+        assert vars(Pair(1, [2])) == {"first": 1, "second": (2,)}
+        assert vars(Pair(second=(2,), first=1)) == {"first": 1, "second": (2,)}
+        assert Pair(1).second == ()
+        assert Pair._fields == ("first", "second")
+        # Each class holds __init__ itself: bench/tracing.py wraps it per class.
+        assert vars(Pair)["__init__"] is core.Record.__init__
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [((), {}, "missing argument(s) first"),
+         ((1,), {"third": 3}, "unexpected argument 'third'"),
+         ((1,), {"first": 2}, "multiple values for argument 'first'"),
+         ((1, (), 3), {}, "takes 2 arguments but 3 were given")],
+        ids=["missing", "unknown", "repeated", "too-many"],
+    )
+    def test_bad_arguments_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Pair(*args, **kwargs)
+
+    def test_underscore_fields_are_not_arguments(self):
+        with pytest.raises(TypeError, match="unexpected argument '_cache'"):
+            Pair(1, _cache=2)
+        assert Pair(1)._cache is None
+        assert "_cache" not in repr(Pair(1))
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        pair = Pair(1)
+        with pytest.raises(AttributeError, match="immutable"):
+            pair.first = 2
+        with pytest.raises(AttributeError, match="immutable"):
+            del pair.first
+        with pytest.raises(AttributeError, match="immutable"):
+            pair.other = 2
+        assert pair.first == 1
+
+    def test_repr_lists_the_fields(self):
+        assert repr(Pair(1, (2,))) == "Pair(first=1, second=(2,))"
+        assert repr(TpsdVerdict(True)) == "TpsdVerdict(is_tpsd=True, failure=None, witness=None)"
+
+    def test_adopted_checks_arrays_without_copying(self):
+        domain = PointSet.make([0.0, 1.0])
+        values = np.array([0.0, NEG_INF])
+        f = GridFunction._adopt(domain, values)
+        assert f.values is values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="NaN"):
+            GridFunction._adopt(domain, np.array([0.0, math.nan]))
+        with pytest.raises(ValueError, match="expected 2 values"):
+            GridFunction._adopt(domain, np.zeros(3))
+
+    def test_tuples_compare_element_by_element(self):
+        assert Pair(1, (np.zeros(2), "a")) == Pair(1, (np.zeros(2), "a"))
+        assert Pair(1, (np.zeros(2), "a")) != Pair(1, (np.ones(2), "a"))
+        assert Pair(1, (np.zeros(2),)) != Pair(1, (np.zeros(2), "a"))
+
+    def test_equal_regressions_compare_equal(self):
+        samples = SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 1.5, 0.0]),
+                            PointSet.make([-1.0, 0.0, 1.0]))
+        conv = ClosedFormKernel("conv")
+        first, second = regress(samples, conv), regress(samples, conv)
+        assert first is not second and first == second
+        assert first.interpolant == second.interpolant
+        fields = {key: getattr(first, key) for key in first._fields}
+        moved = first.y_star.copy()
+        moved[1] += 0.5
+        assert RegressionResult(**fields) == first
+        assert RegressionResult(**{**fields, "y_star": moved}) != first
+
+    def test_records_of_different_classes_are_unequal(self):
+        assert TpsdVerdict(True) == TpsdVerdict(True)
+        assert TpsdVerdict(True) != PermutationVerdict(True)
+        assert TpsdVerdict(True) != TpsdVerdict(False)
+        domain = PointSet.make([0.0])
+        assert GridFunction(domain, [1.0]) == GridFunction(domain, np.array([1.0]))
+
+    def test_records_are_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(TpsdVerdict(True))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(GridFunction(PointSet.make([0.0]), [1.0]))
+
+    def test_importing_the_cli_generates_no_code(self):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True,
+                              text=True, env=module_env("0"), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["exec_calls"] == 0
+        assert report["generated"] == []
+        library = {"core", "kernels", "conjugation", "linear_theory", "representer", "control"}
+        assert {f"tropkern.{name}" for name in library} <= set(report["modules"])

@@ -33,4 +33,5 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert "np.float64(" not in proc.stdout  # numpy 2's repr of a listed array entry
     assert not list(tmp_path.glob("tropkern-demo-*"))  # temp files removed

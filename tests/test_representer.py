@@ -1141,14 +1141,28 @@ class TestStoppingCost:
         pts = PointSet.make([0, 1])
         kernel = GramKernel(pts, np.array([[1.0, 0.0], [0.0, 1.0]]))
         samples = SampleSet(PointSet.make([0]), np.array([0.0]), pts)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="zero diagonal"):
             reconstruct_stopping_cost(samples, kernel)
 
     def test_off_grid_sample_rejected(self):
         kernel, _ = self.kernel_and_truth()
         samples = SampleSet(PointSet.make([9.0]), np.array([0.0]), kernel.points)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="kernel grid"):
             reconstruct_stopping_cost(samples, kernel)
+
+    def test_idempotency_is_checked_after_the_cheap_checks(self):
+        # Zero diagonal, but the path 0 -> 1 -> 2 (-2) beats b(0, 2) = -5.
+        pts = PointSet.make([0.0, 1.0, 2.0])
+        kernel = GramKernel(pts, [[0.0, -1.0, -5.0], [-1.0, 0.0, -1.0], [-5.0, -1.0, 0.0]])
+        on_grid = SampleSet(PointSet.make([1.0]), np.array([0.0]), pts)
+        with pytest.raises(PreconditionError, match="must be idempotent"):
+            reconstruct_stopping_cost(on_grid, kernel)
+        off_grid = SampleSet(PointSet.make([9.0]), np.array([0.0]), pts)
+        with pytest.raises(PreconditionError, match="kernel grid"):
+            reconstruct_stopping_cost(off_grid, kernel)
+        conv = GramKernel(pts, gram_on(CONV, pts))  # nor idempotent, nor a zero diagonal
+        with pytest.raises(PreconditionError, match="zero diagonal"):
+            reconstruct_stopping_cost(on_grid, conv)
 
 
 def _decimal_points(rng, count):
