@@ -22,18 +22,19 @@ Max-linear Systems, 2010), so all samples are decided at once.
 
 With anchors fixed, the exchange inequalities are difference constraints
 y_n - y_m >= c on the targets, so regression (minimally perturbing the y's
-into feasibility) reduces to one max-plus closure D of the constraint gaps.
-A cycle whose weight, summed exactly from its kernel values, is above 0
-certifies infeasibility; otherwise both fits are read off D exactly: the
-sup-norm fit in closed form, the l1 fit as the potentials of a min-cost
-flow on the dual.  Over all anchors, the targets some assignment
-reproduces form the column span itself, so the best sup-norm fit is the
-Chebyshev distance to it, read from the same principal solution.  An l1
-anchor search builds the assignments one sample at a time, drops each with
-a positive two-cycle as soon as both its samples are fixed, closes the rest
-as one stack and fits those that a disjoint-pair bound on the loss does not
-rule out, with the result that fitting them all gives; when more than a
-budget of them would be built, it takes the sup-norm search's anchors.
+into feasibility) reduces to one max-plus closure D of the gaps, reduced
+first by Bellman-Ford potentials.  A cycle whose weight, summed exactly
+from its kernel values, is above 0 certifies infeasibility; otherwise both
+fits are read off D exactly: the sup-norm fit in closed form, the l1 fit as
+the potentials of a min-cost flow on the dual.  Over all anchors, the
+targets some assignment reproduces form the column span itself, so the best
+sup-norm fit is the Chebyshev distance to it, read from the same principal
+solution.  An l1 anchor search builds the assignments one sample at a time,
+drops each with a positive two-cycle as soon as both its samples are fixed,
+closes the rest as one stack and fits those that a disjoint-pair bound on
+the loss does not rule out, with the result that fitting them all gives;
+when more than a budget of them would be built, it takes the sup-norm
+search's anchors.
 """
 
 from __future__ import annotations
@@ -305,70 +306,68 @@ def _closure(sections: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
 
 
 def _closures(stack: np.ndarray) -> tuple[np.ndarray, list[list[int] | None]]:
-    """Max-plus closures D of the exchange constraints y_k - y_m >= b(x_k, p_m)
-    - b(x_m, p_m) (lower difference, never +inf) of each member sections[k, m]
-    = b(x_k, p_m) of an (A, n, n) stack, and each member's cycle or None.
+    """Max-plus closures D of the exchange constraints y_k - y_m >= t[k, m] =
+    b(x_k, p_m) - b(x_m, p_m) (lower difference, never +inf) of each member
+    sections[k, m] = b(x_k, p_m) of an (A, n, n) stack, and each member's
+    cycle or None.
 
     D[k, m] is the largest gap sum along a path from k to m (0 on the
-    diagonal, -inf where no path exists), built by one rank-1 update of the
-    stack per pivot; y satisfies a member's system exactly when all
-    y_k - y_m >= D[k, m].  A positive diagonal entry marks a candidate
-    cycle, read back from the member's successor matrix.  If the cycle's
-    weight, the exact (math.fsum) sum of its kernel values b(x_a, p_b) and
-    -b(x_b, p_b), is positive, no finite y exists and the member's D stays
-    as it is then; otherwise the entry is float drift and is reset to 0.
+    diagonal, -inf where no path exists); y satisfies a member's system
+    exactly when all y_k - y_m >= D[k, m].  Bellman-Ford potentials pi
+    reduce the gaps to r = t - pi_k + pi_m <= 0 (Johnson, J. ACM 24(1),
+    1977); D is one Floyd-Warshall pass on r clamped at 0, which sums no
+    positive term, plus pi_k - pi_m.  Some r > 0 after n rounds sends the
+    member's Bellman-Ford parent graph to ``_heaviest_cycle``; with no cycle
+    of positive exact weight, r > 0 is float drift, which the clamp drops.
+    Where D equals the direct gap it keeps the gap's bytes (its sign of
+    zero), as a closure replacing entries only by larger path sums does;
+    any other zero is +0.0.
     """
     count, n = stack.shape[:2]
     diagonal = np.arange(n)
-    closure = lower_add_arrays(stack, -stack[:, diagonal, diagonal][:, None, :])
-    closure[:, diagonal, diagonal] = 0.0
-    succ = np.tile(diagonal, (count, n, 1))  # succ[a, k, m]: next node from k to m
-    through, better = np.empty_like(closure), np.empty(closure.shape, dtype=bool)
-    live, alive, cycles = np.ones(count, dtype=bool), count, [None] * count
-    for j in range(n):
-        np.add(closure[:, :, j, None], closure[:, None, j, :], out=through)
-        if alive < count:
-            through[~live] = NEG_INF  # a member with a cycle keeps its D
-        np.greater(through, closure, out=better)
-        # A diagonal entry turns positive exactly where through's is.
-        positive = through.diagonal(0, 1, 2) > 0
-        before = succ  # the paths of pivots < j, which the cycle consists of
-        np.maximum(through, closure, out=closure)  # keeps closure on ties, as better does
-        succ = np.where(better, succ[:, :, j, None], succ)
-        for a in np.flatnonzero(positive.any(axis=1)) if positive.any() else ():
-            for i in np.flatnonzero(positive[a]):
-                walk = _path(before[a], i, j)[:-1] + _path(before[a], j, i)[:-1]
-                cycles[a] = _heaviest_cycle(walk, stack[a])
-                if cycles[a] is not None:
-                    live[a], alive = False, alive - 1
-                    break
-                closure[a, i, i] = 0.0
-        if not alive:
+    gaps = lower_add_arrays(stack, -stack[:, diagonal, diagonal][:, None, :])
+    gaps[:, diagonal, diagonal] = 0.0
+    # Bellman-Ford from pi = 0: each round sets pi_k to t[k, m] + pi_m at the
+    # argmax m (never lower, by the zero diagonal), the parent where it rises.
+    potential, parent = np.zeros((count, n)), np.full((count, n), -1)
+    through, rows = np.empty_like(gaps), np.arange(0, count * n * n, n)
+    for _ in range(n):
+        np.add(gaps, potential[:, None, :], out=through)
+        best = through.argmax(axis=2)
+        raised = through.reshape(-1)[rows + best.reshape(-1)].reshape(count, n)
+        changed = raised > potential
+        if not changed.any():
             break
+        np.copyto(parent, best, where=changed)
+        potential = raised
+    reduced = gaps + potential[:, None, :] - potential[:, :, None]
+    cycles: list[list[int] | None] = [None] * count
+    for a in np.flatnonzero((reduced > 0).any(axis=(1, 2))):
+        cycles[a] = _heaviest_cycle(parent[a].tolist(), stack[a])
+    closure = np.minimum(reduced, 0.0, out=reduced)
+    for j in range(n):
+        np.maximum(closure, closure[:, :, j, None] + closure[:, None, j, :], out=closure)
+    closure += potential[:, :, None]
+    closure -= potential[:, None, :]
+    np.copyto(closure, gaps, where=closure == gaps)
     return closure, cycles
 
 
-def _path(succ: np.ndarray, u: int, v: int) -> list[int]:
-    """The stored path from u to v (cut after n steps)."""
-    path = [int(u)]
-    while path[-1] != v and len(path) <= len(succ):
-        path.append(int(succ[path[-1], v]))
-    return path
-
-
-def _heaviest_cycle(walk: list[int], sections: np.ndarray) -> list[int] | None:
-    """The simple cycle of a closed walk of greatest weight, if that weight
-    is positive: the exact (math.fsum) sum of the kernel values
-    sections[a, b] - sections[b, b] over its steps a -> b."""
-    best, best_weight = None, 0.0
-    stack: list[int] = []
-    for v in walk + walk[:1]:
-        if v not in stack:
-            stack.append(v)
+def _heaviest_cycle(parent: list[int], sections: np.ndarray) -> list[int] | None:
+    """Of the cycles of the graph with one arc k -> parent[k] from each node
+    k (none where it is -1), listed along their arcs, the one of greatest
+    weight if that weight is positive: the exact (math.fsum) sum of the
+    kernel values sections[a, b] - sections[b, b] over its steps a -> b."""
+    best, best_weight, walked = None, 0.0, [-1] * len(parent)
+    for start in reversed(range(len(parent))):
+        walk, v = [], start
+        while v >= 0 and walked[v] < 0:
+            walked[v] = start
+            walk.append(v)
+            v = parent[v]
+        if v < 0 or walked[v] != start:
             continue
-        k = stack.index(v)
-        cycle = stack[k:]
-        del stack[k + 1:]
+        cycle = walk[walk.index(v):]
         heads = cycle[1:] + cycle[:1]
         weight = math.fsum([*sections[cycle, heads], *-sections[heads, heads]])
         if weight > best_weight:
@@ -724,9 +723,10 @@ def reconstruct_stopping_cost(
     (the closure of a cost structure on its own grid); sample points must lie
     on the kernel grid.  Targets are fitted with anchors at the sample points
     themselves (sup_norm loss), giving f0(x) = max_m b(x, x_m) + y*_m and the
-    stopping cost w = -y* on the sample points, +inf elsewhere.
+    stopping cost w = -y* on the sample points, +inf elsewhere.  A kernel
+    table of more than PAIR_GUARD entries raises SizeError.
     """
-    matrix = kernel.matrix
+    matrix = gram_on(kernel)  # refused above PAIR_GUARD before any n^3 product
     points = kernel.points
     if np.abs(np.diag(matrix)).max() > tol:
         raise PreconditionError("kernel matrix must have zero diagonal")
@@ -734,7 +734,6 @@ def reconstruct_stopping_cost(
     at = points.indices(anchors)
     if (at < 0).any():
         raise PreconditionError("sample points must lie on the kernel grid")
-    # The samples' table meets PAIR_GUARD before the n^3 idempotency product.
     table = gram_on(kernel, samples.xs)
     if not is_idempotent(matrix, tol=max(tol, 1e-9)):
         raise PreconditionError("kernel matrix must be idempotent")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -441,6 +442,35 @@ def lp_difference_feasible(
         method="highs",
     )
     return res.status == 0
+
+
+def exact_closure(sections: np.ndarray) -> tuple[bool, list[list[Fraction | None]]]:
+    """The max-plus closure D of the exchange gaps t[k, m] = sections[k, m] -
+    sections[m, m] (None for -inf, 0 on the diagonal), by Floyd-Warshall in
+    exact rationals on the float kernel values: each float is a dyadic
+    fraction, so all are held as integers over their least common
+    denominator.
+
+    Returns:
+        (feasible, D): feasible is False exactly when some cycle of gaps sums
+        to more than 0, which leaves a positive diagonal entry.
+    """
+    n = len(sections)
+    exact = [[None if v == NEG else Fraction(v) for v in row] for row in sections.tolist()]
+    scale = math.lcm(*(v.denominator for row in exact for v in row if v is not None))
+    d = [[None if exact[k][m] is None else int((exact[k][m] - exact[m][m]) * scale)
+          for m in range(n)] for k in range(n)]
+    for j in range(n):
+        row_j = d[j]
+        for row_k in d:
+            through = row_k[j]
+            if through is None:
+                continue
+            for m, tail in enumerate(row_j):
+                if tail is not None and (row_k[m] is None or through + tail > row_k[m]):
+                    row_k[m] = through + tail
+    feasible = all(d[i][i] <= 0 for i in range(n))
+    return feasible, [[None if v is None else Fraction(v, scale) for v in row] for row in d]
 
 
 # ---------------------------------------------------------------------------

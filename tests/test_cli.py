@@ -533,6 +533,12 @@ ABOVE_GUARDS = [
     pytest.param("invert-stopping-cost",
                  lambda: {"kernel": lip_gram_spec(range(1001)), "samples": GUARD_SAMPLES},
                  PAIR_MESSAGE, 1.0, id="invert-stopping-cost"),
+    # Three samples: only the kernel's own table is above the guard, and its
+    # n^3 idempotency product is refused.
+    pytest.param("invert-stopping-cost",
+                 lambda: {"kernel": lip_gram_spec(range(1001)),
+                          "samples": {"xs": [[0], [500], [1000]], "ys": [0.0, 0.0, 0.0]}},
+                 PAIR_MESSAGE, 1.0, id="invert-stopping-cost-kernel"),
     pytest.param("invert-terminal-cost",
                  {"problem": {**PROBLEM_4X5, "space_grid": {"start": 0.0, "stop": 1.0, "num": 1001}},
                   "samples": {"xs": [[0.0]], "ys": [0.0]}},
@@ -874,10 +880,14 @@ class TestOtherCommands:
 
 class TestGoldenOutputs:
     # Besides one input per command, 2-D representer fits on decimal
-    # coordinates, whose sections and offsets round.
-    @pytest.mark.parametrize("command", [*COMMANDS, "interpolate-2d", "regress-2d"])
+    # coordinates, whose sections and offsets round, and a fixed-anchor l1
+    # fit on 100 one-decimal samples, whose closure sums rounded gaps along
+    # paths of up to 100 steps.
+    @pytest.mark.parametrize("command",
+                             [*COMMANDS, "interpolate-2d", "regress-2d", "regress-decimal"])
     def test_stdout_bytes_match_golden(self, capsys, command):
-        code = main([command.removesuffix("-2d"), "--input", str(GOLDEN / f"{command}.json")])
+        name = command.removesuffix("-2d").removesuffix("-decimal")
+        code = main([name, "--input", str(GOLDEN / f"{command}.json")])
         out = capsys.readouterr().out
         expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
         assert code == expected_codes[command]

@@ -34,6 +34,7 @@ from tropkern.representer import (
 )
 
 from oracles import (
+    exact_closure,
     lo_add,
     lo_sub,
     lp_difference_feasible,
@@ -1007,48 +1008,171 @@ class TestRegress:
         assert not result.exact
 
 
+def floyd_warshall(sections):
+    """The closure of the raw gaps sections[k, m] - sections[m, m] of a
+    system without a positive cycle, one rank-1 update per pivot, replacing
+    an entry only by a strictly larger path sum: the reference that
+    ``_closure`` matches on exact data."""
+    closure = sections - np.diag(sections)[None, :]
+    np.fill_diagonal(closure, 0.0)
+    for j in range(len(closure)):
+        np.maximum(closure[:, j, None] + closure[None, j, :], closure, out=closure)
+    return closure
+
+
+def decimal_system(rng, tight):
+    """An exchange system of n = 2..13 samples on the grid 1/4, 1/10 or
+    1/100 at magnitudes 1 to 1e6, with 30 % of its off-diagonal kernel values
+    -inf.  Its values are random, or (``tight``) they give gaps y_k - y_m
+    minus a slack that is 0 on about half the pairs, whose cycles weigh 0
+    up to the rounding of the values."""
+    n = int(rng.integers(2, 14))
+    den, mag = int(rng.choice([4, 10, 100])), 10 ** int(rng.integers(0, 7))
+
+    def grid(size):
+        return rng.integers(-mag * den, mag * den + 1, size) / den
+
+    if tight:
+        y, diag = grid(n), grid(n)
+        slack = np.where(rng.random((n, n)) < 0.5, 0.0, np.abs(grid((n, n))))
+        sections = np.subtract.outer(y, y) - slack + diag[None, :]
+    else:
+        sections, diag = grid((n, n)), grid(n)
+    sections[rng.random((n, n)) < 0.3] = NEG_INF
+    sections[np.arange(n), np.arange(n)] = diag
+    return sections
+
+
+class TestExactClosure:
+    """The closure against the same closure in exact rationals."""
+
+    def test_verdicts_cycles_and_closure_match_the_exact_closure(self):
+        # A float verdict can only miss a positive cycle whose exact weight
+        # is within rounding of 0; random values have none, tight ones may.
+        rng = np.random.default_rng(26)
+        eps = np.finfo(float).eps
+        seen = {"feasible": 0, "cycle": 0}
+        for trial in range(1500):
+            sections = decimal_system(rng, tight=trial % 2 == 1)
+            n = len(sections)
+            gaps = sections - np.diag(sections)[None, :]
+            rounding = n * n * eps * np.abs(gaps[np.isfinite(gaps)]).max()
+            feasible, exact = exact_closure(sections)
+            closure, cycle = _closure(sections)
+            assert not np.diag(closure).any()
+            if cycle is not None:
+                assert not feasible
+                assert exact_weight(sections, cycle) > 0
+                seen["cycle"] += 1
+            elif not feasible:
+                # The greatest point below 0 meets every exact gap within
+                # rounding.
+                assert trial % 2 == 1
+                y = [Fraction(v) for v in _greatest_below(closure, np.zeros(n))]
+                for k, m in zip(*np.nonzero(np.isfinite(sections))):
+                    gap = Fraction(sections[k, m]) - Fraction(sections[m, m])
+                    assert y[k] - y[m] >= gap - Fraction(rounding)
+            else:
+                for k, m in itertools.product(range(n), repeat=2):
+                    if exact[k][m] is None:
+                        assert closure[k, m] == NEG_INF
+                    else:
+                        assert abs(Fraction(closure[k, m]) - exact[k][m]) <= rounding
+                seen["feasible"] += 1
+        assert min(seen.values()) >= 300, seen
+
+    def test_bytes_match_floyd_warshall_on_dyadic_systems(self):
+        # Feasible quarter-grid systems with 0.0 and -0.0 kernel values and
+        # -inf entries.  A zero the reference reaches only along a path of
+        # -0.0 gaps (a sum of -0.0 terms) is -0.0 there and 0.0 here.
+        rng = np.random.default_rng(27)
+        for trial in range(600):
+            n = int(rng.integers(2, 10))
+            y = rng.integers(-4, 5, n) / 4
+            gaps = np.subtract.outer(y, y) - rng.choice([0.0, 0.0, 0.25, 1.0], (n, n))
+            zero = gaps == 0
+            gaps[zero] = rng.choice([0.0, -0.0], zero.sum())
+            gaps[rng.random((n, n)) < 0.3] = NEG_INF
+            diag = rng.integers(-8, 9, n) / 4 if trial % 2 else np.zeros(n)
+            sections = gaps + diag[None, :] if trial % 2 else gaps
+            sections[np.arange(n), np.arange(n)] = diag
+            closure, cycle = _closure(sections)
+            reference = floyd_warshall(sections)
+            assert cycle is None
+            assert np.array_equal(closure, reference)
+            apart = closure.view(np.int64) != reference.view(np.int64)
+            assert (np.signbit(reference[apart]) & ~np.signbit(closure[apart])).all()
+            assert (reference[apart] == 0).all() and (gaps[apart] < 0).all()
+
+
 def drift_samples() -> SampleSet:
     """100 one-decimal sites in [-50, 50), one-decimal targets in [-3, 3]
-    and the slopes -1 and 1 of conv: data whose closure drifts."""
+    and the slopes -1 and 1 of conv: data whose gaps round, with paths of up
+    to 100 steps."""
     rng = np.random.default_rng(100)
     xs = np.sort(rng.choice(np.arange(-500, 500), 100, replace=False)) / 10
     return SampleSet(PointSet.make(xs), rng.integers(-30, 31, 100) / 10,
                      PointSet.make([-1.0, 1.0]))
 
 
-DRIFT = ("_closures sums rounded gaps along paths of up to 100 steps; the sums "
-         "drift until D[k, m] + D[m, k] > 0 on a feasible system, and the fitted "
-         "targets fail the interpolant's exchange check")
+def exchange_gaps(sections):
+    """The gaps sections[k, m] - sections[m, m], -inf on the diagonal (no
+    constraint), as ``lp_regression`` reads them."""
+    gaps = sections - np.diag(sections)[None, :]
+    np.fill_diagonal(gaps, NEG_INF)
+    return gaps
 
 
-class TestClosureDrift:
-    """A known limit of the closure on long decimal systems, pinned as
-    strict xfails: a fix is a redesign of the closure."""
+class TestLongDecimalClosure:
+    """On a long decimal system the closure stays within rounding of a
+    feasible one, and every fit on it succeeds at its optimum."""
 
-    def test_projection_is_feasible_but_its_closure_drifts(self):
-        # The sup-norm search reads no closure and fits.  Its span point
-        # satisfies the raw gaps of its anchors within rounding, yet their
-        # closure has a positive two-way path sum.
+    def test_projection_anchors_close_within_rounding(self):
+        # The sup-norm search reads no closure.  Its span point satisfies
+        # the raw gaps of its anchors within rounding, and the two-way path
+        # sums of their closure are within rounding of 0.
         samples = drift_samples()
         result = regress(samples, CONV, loss="sup_norm")
         sections = gram_on(CONV, samples.xs, result.p_star)
         gaps = sections - np.diag(sections)
         y = result.y_star
         assert (gaps - np.subtract.outer(y, y)).max() < 1e-13
+        start = time.perf_counter()
         closure, cycle = _closure(sections)
+        assert time.perf_counter() - start < 0.5
         assert cycle is None
-        assert (closure + closure.T).max() > 1.0
+        rounding = len(y) * np.finfo(float).eps * np.abs(closure).max()
+        assert (closure + closure.T).max() <= rounding
 
-    @pytest.mark.xfail(strict=True, raises=PreconditionError, reason=DRIFT)
     def test_l1_search(self):
-        regress(drift_samples(), CONV, loss="l1")
+        samples = drift_samples()
+        result = regress(samples, CONV, loss="l1")
+        sections = gram_on(CONV, samples.xs, result.p_star)
+        feasible, optimum, _ = lp_regression(exchange_gaps(sections), samples.ys, "l1")
+        assert feasible
+        assert result.loss_value == pytest.approx(optimum, rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=PreconditionError, reason=DRIFT)
     @pytest.mark.parametrize("loss", ["sup_norm", "l1"])
     def test_fixed_projection_anchors(self, loss):
+        # Decimal gaps have no exact float solution; the fitted targets meet
+        # each exact gap within rounding at the data's magnitude.
         samples = drift_samples()
-        anchors = regress(samples, CONV, loss="sup_norm").p_star
-        regress(samples, CONV, loss=loss, fixed_p=anchors)
+        search = regress(samples, CONV, loss="sup_norm")
+        result = regress(samples, CONV, loss=loss, fixed_p=search.p_star)
+        sections = gram_on(CONV, samples.xs, search.p_star)
+        if loss == "sup_norm":
+            # The search's loss, 25.25, in closed form; the closure's radius
+            # rounds to 25.250000000000004.
+            assert search.loss_value == 25.25
+            assert result.loss_value == pytest.approx(search.loss_value, rel=1e-15)
+        else:
+            _, optimum, _ = lp_regression(exchange_gaps(sections), samples.ys, "l1")
+            assert result.loss_value == pytest.approx(optimum, rel=1e-9)
+        y = [Fraction(v) for v in result.y_star]
+        rounding = Fraction(len(y) * np.finfo(float).eps * np.abs(sections).max())
+        for k, m in itertools.product(range(len(y)), repeat=2):
+            gap = Fraction(sections[k, m]) - Fraction(sections[m, m])
+            assert y[k] - y[m] >= gap - rounding
 
 
 class TestEquivalenceInvariant:
