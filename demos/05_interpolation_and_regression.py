@@ -14,6 +14,7 @@ import numpy as np
 
 from tropkern import (
     ClosedFormKernel,
+    InfeasibleConstraintsError,
     PointSet,
     SampleSet,
     build_f0,
@@ -29,7 +30,7 @@ duals = PointSet.make([-1.0, 0.0, 1.0])
 convex = SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), duals)
 wit = feasible_witnesses(convex, conv)
 # The anchors are one (n, d) array, one row per sample.
-print("feasible:", wit.feasible, "| anchors:", wit.witnesses[:, 0].tolist())
+print("anchors:", wit.witnesses[:, 0].tolist())
 
 f0 = build_f0(convex, wit, conv)
 xs = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -38,11 +39,12 @@ print("reproduces every sample:",
       all(f0(x) == y for x, y in zip([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])))
 
 # Concave data: no convex function interpolates it; the middle sample is
-# the one nothing can serve.
+# the one nothing can serve, and the error names it.
 concave = SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), duals)
-blocked = feasible_witnesses(concave, conv)
-print("\nconcave data feasible:", blocked.feasible,
-      "| blocking sample (0-based):", blocked.blocking_index)
+try:
+    feasible_witnesses(concave, conv)
+except InfeasibleConstraintsError as exc:
+    print("\nconcave data refused:", exc, "| blocking sample (0-based):", exc.blocking_index)
 
 # Regression instead: perturb the targets as little as possible.  The best
 # sup-norm fit flattens the bump to its average, at distance 0.5.

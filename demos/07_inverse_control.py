@@ -15,6 +15,7 @@ import numpy as np
 from tropkern import (
     GramKernel,
     GridFunction,
+    InfeasibleConstraintsError,
     LagrangianSpec,
     MaupertuisProblem,
     PointSet,
@@ -66,7 +67,7 @@ print("\nobserved -V(0, r) at r =", sample_rs, "->", ys)
 slice_kernel = space_slice_kernel(problem)
 obs = SampleSet(PointSet.make(list(sample_rs)), ys, slice_kernel.points)
 result = invert_terminal_cost(obs, slice_kernel)
-print("feasible:", result.feasible, "| witness slice indices:", result.witness_indices)
+print("witness slice indices:", result.witness_indices)
 print("final-slice anchors:", result.witnesses[:, 0].tolist())
 print("reconstructed terminal cost:", result.psi_T.values.tolist())
 
@@ -79,9 +80,10 @@ print("regenerated V dominates the true V:",
 # Inconsistent observations are refused with a pointer to the first sample
 # that cannot be served.
 bad = SampleSet(PointSet.make([0.0, 0.25]), (0.0, 10.0), slice_kernel.points)
-refused = invert_terminal_cost(bad, slice_kernel)
-print("\ninconsistent data feasible:", refused.feasible,
-      "| blocking sample (0-based):", refused.blocking_index)
+try:
+    invert_terminal_cost(bad, slice_kernel)
+except InfeasibleConstraintsError as exc:
+    print("\ninconsistent data refused:", exc, "| blocking sample (0-based):", exc.blocking_index)
 
 # The DP kernel itself is available for inspection.
 gram = maupertuis_dp(problem)

@@ -341,10 +341,6 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
     kernel = _kernel(data)
     samples = _samples(data, kernel)
     wit = feasible_witnesses(samples, kernel, tol=config.tolerance)
-    if not wit.feasible:
-        raise InfeasibleConstraintsError(
-            "no anchor serves a sample", blocking_index=wit.blocking_index
-        )
     f0 = build_f0(samples, wit, kernel, tol=config.tolerance)
     payload = {
         "feasible": True,
@@ -443,10 +439,6 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
     candidates = None if "dual_candidates" in data else problem.space_points()
     samples = _samples(data, kernel, candidates)
     result = invert_terminal_cost(samples, kernel, tol=config.tolerance)
-    if not result.feasible:
-        raise InfeasibleConstraintsError(
-            "no anchor serves a sample", blocking_index=result.blocking_index
-        )
     payload = {
         "feasible": True,
         "witnesses": result.witnesses,

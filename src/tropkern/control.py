@@ -334,9 +334,11 @@ class MaupertuisProblem(Record):
 
 
 def _uniform_axis(values: Sequence[float], what: str) -> np.ndarray:
-    """A finite, strictly increasing, uniformly spaced axis, read-only
+    """A 1-D, finite, strictly increasing, uniformly spaced axis, read-only
     (``owned_array``)."""
-    ax = owned_array(values, what).reshape(-1)
+    ax = owned_array(values, what)
+    if ax.ndim != 1:
+        raise ValueError(f"{what} must be a flat list of numbers")
     if not np.isfinite(ax).all():
         raise ValueError(f"{what} must be finite")
     if len(ax) > 1:
@@ -613,23 +615,19 @@ def space_slice_kernel(
 
 
 class TerminalCostResult(Record):
-    """Outcome of terminal-cost reconstruction from value samples.
+    """A terminal cost that reproduces value samples.
 
     Attributes:
-        feasible: Whether the samples are consistent with some terminal cost.
         witnesses: The final-slice anchors, one read-only (n, d) row per
-            sample (None if infeasible).
+            sample.
         witness_indices: Their indices in the candidate set.
         psi_T: The reconstructed terminal cost: b(r_m, p_m) - y_m at each
             witness (least over coinciding witnesses), +inf elsewhere.
-        blocking_index: First sample with no valid anchor, when infeasible.
     """
 
-    feasible: bool
-    witnesses: np.ndarray | None
-    witness_indices: tuple[int, ...] | None
-    psi_T: GridFunction | None
-    blocking_index: int | None
+    witnesses: np.ndarray
+    witness_indices: tuple[int, ...]
+    psi_T: GridFunction
 
 
 def invert_terminal_cost(
@@ -640,17 +638,16 @@ def invert_terminal_cost(
     Samples pair initial-slice space points r_m with targets
     y_m = -V(t_start, r_m); the kernel is the two-slice kernel from
     ``space_slice_kernel``.  A witness search over the candidate final-slice
-    points either certifies infeasibility (data inconsistent with any
-    terminal cost for this kernel) or yields anchors p_m, from which
+    points yields anchors p_m, from which
 
         psi_T(rho) = min over {m : p_m = rho} of b(r_m, p_m) - y_m,
 
     +inf off the witness set.  The cost-to-go regenerated from psi_T
-    interpolates the samples exactly.
+    interpolates the samples exactly.  Data inconsistent with any terminal
+    cost for this kernel raise the search's InfeasibleConstraintsError, with
+    the first sample that no final-slice point can serve.
     """
     wit = feasible_witnesses(samples, space_kernel, tol=tol)
-    if not wit.feasible:
-        return TerminalCostResult(False, None, None, None, wit.blocking_index)
     grid = space_kernel.points
     at = np.array(wit.witness_indices)
     if samples.dual_candidates != grid:
@@ -661,6 +658,4 @@ def invert_terminal_cost(
     _, first = np.unique(at[order], return_index=True)
     psi = np.full(len(grid), POS_INF)
     psi[at[order][first]] = values[order][first]
-    return TerminalCostResult(
-        True, wit.witnesses, wit.witness_indices, GridFunction(grid, psi), None
-    )
+    return TerminalCostResult(wit.witnesses, wit.witness_indices, GridFunction(grid, psi))

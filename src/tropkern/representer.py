@@ -66,7 +66,8 @@ class InfeasibleConstraintsError(RuntimeError):
     """Raised when a task requires a feasible system but none exists.
 
     ``cycle`` lists constraints whose exact weight is above 0;
-    ``blocking_index`` is the first sample (0-based) no candidate can serve.
+    ``blocking_index`` is the first sample (0-based) that no candidate, or
+    no fixed anchor, can serve.  No result record carries such a verdict.
     """
 
     def __init__(self, message: str, cycle: list[int] | None = None,
@@ -107,32 +108,25 @@ class SampleSet(Record):
 
 
 class WitnessResult(Record):
-    """Outcome of the per-sample anchor search.
+    """Anchors that serve every sample, one each.
 
     Attributes:
-        feasible: True iff every sample has at least one valid anchor.
-        witnesses: The chosen anchors, one read-only (n, d) row per sample
-            (None if infeasible).
+        witnesses: The chosen anchors, one read-only (n, d) row per sample.
         witness_indices: Indices of the chosen anchors within the candidate
-            set (None if infeasible).
-        blocking_index: If infeasible, the first sample index (0-based) that
-            no candidate anchor can serve.
+            set.
         sections: The table the anchors were chosen from, at the chosen
-            anchors: sections[k, m] = b(x_k, p_m) (None if infeasible).
+            anchors: sections[k, m] = b(x_k, p_m).
     """
 
-    feasible: bool
-    witnesses: np.ndarray | None
-    witness_indices: tuple[int, ...] | None
-    blocking_index: int | None
-    sections: np.ndarray | None = None
+    witnesses: np.ndarray
+    witness_indices: tuple[int, ...]
+    sections: np.ndarray
 
 
 def feasible_witnesses(
     samples: SampleSet, kernel: KernelRep, tol: float = 1e-9
 ) -> WitnessResult:
-    """Choose one anchor per sample from the candidates, or report the first
-    sample that none can serve.
+    """Choose one anchor per sample from the candidates.
 
     With u[k, p] = y_k - b(x_k, p) (+inf where b is -inf, a vacuous
     constraint), candidate p is valid for sample m when b(x_m, p) is finite
@@ -149,6 +143,9 @@ def feasible_witnesses(
     Everything is read from one table b(x_k, p) over the samples and the
     candidates; its columns at the chosen anchors are kept as the result's
     ``sections``, from which ``build_f0`` builds the interpolant.
+
+    Raises InfeasibleConstraintsError with ``blocking_index``, the first
+    sample that no candidate can serve, when the data admit no interpolant.
     """
     n = len(samples)
     bxp = gram_on(kernel, samples.xs, samples.dual_candidates)  # (n, n_cand)
@@ -159,13 +156,15 @@ def feasible_witnesses(
         totals = u.sum(axis=0) - n * u
     blocked = np.flatnonzero(~valid.any(axis=1))
     if blocked.size:
-        return WitnessResult(False, None, None, int(blocked[0]))
+        raise InfeasibleConstraintsError(
+            "no anchor serves a sample", blocking_index=int(blocked[0])
+        )
     least = np.where(valid, totals, POS_INF).min(axis=1, keepdims=True)
     chosen = np.argmax(valid & (totals == least), axis=1)
     anchors, sections = samples.dual_candidates.as_array()[chosen], bxp[:, chosen]
     anchors.setflags(write=False)
     sections.setflags(write=False)
-    return WitnessResult(True, anchors, tuple(chosen.tolist()), None, sections)
+    return WitnessResult(anchors, tuple(chosen.tolist()), sections)
 
 
 def _projection(bxp: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +248,7 @@ def build_f0(
     """Build the canonical interpolant from one anchor per sample.
 
     ``witnesses`` is either the anchors, read once by ``point_array`` and
-    evaluated at the samples in one table, or the feasible WitnessResult of
+    evaluated at the samples in one table, or the WitnessResult of
     ``feasible_witnesses`` on these samples and this kernel, whose sections
     are read instead.  The interpolant keeps the sections, so its
     ``on_grid(samples.xs)`` evaluates no kernel.
@@ -259,8 +258,6 @@ def build_f0(
     finite; otherwise the result satisfies f0(x_m) = y_m exactly.
     """
     if isinstance(witnesses, WitnessResult):
-        if not witnesses.feasible:
-            raise ValueError("an infeasible WitnessResult has no witnesses")
         anchors, sections = witnesses.witnesses, witnesses.sections
     else:
         anchors, sections = point_array(witnesses), None
@@ -512,7 +509,8 @@ def regress(
     anchors.
 
     Raises InfeasibleConstraintsError when fixed anchors admit no fit (with
-    a positive cycle) or no candidate can serve a sample (with its index).
+    a positive cycle, or the first sample whose anchor's section is -inf
+    there) or no candidate can serve a sample (with its index).
     """
     loss = {"sup": "sup_norm"}.get(loss, loss)
     if loss not in ("sup_norm", "l1"):
@@ -539,9 +537,10 @@ def _regress_fixed(
 ) -> RegressionResult:
     """The fit for the (n, d) array of anchors, from their sections[k, m] =
     b(x_k, p_m) at the samples."""
-    if not np.isfinite(np.diag(sections)).all() or (sections == POS_INF).any():
+    blocked = np.flatnonzero(np.diag(sections) == NEG_INF)
+    if blocked.size:  # its gaps are +inf, which no finite targets meet
         raise InfeasibleConstraintsError(
-            "anchors force an unsatisfiable (infinite) exchange gap"
+            "an anchor's section is -inf at its sample", blocking_index=int(blocked[0])
         )
     closure, cycle = _closure(sections)
     if cycle is not None:

@@ -39,6 +39,7 @@ from tropkern.linear_theory import (
     right_residual,
 )
 from tropkern.representer import (
+    InfeasibleConstraintsError,
     SampleSet,
     build_f0,
     feasible_witnesses,
@@ -420,7 +421,6 @@ class TestRepresenterPinned:
     def test_convex_dataset_reproduced_exactly(self):
         samples = self.convex_samples()
         wit = feasible_witnesses(samples, CONV)
-        assert wit.feasible
         f0 = build_f0(samples, wit.witnesses, CONV)
         for x, y in zip([0.0, 1.0, 2.0], [0.0, 0.0, 1.0]):
             assert f0(x) == y
@@ -428,10 +428,9 @@ class TestRepresenterPinned:
             assert f0(float(x)) == max(0.0, float(x) - 1.0)
 
     def test_concave_dataset_blocked_at_second_sample(self):
-        wit = feasible_witnesses(self.concave_samples(), CONV)
-        assert not wit.feasible
-        assert wit.blocking_index == 1  # reported one-based as position 2
-        assert wit.blocking_index + 1 == 2
+        with pytest.raises(InfeasibleConstraintsError) as exc:
+            feasible_witnesses(self.concave_samples(), CONV)
+        assert exc.value.blocking_index == 1  # reported one-based as position 2
 
     def test_regression_matches_enumeration_oracle(self):
         samples = self.concave_samples()
@@ -563,7 +562,6 @@ class TestInverseRoundTrips:
             PointSet.make(list(sample_rs)), ys, slice_kernel.points
         )
         result = invert_terminal_cost(samples, slice_kernel)
-        assert result.feasible
         # Every witness maximizes its section, which is what makes the
         # reconstructed terminal cost regenerate a dominating cost-to-go.
         rs = [r for (r,) in slice_kernel.points.points]

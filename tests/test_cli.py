@@ -54,6 +54,13 @@ GRAM_3 = {
 # One input per subcommand, with its expected stdout bytes and exit code.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+
+def golden_command(name: str) -> str:
+    """The command of golden input ``name``: the longest command that is the
+    name or starts it followed by "-" (``regress-blocked`` is ``regress``)."""
+    return max((c for c in COMMANDS if name == c or name.startswith(c + "-")), key=len)
+
+
 # 2 x 600 spacetime points: the maupertuis pair guard refuses it (exit 1).
 PAIR_GUARD_PROBLEM = {
     "time_grid": [0.0, 1.0],
@@ -882,12 +889,12 @@ class TestGoldenOutputs:
     # Besides one input per command, 2-D representer fits on decimal
     # coordinates, whose sections and offsets round, and a fixed-anchor l1
     # fit on 100 one-decimal samples, whose closure sums rounded gaps along
-    # paths of up to 100 steps.
-    @pytest.mark.parametrize("command",
-                             [*COMMANDS, "interpolate-2d", "regress-2d", "regress-decimal"])
+    # paths of up to 100 steps, and a fixed-anchor fit refused at a sample
+    # whose anchor's section is -inf there.
+    @pytest.mark.parametrize("command", [*COMMANDS, "interpolate-2d", "regress-2d",
+                                         "regress-decimal", "regress-blocked"])
     def test_stdout_bytes_match_golden(self, capsys, command):
-        name = command.removesuffix("-2d").removesuffix("-decimal")
-        code = main([name, "--input", str(GOLDEN / f"{command}.json")])
+        code = main([golden_command(command), "--input", str(GOLDEN / f"{command}.json")])
         out = capsys.readouterr().out
         expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
         assert code == expected_codes[command]
@@ -1129,6 +1136,33 @@ PINNED_ERRORS = {
         '{\n  "blocking_index": 2,\n  "feasible": false\n}\n',
     ),
 }
+
+
+# Every way the CLI reports an infeasible verdict: (command, input text).
+INFEASIBLE_INPUTS = {
+    "interpolate-concave": ("interpolate", PINNED_ERRORS["interpolate-blocked"][1]),
+    "invert-terminal-cost-inconsistent": (
+        "invert-terminal-cost",
+        json.dumps({"problem": PROBLEM_4X5, "samples": {"xs": [[0.0], [0.25]], "ys": [0.0, 10.0]}}),
+    ),
+    "regress-fixed-cycle": ("regress", PINNED_ERRORS["regress-cycle"][1]),
+    "regress-blocked": ("regress", (GOLDEN / "regress-blocked.json").read_text()),
+}
+
+
+class TestInfeasibleVerdictsCarryCertificates:
+    @pytest.mark.parametrize("case", INFEASIBLE_INPUTS)
+    def test_blocking_sample_or_cycle(self, capsys, tmp_path, case):
+        command, text = INFEASIBLE_INPUTS[case]
+        payload = json.loads(text)
+        code, out = invoke(capsys, tmp_path, command, payload)
+        n = len(payload["samples"]["xs"])
+        assert code == 1
+        assert out["feasible"] is False
+        if "blocking_index" in out:
+            assert 1 <= out["blocking_index"] <= n
+        else:
+            assert out["negative_cycle"]
 
 
 class TestErrorPlumbing:
@@ -1838,6 +1872,9 @@ class TestOneNumberRule:
                             "costs": [1.0, 0.0, 1.0]}},
             {"lagrangian": {"name": "table", "velocities": [[-1.0], [0.0], [1.0], [1.0, 0.0]],
                             "costs": [1.0, 0.0, 1.0, 1.0]}},
+            {"time_grid": [[0, 0.5], [1, 1.5]]},
+            {"space_grid": [[-0.5], [-0.25], [0.0], [0.25], [0.5]]},
+            {"space_grid": {"axes": [[[-0.5], [-0.25], [0.0], [0.25], [0.5]]]}},
         ],
     )
     def test_problem_numbers(self, capsys, tmp_path, change):

@@ -38,7 +38,7 @@ from tropkern.control import (
     space_slice_kernel,
     value_function,
 )
-from tropkern.representer import SampleSet
+from tropkern.representer import InfeasibleConstraintsError, SampleSet
 
 from oracles import (
     backward_value_from_paths,
@@ -1115,9 +1115,7 @@ class TestInvertTerminalCost:
     def test_consistent_samples_feasible(self):
         _, _, _, samples, slice_kernel = self.steep_instance()
         result = invert_terminal_cost(samples, slice_kernel)
-        assert result.feasible
         assert result.witness_indices == (3, 4, 5)
-        assert result.blocking_index is None
 
     def test_witnesses_maximize_sections(self):
         _, psi, _, samples, slice_kernel = self.steep_instance()
@@ -1181,7 +1179,6 @@ class TestInvertTerminalCost:
             PointSet.make([float(r) for r in rs]), ys, slice_kernel.points
         )
         result = invert_terminal_cost(samples, slice_kernel)
-        assert result.feasible
         regen = value_function(prob, result.psi_T)
         for m, (r,) in enumerate(samples.xs.points):
             assert regen.values[idx[(0.0, r)]] == pytest.approx(
@@ -1194,7 +1191,6 @@ class TestInvertTerminalCost:
         y1 = float(-v.values[idx[(0.0, 0.5)]])
         samples = SampleSet(PointSet.make([0.5]), (y1,), slice_kernel.points)
         result = invert_terminal_cost(samples, slice_kernel)
-        assert result.feasible
         j = result.witness_indices[0]
         rs = list(r for (r,) in slice_kernel.points.points)
         expect = np.full(len(rs), POS_INF)
@@ -1207,10 +1203,9 @@ class TestInvertTerminalCost:
         samples = SampleSet(
             PointSet.make([0.0, 0.25]), (0.0, 10.0), slice_kernel.points
         )
-        result = invert_terminal_cost(samples, slice_kernel)
-        assert not result.feasible
-        assert result.blocking_index == 1
-        assert result.psi_T is None
+        with pytest.raises(InfeasibleConstraintsError) as exc:
+            invert_terminal_cost(samples, slice_kernel)
+        assert exc.value.blocking_index == 1
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_coinciding_witnesses_keep_the_earlier_zero(self, order):

@@ -162,6 +162,14 @@ def anchor_gaps(bxp: np.ndarray, indices) -> np.ndarray:
     return gaps
 
 
+def witnesses_or_none(samples: SampleSet, kernel, tol: float = 1e-9):
+    """``feasible_witnesses``, or None where it finds a blocking sample."""
+    try:
+        return feasible_witnesses(samples, kernel, tol=tol)
+    except InfeasibleConstraintsError:
+        return None
+
+
 def witness_oracle(samples: SampleSet, bxp: np.ndarray) -> bool:
     """Independent feasibility decision: raise each candidate section as high
     as the data allows (residuated height), then test whether the max of the
@@ -191,20 +199,18 @@ class TestSampleSet:
 class TestFeasibleWitnesses:
     def test_convex_data_witnesses(self):
         result = feasible_witnesses(convex_samples(), CONV)
-        assert result.feasible
         assert result.witness_indices == (1, 1, 2)
         assert np.array_equal(result.witnesses, CAND3.as_array()[[1, 1, 2]])
 
     def test_concave_data_blocked_at_middle(self):
-        result = feasible_witnesses(concave_samples(), CONV)
-        assert not result.feasible
-        assert result.blocking_index == 1
-        assert result.witnesses is None
+        with pytest.raises(InfeasibleConstraintsError, match="no anchor serves") as exc:
+            feasible_witnesses(concave_samples(), CONV)
+        assert exc.value.blocking_index == 1
+        assert exc.value.cycle is None
 
     def test_single_sample_lowest_index(self):
         samples = SampleSet(PointSet.make([0.5]), np.array([2.0]), CAND3)
         result = feasible_witnesses(samples, CONV)
-        assert result.feasible
         assert result.witness_indices == (0,)
 
     def test_bottom_self_evaluation_disqualifies(self):
@@ -213,23 +219,22 @@ class TestFeasibleWitnesses:
         kernel = GramKernel(pts, matrix)
         samples = SampleSet(PointSet.make([0]), np.array([1.0]), pts)
         result = feasible_witnesses(samples, kernel)
-        assert result.feasible
         assert result.witness_indices == (1,)
 
     def test_index_equivariance_under_permutation(self):
         rng = np.random.default_rng(50)
         for _ in range(20):
             samples, kernel, _ = random_instance(rng)
-            base = feasible_witnesses(samples, kernel)
+            base = witnesses_or_none(samples, kernel)
             perm = rng.permutation(len(samples))
             shuffled = SampleSet(
                 PointSet.make([samples.xs.points[i] for i in perm]),
                 samples.ys[perm],
                 samples.dual_candidates,
             )
-            other = feasible_witnesses(shuffled, kernel)
-            assert base.feasible == other.feasible
-            if base.feasible:
+            other = witnesses_or_none(shuffled, kernel)
+            assert (base is None) == (other is None)
+            if base is not None:
                 expected = tuple(base.witness_indices[i] for i in perm)
                 assert other.witness_indices == expected
 
@@ -252,10 +257,12 @@ class TestFeasibleWitnesses:
                 ys = np.where(np.isfinite(spanned), spanned, ys)
             samples = SampleSet(xs, ys, cands)
             for tol in (0.0, 1e-9):
-                got = feasible_witnesses(samples, kernel, tol=tol)
+                try:
+                    got = True, feasible_witnesses(samples, kernel, tol=tol).witness_indices, None
+                except InfeasibleConstraintsError as exc:
+                    got = False, None, exc.blocking_index
                 feasible, indices, blocking = witnesses_per_sample(bxp, ys, tol)
-                assert (got.feasible, got.witness_indices, got.blocking_index) == (
-                    feasible, indices, blocking)
+                assert got == (feasible, indices, blocking)
             outcomes.add(feasible)
         assert outcomes == {True, False}
 
@@ -296,9 +303,6 @@ class TestBuildF0:
             build_f0(convex_samples(), (0.0,), CONV)
 
     def test_witness_result_of_other_samples_rejected(self):
-        blocked = feasible_witnesses(concave_samples(), CONV)
-        with pytest.raises(ValueError, match="infeasible"):
-            build_f0(concave_samples(), blocked, CONV)
         single = SampleSet(PointSet.make([1.0]), np.array([3.0]), CAND3)
         with pytest.raises(ValueError, match="one witness per sample"):
             build_f0(convex_samples(), feasible_witnesses(single, CONV), CONV)
@@ -311,8 +315,8 @@ class TestBuildF0:
         for _ in range(200):
             samples, kernel, bxp = random_instance(rng, n_samples=4, n_cand=3)
             idx = rng.integers(0, 3, size=4)
-            wit = feasible_witnesses(samples, kernel)
-            if wit.feasible and rng.random() < 0.5:
+            wit = witnesses_or_none(samples, kernel)
+            if wit is not None and rng.random() < 0.5:
                 idx = np.array(wit.witness_indices)
             anchors = tuple(samples.dual_candidates.points[j] for j in idx)
             y, expected = samples.ys, None
@@ -419,13 +423,14 @@ class TestDifferenceConstraints:
 
     def test_top_bound_rejected_at_construction(self):
         # A -inf self-evaluation makes the sample's gaps +inf, which no
-        # finite targets satisfy: refused before any closure.
+        # finite targets satisfy: refused before any closure, at that sample.
         pts = PointSet.make([0, 1])
         kernel = GramKernel(pts, np.array([[NEG_INF, 0.0], [0.0, 0.0]]))
         samples = SampleSet(PointSet.make([0, 1]), np.array([0.0, 0.0]), pts)
-        with pytest.raises(InfeasibleConstraintsError, match="infinite") as exc:
+        with pytest.raises(InfeasibleConstraintsError, match="-inf at its sample") as exc:
             regress(samples, kernel, "sup_norm", fixed_p=((0.0,), (1.0,)))
         assert exc.value.cycle is None
+        assert exc.value.blocking_index == 0
 
     def test_bottom_bounds_dropped(self):
         closure, cycle = _closure(np.array([[0.0, NEG_INF], [NEG_INF, 0.0]]))
@@ -1185,10 +1190,10 @@ class TestEquivalenceInvariant:
             samples, kernel, bxp = random_instance(
                 rng, n_samples=n, n_cand=n_cand, bottom_density=0.2
             )
-            verdict = feasible_witnesses(samples, kernel, tol=0.0)
+            verdict = witnesses_or_none(samples, kernel, tol=0.0)
             oracle = witness_oracle(samples, bxp)
-            assert verdict.feasible == oracle
-            if verdict.feasible:
+            assert (verdict is not None) == oracle
+            if verdict is not None:
                 feasible_seen += 1
                 f0 = build_f0(samples, verdict.witnesses, kernel, tol=1e-9)
                 for x, y in zip(samples.xs, samples.ys):
@@ -1327,8 +1332,8 @@ class TestOneTableBits:
             table = kernel.table(xs.as_array(), cands.as_array()[use])
             ys = (table + np.round(rng.uniform(-1, 1, 3), 1)).max(axis=1)
             samples = SampleSet(xs, ys, cands)
-            wit = feasible_witnesses(samples, kernel)
-            if not wit.feasible:
+            wit = witnesses_or_none(samples, kernel)
+            if wit is None:
                 continue
             f0 = build_f0(samples, wit, kernel)
             offsets, values = _fresh_f0(kernel, xs, wit.witnesses, ys)
