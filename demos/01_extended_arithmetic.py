@@ -43,7 +43,7 @@ print("min over empty:", min_reduce(np.empty(0)))
 
 # Functions live on finite point sets.  Points are hashable and indexable;
 # values are float64 arrays that may contain either infinity but never NaN.
-grid = PointSet.make([-1.0, 0.0, 1.0])
+grid = PointSet([-1.0, 0.0, 1.0])
 f = GridFunction(grid, np.array([0.5, NEG_INF, 2.0]))
 print("\nf on", list(grid.points), "->", f.values.tolist())
 

@@ -37,7 +37,7 @@ bipartite = np.array(
     ],
     dtype=float,
 )
-pts5 = PointSet.make(list(range(5)))
+pts5 = PointSet(list(range(5)))
 kernel = GramKernel(pts5, bipartite)
 
 verdict = is_tpsd_pairwise(kernel)

@@ -26,7 +26,7 @@ from tropkern import (
     is_in_range,
 )
 
-sites = PointSet.make([-1.0, 0.0, 1.0])
+sites = PointSet([-1.0, 0.0, 1.0])
 conv = ConjugationOp(ClosedFormKernel("conv"), sites)
 
 # For b(x,p) = x*p the double conjugate is a convex envelope with whatever
@@ -47,7 +47,7 @@ print("\nconjugate of the vee:", conj_sesqui(conv, vee).values.tolist())
 # Positivity of the kernel is equivalent to a Cauchy-Schwarz inequality
 # between dual functions; for a kernel that is NOT tpsd, a pair of spikes
 # anchored at the violating diagonal exposes the failure.
-pts2 = PointSet.make([0, 1])
+pts2 = PointSet([0, 1])
 bad = ConjugationOp(GramKernel(pts2, np.array([[0.0, 1.0], [1.0, 0.0]])), pts2)
 f, g = diagonal_witness_pair(bad, 0, 1)
 check = check_monotone(bad, f, g)
@@ -63,7 +63,7 @@ print("tpsd kernel:", pair.holds_pair, pair.holds_max, cyc.holds_sum, cyc.holds_
 
 # The Funk kernel c(x,y) = sup_z [b(z,x) - b(z,y)] is an asymmetric modulus
 # of continuity; for the distance kernel it recovers the distance itself.
-lip = ConjugationOp(ClosedFormKernel("lip"), PointSet.make([0.0, 1.0, 3.0]))
+lip = ConjugationOp(ClosedFormKernel("lip"), PointSet([0.0, 1.0, 3.0]))
 print("\nFunk kernel of -|x-y| on {0,1,3}:")
 print(funk_kernel(lip))
 

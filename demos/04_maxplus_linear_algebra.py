@@ -42,7 +42,7 @@ print("check A*X <= B:", bool((mp_matmul(a, x) <= b + 1e-12).all()))
 
 # Regularity: does some A satisfy B A B = B?  The residuated candidate is
 # the best possible witness, so a single check decides.
-grid3 = PointSet.make([-1.0, 0.0, 1.0])
+grid3 = PointSet([-1.0, 0.0, 1.0])
 parabola_gram = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
 verdict = is_von_neumann_regular(parabola_gram)
 print("\nparabola gram regular:", verdict.regular)

@@ -23,11 +23,11 @@ from tropkern import (
 )
 
 conv = ClosedFormKernel("conv")
-duals = PointSet.make([-1.0, 0.0, 1.0])
+duals = PointSet([-1.0, 0.0, 1.0])
 
 # Convex data: interpolation succeeds and the interpolant is the max of
 # two supporting lines, max(0, x-1).
-convex = SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), duals)
+convex = SampleSet(PointSet([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), duals)
 wit = feasible_witnesses(convex, conv)
 # The anchors are one (n, d) array, one row per sample.
 print("anchors:", wit.witnesses[:, 0].tolist())
@@ -40,7 +40,7 @@ print("reproduces every sample:",
 
 # Concave data: no convex function interpolates it; the middle sample is
 # the one nothing can serve, and the error names it.
-concave = SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), duals)
+concave = SampleSet(PointSet([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), duals)
 try:
     feasible_witnesses(concave, conv)
 except InfeasibleConstraintsError as exc:

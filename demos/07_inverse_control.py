@@ -28,7 +28,7 @@ from tropkern import (
 )
 
 # --- Stopping costs on a 4-point line with the distance kernel -|x-y| ---
-pts = PointSet.make([0.0, 1.0, 2.0, 3.0])
+pts = PointSet([0.0, 1.0, 2.0, 3.0])
 xs = pts.as_array()[:, 0]
 kernel = GramKernel(pts, -np.abs(xs[:, None] - xs[None, :]))
 
@@ -37,7 +37,7 @@ truth = np.maximum(-xs, -np.abs(xs - 3.0) - 1.0)
 print("true optimal values:", truth.tolist())
 
 # Observe only the two middle states.
-samples = SampleSet(PointSet.make([1.0, 2.0]), truth[[1, 2]], pts)
+samples = SampleSet(PointSet([1.0, 2.0]), truth[[1, 2]], pts)
 rec = reconstruct_stopping_cost(samples, kernel)
 print("reconstructed stopping cost:", rec.stopping_cost.values.tolist())
 print("fit loss:", rec.loss_value)
@@ -65,7 +65,7 @@ ys = tuple(float(-v.values[index[(0.0, r)]]) for r in sample_rs)
 print("\nobserved -V(0, r) at r =", sample_rs, "->", ys)
 
 slice_kernel = space_slice_kernel(problem)
-obs = SampleSet(PointSet.make(list(sample_rs)), ys, slice_kernel.points)
+obs = SampleSet(PointSet(list(sample_rs)), ys, slice_kernel.points)
 result = invert_terminal_cost(obs, slice_kernel)
 print("witness slice indices:", result.witness_indices)
 print("final-slice anchors:", result.witnesses[:, 0].tolist())
@@ -79,7 +79,7 @@ print("regenerated V dominates the true V:",
 
 # Inconsistent observations are refused with a pointer to the first sample
 # that cannot be served.
-bad = SampleSet(PointSet.make([0.0, 0.25]), (0.0, 10.0), slice_kernel.points)
+bad = SampleSet(PointSet([0.0, 0.25]), (0.0, 10.0), slice_kernel.points)
 try:
     invert_terminal_cost(bad, slice_kernel)
 except InfeasibleConstraintsError as exc:

@@ -17,7 +17,8 @@ the strings ``"inf"`` and ``"-inf"`` for the two infinities, in both JSON and
 CSV.  Handlers put arrays in their payloads; the writer prints each one from the text of its
 distinct values, a run of equal entries as one text, with the bytes
 ``json.dumps(encode_values(array), indent=2, sort_keys=True)`` would give.
-``--tol`` must be a finite number >= 0.
+``--tol`` must be a finite number >= 0.  ``blocking_index`` counts samples from
+1; ``negative_cycle``, ``witness_indices`` and ``witness`` count from 0.
 """
 
 from __future__ import annotations

@@ -182,12 +182,12 @@ def lax_hopf_table(
     coordinate temporaries hold at most ``_TERM_BLOCK`` entries (or one row).
 
     Raises:
-        PreconditionError: If the running cost is not certified convex.
+        PreconditionError: For a running cost not certified convex or non-spacetime points.
     """
     if not lagrangian.convex:
         raise PreconditionError("closed form requires a convex running cost")
     if xs.shape[1] != ys.shape[1] or xs.shape[1] < 2:
-        raise ValueError("spacetime points need a time plus space coordinates")
+        raise PreconditionError("spacetime points need a time plus space coordinates")
     out = np.empty((len(xs), len(ys)))
     rows = max(1, _TERM_BLOCK // max(len(ys) * xs.shape[1], 1))
     for i in range(0, len(xs), rows):

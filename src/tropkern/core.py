@@ -506,6 +506,25 @@ def _first_repeat(arr: np.ndarray) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
+def _search(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of the row of ``rows`` (pairwise distinct) equal to each row
+    of ``queries`` (0.0 and -0.0 are equal), or -1.
+
+    A stable lexicographic sort of the rows followed by the queries puts the
+    row equal to a query, if any, last among the rows sorted before it.
+    """
+    if not rows.shape[1]:  # R^0 has one point
+        return np.zeros(len(queries), dtype=np.intp)
+    n, both = len(rows), np.concatenate([rows, queries])
+    order = np.lexsort(both.T[::-1])
+    asked = order >= n
+    row = order[np.maximum.accumulate(np.where(asked, 0, np.arange(len(order))))][asked]
+    at = order[asked] - n
+    out = np.empty(len(queries), dtype=np.intp)
+    out[at] = np.where((row < n) & (both[row] == queries[at]).all(axis=1), row, -1)
+    return out
+
+
 class PointSet:
     """A finite, ordered set of pairwise-distinct points in R^d.
 
@@ -519,12 +538,11 @@ class PointSet:
     product of the axes in C order (first axis slowest).  ``PointSet(points)``
     reads the points with ``point_array`` (bare numbers are 1-D points) and
     holds them as one read-only (n, d) float64 array, which ``as_array``
-    returns without a copy; a lattice holds its axes and looks points up
-    axis by axis.  Either answers ``len``, ``dim``, ``as_array`` and ``==``
-    from what it holds; the point tuples (``points``, iteration, hash) and
-    the dict index behind ``index_of``, ``indices`` and ``in`` are built on
-    first use and kept.  Equality is by points and ``has_time``, whichever
-    way either side was built.
+    returns without a copy; a lattice holds only its axes.  ``indices``
+    (behind ``index_of`` and ``in``) sorts the rows, or each axis, together
+    with the queried rows; ``hash`` reads only ``len``, ``dim`` and
+    ``has_time``.  Equality is by points and ``has_time``, whichever way
+    either side was built.
 
     Attributes:
         points: Tuple of coordinate tuples, all of the same dimension.
@@ -546,18 +564,11 @@ class PointSet:
             p = tuple(arr[repeat].tolist())
             raise ValueError(f"points must be pairwise distinct, got {p} twice")
         arr.setflags(write=False)
-        self._set(_array=arr, _points=None, _index=None, has_time=has_time, axes=None)
+        self._set(_array=arr, has_time=has_time, axes=None)
 
     def _set(self, **attrs: object) -> None:
         for name, value in attrs.items():
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def make(
-        cls, points: Sequence[float | Sequence[float]], has_time: bool = False
-    ) -> "PointSet":
-        """``PointSet(points, has_time)``: from scalars (1-D) or coordinate sequences."""
-        return cls(points, has_time=has_time)
 
     @classmethod
     def lattice(
@@ -575,15 +586,13 @@ class PointSet:
             arr = owned_array(ax, "point coordinates")
             if arr.ndim != 1 or len(arr) == 0:
                 raise ValueError("lattice axes must be nonempty 1-D sequences")
-            if len(np.unique(arr)) != len(arr):
+            if _first_repeat(arr[:, None]) is not None:
                 raise ValueError("points must be pairwise distinct: an axis repeats a coordinate")
             arrays.append(arr)
         if not arrays:
             raise ValueError("a lattice needs at least one axis")
         out = cls.__new__(cls)
-        # Per-axis lookup tables: float keys match by ==, so 0.0 finds -0.0.
-        lookups = tuple({c: i for i, c in enumerate(arr.tolist())} for arr in arrays)
-        out._set(_points=None, has_time=has_time, axes=tuple(arrays), _lookups=lookups)
+        out._set(has_time=has_time, axes=tuple(arrays))
         return out
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -591,10 +600,8 @@ class PointSet:
 
     @property
     def points(self) -> tuple[Point, ...]:
-        """The point tuples in order (built on first use)."""
-        if self._points is None:
-            self._set(_points=tuple(map(tuple, self.as_array().tolist())))
-        return self._points
+        """The point tuples in order (built on each call)."""
+        return tuple(map(tuple, self.as_array().tolist()))
 
     def __len__(self) -> int:
         if self.axes is None:
@@ -609,35 +616,25 @@ class PointSet:
         """Coordinate dimension d."""
         return self._array.shape[1] if self.axes is None else len(self.axes)
 
-    def _find(self, key: Point) -> int | None:
-        """Index of a normalized point, or None if absent."""
-        if self.axes is None:
-            if self._index is None:
-                self._set(_index={p: i for i, p in enumerate(self.points)})
-            return self._index.get(key)
-        if len(key) != len(self.axes):
-            return None
-        flat = 0
-        for c, lookup in zip(key, self._lookups):
-            i = lookup.get(c)
-            if i is None:
-                return None
-            flat = flat * len(lookup) + i
-        return flat
-
     def index_of(self, p: float | Sequence[float]) -> int:
         """Index of a point; raises KeyError if absent."""
         key = as_point(p)
-        i = self._find(key)
-        if i is None:
+        i = int(self.indices(np.array([key]))[0])
+        if i < 0:
             raise KeyError(f"point {key} is not in the set")
         return i
 
     def indices(self, coords: np.ndarray) -> np.ndarray:
         """Index of each row of an (m, d) coordinate array, -1 for a row not
-        in the set (0.0 and -0.0 match)."""
-        found = map(self._find, map(tuple, np.asarray(coords, dtype=float).tolist()))
-        return np.array([-1 if i is None else i for i in found], dtype=np.intp)
+        in the set (0.0 and -0.0 match; every row of another d is -1)."""
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape[1] != self.dim:
+            return np.full(len(coords), -1, dtype=np.intp)
+        if self.axes is None:
+            return _search(self._array, coords)
+        at = np.array([_search(ax[:, None], coords[:, k, None]) for k, ax in enumerate(self.axes)])
+        flat = np.ravel_multi_index(np.maximum(at, 0), [len(ax) for ax in self.axes])
+        return np.where((at >= 0).all(axis=0), flat, -1)
 
     def __contains__(self, p: object) -> bool:
         try:
@@ -668,7 +665,7 @@ class PointSet:
         return bool((self.as_array() == other.as_array()).all())
 
     def __hash__(self) -> int:
-        return hash((self.points, self.has_time))
+        return hash((len(self), self.dim, self.has_time))
 
     def __repr__(self) -> str:
         if self.axes is None:
@@ -713,7 +710,7 @@ def grid_function(
 ) -> GridFunction:
     """Convenience constructor accepting raw point lists."""
     if not isinstance(domain, PointSet):
-        domain = PointSet.make(domain)
+        domain = PointSet(domain)
     return GridFunction(domain, np.asarray(list(values), dtype=float))
 
 

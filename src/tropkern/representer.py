@@ -82,7 +82,7 @@ class SampleSet(Record):
 
     Attributes:
         xs: The sample points (distinct).
-        ys: Finite target values, aligned with xs.
+        ys: Finite target values, shape (n,), aligned with xs.
         dual_candidates: Candidate points the kernel sections may be
             anchored at (the dual grid).
     """
@@ -92,8 +92,8 @@ class SampleSet(Record):
     dual_candidates: PointSet
 
     def __post_init__(self) -> None:
-        ys = np.asarray(self.ys, dtype=float).reshape(-1)
-        if len(ys) != len(self.xs):
+        ys = np.asarray(self.ys, dtype=float)
+        if ys.shape != (len(self.xs),):
             raise ValueError("one target per sample point is required")
         if len(ys) == 0:
             raise ValueError("at least one sample is required")

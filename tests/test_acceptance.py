@@ -78,7 +78,7 @@ BIPARTITE_5 = np.array(
 )
 
 CONV = ClosedFormKernel("conv")
-CAND3 = PointSet.make([-1.0, 0.0, 1.0])
+CAND3 = PointSet([-1.0, 0.0, 1.0])
 QUAD = LagrangianSpec("quadratic")
 
 
@@ -158,7 +158,7 @@ def small_gram_stack():
 class TestBipartitePositivity:
     def test_pairwise_and_permutation_positive_within_second(self):
         start = time.perf_counter()
-        kernel = GramKernel(PointSet.make(list(range(5))), BIPARTITE_5)
+        kernel = GramKernel(PointSet(list(range(5))), BIPARTITE_5)
         assert is_tpsd_pairwise(kernel).is_tpsd
         assert check_permutation_positivity(BIPARTITE_5, m_max=5).holds
         assert time.perf_counter() - start < 1.0
@@ -167,7 +167,7 @@ class TestBipartitePositivity:
 class TestPairwiseEqualsPermutation:
     def test_two_hundred_random_grams_agree_with_brute_force(self):
         rng = np.random.default_rng(2024)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         start = time.perf_counter()
         mismatches = 0
         for _ in range(200):
@@ -182,7 +182,7 @@ class TestPairwiseEqualsPermutation:
 class TestMonotonicityForms:
     def test_all_four_inequalities_hold_on_tpsd_grams(self):
         rng = np.random.default_rng(31)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         failures = 0
         for _ in range(50):
             op = ConjugationOp(GramKernel(pts, random_tpsd_gram(rng)), pts)
@@ -202,7 +202,7 @@ class TestMonotonicityForms:
 
     def test_diagonal_witnesses_break_cauchy_schwarz_on_non_tpsd(self):
         rng = np.random.default_rng(32)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         failures = 0
         for _ in range(50):
             m, i, j = random_non_tpsd_gram(rng)
@@ -215,9 +215,9 @@ class TestMonotonicityForms:
 class TestExactIntegerAlgebra:
     def test_five_hundred_cases_hold_exactly(self):
         rng = np.random.default_rng(41)
-        pts = PointSet.make(list(range(4)))
-        rows = PointSet.make([0, 1, 2])
-        cols = PointSet.make([10, 20])
+        pts = PointSet(list(range(4)))
+        rows = PointSet([0, 1, 2])
+        cols = PointSet([10, 20])
         start = time.perf_counter()
         for _ in range(500):
             op = ConjugationOp(GramKernel(pts, random_symmetric_gram(rng)), pts)
@@ -300,7 +300,7 @@ class TestConvexEnvelopeMembership:
         rng = np.random.default_rng(51)
         for n in range(3, 10):
             sites = np.arange(n, dtype=float) - (n - 1) / 2.0
-            pts = PointSet.make([float(x) for x in sites])
+            pts = PointSet([float(x) for x in sites])
             op = ConjugationOp(CONV, pts)
             for _ in range(10):
                 data, base, bumped = self.convex_with_optional_bump(rng, sites)
@@ -329,8 +329,8 @@ class TestConvexEnvelopeMembership:
                 chords = (data[None, :] - data[:, None])[iu]
                 gaps = (sites[None, :] - sites[:, None])[iu]
                 slopes = np.unique(np.concatenate([chords / gaps, [0.0]]))
-                sites_pts = PointSet.make([float(x) for x in sites])
-                slope_pts = PointSet.make([float(p) for p in slopes])
+                sites_pts = PointSet([float(x) for x in sites])
+                slope_pts = PointSet([float(p) for p in slopes])
                 op = ConjugationOp(CONV, slope_pts, sites_pts)
                 g = GridFunction(sites_pts, data)
                 biconj = conj_sesqui(op, conj_sesqui(op.transpose(), g))
@@ -410,12 +410,12 @@ class TestRegularityVerdicts:
 class TestRepresenterPinned:
     def convex_samples(self):
         return SampleSet(
-            PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), CAND3
+            PointSet([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), CAND3
         )
 
     def concave_samples(self):
         return SampleSet(
-            PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), CAND3
+            PointSet([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), CAND3
         )
 
     def test_convex_dataset_reproduced_exactly(self):
@@ -452,7 +452,7 @@ def sorted_slope_instance(seed, n):
     slopes = np.sort(rng.choice(np.arange(-2 * n, 2 * n), n, replace=False)) / 4.0
     gaps = (xs[:, None] - xs[None, :]) * slopes[None, :]
     np.fill_diagonal(gaps, NEG_INF)
-    samples = SampleSet(PointSet.make(xs), ys, PointSet.make(slopes))
+    samples = SampleSet(PointSet(xs), ys, PointSet(slopes))
     return samples, tuple((p,) for p in slopes), gaps
 
 
@@ -533,11 +533,11 @@ class TestLeastActionAccuracy:
 
 class TestInverseRoundTrips:
     def test_stopping_cost_round_trip_dominates(self):
-        pts = PointSet.make([0.0, 1.0, 2.0, 3.0])
+        pts = PointSet([0.0, 1.0, 2.0, 3.0])
         xs = pts.as_array()[:, 0]
         kernel = GramKernel(pts, -np.abs(xs[:, None] - xs[None, :]))
         truth = np.maximum(-xs, -np.abs(xs - 3.0) - 1.0)
-        samples = SampleSet(PointSet.make([1.0, 2.0]), truth[[1, 2]], pts)
+        samples = SampleSet(PointSet([1.0, 2.0]), truth[[1, 2]], pts)
         result = reconstruct_stopping_cost(samples, kernel)
         assert result.loss_value == 0.0
         assert np.array_equal(
@@ -559,7 +559,7 @@ class TestInverseRoundTrips:
         ys = tuple(float(-v.values[idx[(0.0, r)]]) for r in sample_rs)
         slice_kernel = space_slice_kernel(prob)
         samples = SampleSet(
-            PointSet.make(list(sample_rs)), ys, slice_kernel.points
+            PointSet(list(sample_rs)), ys, slice_kernel.points
         )
         result = invert_terminal_cost(samples, slice_kernel)
         # Every witness maximizes its section, which is what makes the

@@ -1104,6 +1104,21 @@ PINNED_ERRORS = {
                                       "check_extremal": True}), 1,
         error_stdout("precondition", "asymmetrize requires nonpositive kernel values"),
     ),
+    "lax-hopf-one-dimensional": (
+        "conjugate",
+        json.dumps({"kernel": {"type": "closed_form", "name": "lax_hopf"},
+                    "points": [[0.0], [1.0]], "values": [0, 0]}),
+        1,
+        error_stdout("precondition", "spacetime points need a time plus space coordinates"),
+    ),
+    "lax-hopf-one-dimensional-samples": (
+        "interpolate",
+        json.dumps({"kernel": {"type": "closed_form", "name": "lax_hopf"},
+                    "samples": {"xs": [[0.0], [1.0]], "ys": [0, 0]},
+                    "dual_candidates": [[0.0]]}),
+        1,
+        error_stdout("precondition", "spacetime points need a time plus space coordinates"),
+    ),
     "regress-cycle": (
         "regress",
         json.dumps({

@@ -35,7 +35,7 @@ from tropkern.conjugation import (
 
 from oracles import conj_brute, linear_brute
 
-GRID3 = PointSet.make([-1.0, 0.0, 1.0])
+GRID3 = PointSet([-1.0, 0.0, 1.0])
 
 
 def conv_op() -> ConjugationOp:
@@ -67,14 +67,14 @@ def random_integer_op(rng, n=4, density=0.2) -> ConjugationOp:
     m = rng.integers(-4, 5, size=(n, n)).astype(float)
     m[rng.random((n, n)) < density] = NEG_INF
     m = np.minimum(m, m.T)
-    return ConjugationOp(GramKernel(PointSet.make(list(range(n))), m), PointSet.make(list(range(n))))
+    return ConjugationOp(GramKernel(PointSet(list(range(n))), m), PointSet(list(range(n))))
 
 
 class TestOperatorOwnsItsTable:
     def test_explicit_matrix_is_copied_and_frozen(self):
         # The caller's later write does not reach the operator: 0 still
         # conjugates to [0, 0] under the zero kernel.
-        pts = PointSet.make([0.0, 1.0])
+        pts = PointSet([0.0, 1.0])
         m = np.zeros((2, 2))
         op = ConjugationOp(None, pts, matrix=m)
         m[0, 1] = 5.0
@@ -96,15 +96,15 @@ class TestOperatorOwnsItsTable:
         m = np.zeros((2, 2))
         m[1, 0] = bad
         with pytest.raises(ValueError):
-            ConjugationOp(None, PointSet.make([0.0, 1.0]), matrix=m)
+            ConjugationOp(None, PointSet([0.0, 1.0]), matrix=m)
         with pytest.raises(ValueError, match="expected a 2x3 matrix"):
-            ConjugationOp(None, PointSet.make([0.0, 1.0, 2.0]), PointSet.make([0.0, 1.0]),
+            ConjugationOp(None, PointSet([0.0, 1.0, 2.0]), PointSet([0.0, 1.0]),
                           matrix=np.zeros((3, 2)))
 
 
 class TestConjSesqui:
     def test_dirac_kernel_negates(self):
-        pts = PointSet.make([0, 1, 2])
+        pts = PointSet([0, 1, 2])
         f = GridFunction(pts, np.array([1.0, NEG_INF, 3.0]))
         out = conj_sesqui(dirac_op(pts), f)
         assert list(out.values) == [-1.0, POS_INF, -3.0]
@@ -131,7 +131,7 @@ class TestConjSesqui:
 
 class TestApplyLinear:
     def test_dirac_kernel_is_identity(self):
-        pts = PointSet.make([0, 1, 2])
+        pts = PointSet([0, 1, 2])
         f = GridFunction(pts, np.array([1.0, NEG_INF, 3.0]))
         assert np.array_equal(apply_linear(dirac_op(pts), f).values, f.values)
 
@@ -160,7 +160,7 @@ class TestApplyLinear:
         # Float + and max are monotone, so a >= floor gives B a >= B floor
         # under rounding too: the largest-subsolution check relies on it.
         matrix, floor, a = case
-        pts = PointSet.make(list(range(len(floor))))
+        pts = PointSet(list(range(len(floor))))
         op = ConjugationOp(GramKernel(pts, matrix), pts)
         low = apply_linear(op, GridFunction(pts, floor)).values
         high = apply_linear(op, GridFunction(pts, a)).values
@@ -169,17 +169,17 @@ class TestApplyLinear:
 
 class TestDualityProduct:
     def test_top_spike_evaluates(self):
-        pts = PointSet.make([0, 1, 2])
+        pts = PointSet([0, 1, 2])
         f = GridFunction(pts, np.array([5.0, 7.0, -2.0]))
         assert duality_product(dirac(pts, 1, "top"), f) == 7.0
 
     def test_self_pairing_finite(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         f = GridFunction(pts, np.array([3.0, -4.0]))
         assert duality_product(f, f) == 0.0
 
     def test_bottom_absorbs(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         f = GridFunction(pts, np.full(2, NEG_INF))
         g = GridFunction(pts, np.array([0.0, 1.0]))
         assert duality_product(g, f) == NEG_INF
@@ -209,8 +209,8 @@ class TestTripleIdentityAndOrder:
 
     def test_triple_identity_rectangular_with_transpose(self):
         rng = np.random.default_rng(13)
-        rows = PointSet.make([0, 1, 2])
-        cols = PointSet.make([10, 20])
+        rows = PointSet([0, 1, 2])
+        cols = PointSet([10, 20])
         for _ in range(20):
             m = rng.integers(-4, 5, size=(3, 2)).astype(float)
             op = ConjugationOp(GramKernel(rows, np.zeros((3, 3))), cols, rows, matrix=m)
@@ -270,13 +270,13 @@ class TestRangeMembership:
 
     def test_dirac_kernel_accepts_everything(self):
         rng = np.random.default_rng(18)
-        pts = PointSet.make([0, 1, 2, 3])
+        pts = PointSet([0, 1, 2, 3])
         for _ in range(10):
             g = GridFunction(pts, rng.normal(size=4))
             assert is_in_range(dirac_op(pts), g).in_range
 
     def test_asymmetric_kernel_rejected(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         m = np.array([[0.0, -1.0], [-2.0, 0.0]])
         op = ConjugationOp(GramKernel(pts, m), pts)
         with pytest.raises(PreconditionError):
@@ -296,7 +296,7 @@ class TestDiscrepancy:
         assert discrepancy_dB(op, f, f) == 0.0
 
     def test_lip_common_minimizer(self):
-        pts = PointSet.make([0.0, 1.0, 2.0])
+        pts = PointSet([0.0, 1.0, 2.0])
         op = ConjugationOp(ClosedFormKernel("lip"), pts)
         # Both 1-Lipschitz on the grid, both minimized at the middle point.
         f = GridFunction(pts, np.array([1.0, 0.0, 1.0]))
@@ -306,7 +306,7 @@ class TestDiscrepancy:
     def test_lip_two_point_value(self):
         # Direct evaluation of the defining formula: the four pairings are
         # (0, 0, -1, -1), so the half-sum is 1.0.
-        pts = PointSet.make([0.0, 1.0])
+        pts = PointSet([0.0, 1.0])
         op = ConjugationOp(ClosedFormKernel("lip"), pts)
         f = GridFunction(pts, np.array([0.0, 1.0]))
         g = GridFunction(pts, np.array([1.0, 0.0]))
@@ -318,7 +318,7 @@ class TestDiscrepancy:
         "yields twice this value on distance kernels",
     )
     def test_lip_two_point_halved_reading(self):
-        pts = PointSet.make([0.0, 1.0])
+        pts = PointSet([0.0, 1.0])
         op = ConjugationOp(ClosedFormKernel("lip"), pts)
         f = GridFunction(pts, np.array([0.0, 1.0]))
         g = GridFunction(pts, np.array([1.0, 0.0]))
@@ -329,7 +329,7 @@ class TestDiscrepancy:
         # pairing is -2 inf, each cross pairing is -inf of the sum, and the
         # one-half prefactor cancels the doubling.
         rng = np.random.default_rng(19)
-        pts = PointSet.make([0.0, 1.0, 2.0, 3.0])
+        pts = PointSet([0.0, 1.0, 2.0, 3.0])
         op = ConjugationOp(ClosedFormKernel("lip"), pts)
         xs = pts.as_array()[:, 0]
         for _ in range(20):
@@ -346,7 +346,7 @@ class TestDiscrepancy:
 class TestMonotonicity:
     def test_tpsd_pairs_hold(self):
         rng = np.random.default_rng(20)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         for _ in range(20):
             feats = rng.normal(size=(4, 2))
             op = ConjugationOp(GramKernel(pts, feats @ feats.T), pts)
@@ -363,14 +363,14 @@ class TestMonotonicity:
         assert check.holds_pair and check.holds_max
 
     def test_dirac_witness_violates_cauchy_schwarz(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         op = ConjugationOp(GramKernel(pts, np.array([[0.0, 1.0], [1.0, 0.0]])), pts)
         f, g = diagonal_witness_pair(op, 0, 1)
         assert not check_monotone(op, f, g).holds_max
 
     def test_cyclic_forms_hold_for_tpsd(self):
         rng = np.random.default_rng(21)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         for _ in range(10):
             feats = rng.normal(size=(4, 2))
             op = ConjugationOp(GramKernel(pts, feats @ feats.T), pts)
@@ -382,7 +382,7 @@ class TestMonotonicity:
 
 class TestFunkKernel:
     def test_lip_recovers_distance(self):
-        pts = PointSet.make([0.0, 1.0, 3.0])
+        pts = PointSet([0.0, 1.0, 3.0])
         op = ConjugationOp(ClosedFormKernel("lip"), pts)
         c = funk_kernel(op)
         xs = pts.as_array()[:, 0]
@@ -400,7 +400,7 @@ class TestFunkKernel:
 
     def test_funk_sandwich_on_range_elements(self):
         rng = np.random.default_rng(22)
-        pts = PointSet.make([0.0, 0.5, 1.5, 2.0])
+        pts = PointSet([0.0, 0.5, 1.5, 2.0])
         op = ConjugationOp(ClosedFormKernel("lip"), pts)
         c = funk_kernel(op)
         for _ in range(20):

@@ -152,7 +152,7 @@ class TestLaxHopf:
             "table", velocities=((-1.0,), (0.0,), (1.0,)), costs=(1.0, 0.0, 1.0),
             convex_flag=True,
         )
-        pts = PointSet.make([(0.0, 0.0), (0.0, 2.0), (1.0, 1.0)])
+        pts = PointSet([(0.0, 0.0), (0.0, 2.0), (1.0, 1.0)])
         xs = pts.as_array()
         expected = np.array(
             [[0.0, NEG_INF, -1.0], [NEG_INF, 0.0, -1.0], [-1.0, -1.0, 0.0]]
@@ -555,12 +555,12 @@ class TestAsymmetrize:
         assert not np.shares_memory(gram.matrix, causal.matrix)
 
     def test_positive_entry_rejected(self):
-        pts = PointSet.make([(0.0, 0.0), (1.0, 0.0)])
+        pts = PointSet([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(PreconditionError):
             asymmetrize(GramKernel(pts, np.array([[0.0, 0.5], [0.5, 0.0]])))
 
     def test_requires_time_coordinate(self):
-        pts = PointSet.make([0.0, 1.0])
+        pts = PointSet([0.0, 1.0])
         with pytest.raises(PreconditionError):
             asymmetrize(GramKernel(pts, np.array([[0.0, -1.0], [-1.0, 0.0]])))
 
@@ -602,7 +602,7 @@ class TestValueFunction:
 
     def test_domain_mismatch_rejected(self, desk_value):
         prob, _, _ = desk_value
-        other = GridFunction(PointSet.make([0.0, 1.0]), np.zeros(2))
+        other = GridFunction(PointSet([0.0, 1.0]), np.zeros(2))
         with pytest.raises(ValueError):
             value_function(prob, other)
 
@@ -1109,7 +1109,7 @@ class TestInvertTerminalCost:
         sample_rs = (-0.5, 0.0, 0.5)
         ys = tuple(float(-v.values[idx[(0.0, r)]]) for r in sample_rs)
         slice_kernel = space_slice_kernel(prob)
-        samples = SampleSet(PointSet.make(list(sample_rs)), ys, slice_kernel.points)
+        samples = SampleSet(PointSet(list(sample_rs)), ys, slice_kernel.points)
         return prob, psi, v, samples, slice_kernel
 
     def test_consistent_samples_feasible(self):
@@ -1176,7 +1176,7 @@ class TestInvertTerminalCost:
         ys = tuple(float(-v.values[idx[(0.0, r)]]) for r in rs)
         slice_kernel = space_slice_kernel(prob)
         samples = SampleSet(
-            PointSet.make([float(r) for r in rs]), ys, slice_kernel.points
+            PointSet([float(r) for r in rs]), ys, slice_kernel.points
         )
         result = invert_terminal_cost(samples, slice_kernel)
         regen = value_function(prob, result.psi_T)
@@ -1189,7 +1189,7 @@ class TestInvertTerminalCost:
         prob, _, v, _, slice_kernel = self.steep_instance()
         idx = grid_index(prob)
         y1 = float(-v.values[idx[(0.0, 0.5)]])
-        samples = SampleSet(PointSet.make([0.5]), (y1,), slice_kernel.points)
+        samples = SampleSet(PointSet([0.5]), (y1,), slice_kernel.points)
         result = invert_terminal_cost(samples, slice_kernel)
         j = result.witness_indices[0]
         rs = list(r for (r,) in slice_kernel.points.points)
@@ -1201,7 +1201,7 @@ class TestInvertTerminalCost:
         prob = lattice_problem(0.25, 0.25)
         slice_kernel = space_slice_kernel(prob)
         samples = SampleSet(
-            PointSet.make([0.0, 0.25]), (0.0, 10.0), slice_kernel.points
+            PointSet([0.0, 0.25]), (0.0, 10.0), slice_kernel.points
         )
         with pytest.raises(InfeasibleConstraintsError) as exc:
             invert_terminal_cost(samples, slice_kernel)
@@ -1211,11 +1211,11 @@ class TestInvertTerminalCost:
     def test_coinciding_witnesses_keep_the_earlier_zero(self, order):
         # Both samples can only anchor at 0.0, where b - y is -0.0 for the
         # first and 0.0 for the second: the earlier sample's zero is kept.
-        grid = PointSet.make([0.0, 1.0])
+        grid = PointSet([0.0, 1.0])
         kernel = GramKernel(grid, np.array([[-0.0, NEG_INF], [-1.0, NEG_INF]]))
         xs, ys = [0.0, 1.0], [0.0, -1.0]
         samples = SampleSet(
-            PointSet.make([xs[m] for m in order]), [ys[m] for m in order], grid
+            PointSet([xs[m] for m in order]), [ys[m] for m in order], grid
         )
         result = invert_terminal_cost(samples, kernel)
         assert result.witness_indices == (0, 0)

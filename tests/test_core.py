@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropkern.core as core
@@ -40,7 +40,7 @@ from tropkern.core import (
     upper_sub,
     validate_values,
 )
-from tropkern.kernels import ClosedFormKernel, PermutationVerdict, TpsdVerdict
+from tropkern.kernels import ClosedFormKernel, GramKernel, PermutationVerdict, TpsdVerdict, gram_on
 from tropkern.representer import RegressionResult, SampleSet, regress
 
 from test_cli import module_env
@@ -328,43 +328,43 @@ class TestArrayArithmetic:
 class TestPointSetAndGridFunction:
     def test_distinctness_enforced(self):
         with pytest.raises(ValueError):
-            PointSet.make([0.0, 1.0, 0.0])
+            PointSet([0.0, 1.0, 0.0])
 
     def test_index_bijection(self):
-        ps = PointSet.make([(0, 1), (2, 3), (4, 5)])
+        ps = PointSet([(0, 1), (2, 3), (4, 5)])
         for i, p in enumerate(ps):
             assert ps.index_of(p) == i
 
     def test_grid_function_is_total(self):
-        ps = PointSet.make([0.0, 1.0])
+        ps = PointSet([0.0, 1.0])
         with pytest.raises(ValueError):
             GridFunction(ps, np.array([1.0]))
 
     def test_grid_function_copies_the_callers_array(self):
         values = np.array([1.0, -0.0, NEG_INF])
-        f = GridFunction(PointSet.make([0.0, 1.0, 2.0]), values)
+        f = GridFunction(PointSet([0.0, 1.0, 2.0]), values)
         values[:] = 5.0
         assert list(f.values) == [1.0, -0.0, NEG_INF]
         assert not f.values.flags.writeable
         assert list(f.with_values(values).values) == [5.0] * 3
 
     def test_dirac_bottom(self):
-        ps = PointSet.make([0.0, 1.0, 2.0])
+        ps = PointSet([0.0, 1.0, 2.0])
         f = dirac(ps, 1.0, "bottom")
         assert list(f.values) == [NEG_INF, 0.0, NEG_INF]
 
     def test_dirac_top(self):
-        ps = PointSet.make([0.0, 1.0])
+        ps = PointSet([0.0, 1.0])
         f = dirac(ps, 0.0, "top")
         assert list(f.values) == [0.0, POS_INF]
 
     def test_dirac_singleton(self):
-        ps = PointSet.make([7.0])
+        ps = PointSet([7.0])
         assert list(dirac(ps, 7.0, "bottom").values) == [0.0]
         assert list(dirac(ps, 7.0, "top").values) == [0.0]
 
     def test_dirac_outside_domain(self):
-        ps = PointSet.make([0.0])
+        ps = PointSet([0.0])
         with pytest.raises(KeyError):
             dirac(ps, 1.0, "bottom")
 
@@ -446,6 +446,86 @@ class TestLatticePointSet:
     def test_bad_axes(self, axes):
         with pytest.raises(ValueError):
             PointSet.lattice(axes)
+
+
+# Few coordinates, so that queries hit; 0.0 and -0.0 are one coordinate.
+LOOKUP_COORDS = [NEG_INF, -1.0, -0.0, 0.0, 0.5, 2.0, POS_INF]
+
+
+def _key(row):
+    """A row with its zeros unsigned: equal rows have equal keys."""
+    return tuple(c + 0.0 for c in row)
+
+
+@st.composite
+def point_sets_and_queries(draw):
+    """A listed set or a lattice (axes in any order) of dimension 1 to 3, and
+    (m, d) query rows: its own points, off-grid rows and equal-zero twins."""
+    d = draw(st.integers(1, 3))
+    coord = st.sampled_from(LOOKUP_COORDS)
+    if draw(st.booleans()):
+        axis = st.lists(coord, min_size=1, max_size=5, unique_by=lambda c: c + 0.0)
+        points = PointSet.lattice([draw(axis) for _ in range(d)])
+    else:
+        row = st.tuples(*[coord] * d)
+        points = PointSet(draw(st.lists(row, min_size=1, max_size=12, unique_by=_key)))
+    queries = draw(st.lists(st.tuples(*[st.sampled_from(LOOKUP_COORDS + [7.0])] * d), max_size=12))
+    own = draw(st.lists(st.integers(0, len(points) - 1), max_size=6))
+    coords = np.array(queries + [points.points[i] for i in own], dtype=float).reshape(-1, d)
+    if draw(st.booleans()):
+        coords[coords == 0.0] *= -1.0
+    return points, coords
+
+
+def _scan(points, row):
+    """The index of ``row`` on ``points`` by a scan of every point, or -1."""
+    for i, p in enumerate(points.as_array()):
+        if all(a == b for a, b in zip(p, row)):
+            return i
+    return -1
+
+
+class TestPointLookup:
+    """``indices``, ``index_of`` and ``in`` agree with a scan of the points."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(point_sets_and_queries())
+    def test_matches_a_scan(self, case):
+        points, coords = case
+        want = [_scan(points, row) for row in coords]
+        got = points.indices(coords)
+        assert got.dtype == np.intp and got.tolist() == want
+        for row, i in zip(coords.tolist(), want):
+            assert (tuple(row) in points) == (i >= 0)
+            if i >= 0:
+                assert points.index_of(row) == i
+            else:
+                with pytest.raises(KeyError):
+                    points.index_of(row)
+
+    @settings(deadline=None, max_examples=100)
+    @given(point_sets_and_queries())
+    def test_other_dimensions_and_no_rows(self, case):
+        points, coords = case
+        d = points.dim
+        assert points.indices(np.empty((0, d))).shape == (0,)
+        for other in (d - 1, d + 1):
+            rows = np.zeros((3, other))
+            assert points.indices(rows).tolist() == [-1, -1, -1]
+            assert tuple(rows[0]) not in points
+            with pytest.raises(KeyError):
+                points.index_of(rows[0])
+
+    @settings(deadline=None, max_examples=100)
+    @given(point_sets_and_queries(), st.randoms(use_true_random=False))
+    def test_gram_on_reads_subsets_by_index(self, case, rand):
+        points, _ = case
+        n = len(points)
+        matrix = np.array([[float(rand.randint(-9, 9)) for _ in range(n)] for _ in range(n)])
+        kernel = GramKernel(points, matrix)
+        pick = [rand.sample(range(n), rand.randint(1, n)) for _ in range(2)]
+        rows, cols = (PointSet(points.as_array()[idx]) for idx in pick)
+        assert np.array_equal(gram_on(kernel, rows, cols), matrix[np.ix_(*pick)])
 
 
 class TestJsonEncoding:
@@ -645,7 +725,7 @@ class TestRecord:
         assert repr(TpsdVerdict(True)) == "TpsdVerdict(is_tpsd=True, failure=None, witness=None)"
 
     def test_adopted_checks_arrays_without_copying(self):
-        domain = PointSet.make([0.0, 1.0])
+        domain = PointSet([0.0, 1.0])
         values = np.array([0.0, NEG_INF])
         f = GridFunction._adopt(domain, values)
         assert f.values is values
@@ -661,8 +741,8 @@ class TestRecord:
         assert Pair(1, (np.zeros(2),)) != Pair(1, (np.zeros(2), "a"))
 
     def test_equal_regressions_compare_equal(self):
-        samples = SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 1.5, 0.0]),
-                            PointSet.make([-1.0, 0.0, 1.0]))
+        samples = SampleSet(PointSet([0.0, 1.0, 2.0]), np.array([0.0, 1.5, 0.0]),
+                            PointSet([-1.0, 0.0, 1.0]))
         conv = ClosedFormKernel("conv")
         first, second = regress(samples, conv), regress(samples, conv)
         assert first is not second and first == second
@@ -677,14 +757,14 @@ class TestRecord:
         assert TpsdVerdict(True) == TpsdVerdict(True)
         assert TpsdVerdict(True) != PermutationVerdict(True)
         assert TpsdVerdict(True) != TpsdVerdict(False)
-        domain = PointSet.make([0.0])
+        domain = PointSet([0.0])
         assert GridFunction(domain, [1.0]) == GridFunction(domain, np.array([1.0]))
 
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError, match="unhashable"):
             hash(TpsdVerdict(True))
         with pytest.raises(TypeError, match="unhashable"):
-            hash(GridFunction(PointSet.make([0.0]), [1.0]))
+            hash(GridFunction(PointSet([0.0]), [1.0]))
 
     def test_importing_the_cli_generates_no_code(self):
         proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True,

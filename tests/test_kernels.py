@@ -35,7 +35,7 @@ BIPARTITE_5 = np.array(
 
 
 def gram5() -> GramKernel:
-    return GramKernel(PointSet.make([0, 1, 2, 3, 4]), BIPARTITE_5)
+    return GramKernel(PointSet([0, 1, 2, 3, 4]), BIPARTITE_5)
 
 
 def random_points(rng, n, dim, times=None):
@@ -116,7 +116,7 @@ class TestGramOn:
     def test_point_arrays_read_as_point_sets(self):
         # An (n, d) array of points, repeats and signed zeros included, is
         # read as given: a Gram kernel by index, a closed form by its formula.
-        grid = PointSet.make([-1.0, 0.0, 2.0])
+        grid = PointSet([-1.0, 0.0, 2.0])
         gram = GramKernel(grid, [[0.0, -1.0, -3.0], [-1.0, 0.0, -2.0], [-3.0, -2.0, 0.0]])
         anchors = np.array([[2.0], [-0.0], [2.0], [0.0]])
         assert np.array_equal(gram_on(gram, grid, anchors), gram.matrix[:, [2, 1, 2, 1]])
@@ -124,7 +124,7 @@ class TestGramOn:
         with pytest.raises(KeyError, match=re.escape("point (0.5,) is not in the set")):
             gram_on(gram, grid, np.array([[2.0], [0.5]]))
         conv = ClosedFormKernel("conv")
-        table = gram_on(conv, PointSet.make([1.0, 3.0]), anchors)
+        table = gram_on(conv, PointSet([1.0, 3.0]), anchors)
         assert np.array_equal(table, [[2.0, -0.0, 2.0, 0.0], [6.0, -0.0, 6.0, 0.0]])
         with pytest.raises(SizeError):
             gram_on(conv, np.zeros((1001, 1)), np.zeros((1000, 1)))
@@ -152,7 +152,7 @@ class TestGramOn:
         assert np.array_equal(got.view(np.int64), (-np.sum(diff * diff, axis=2)).view(np.int64))
 
     def test_sconv_table_allocates_no_point_pair_axis_tensor(self):
-        pts = PointSet.make([tuple(p) for p in np.random.default_rng(3).normal(size=(240, 3))])
+        pts = PointSet([tuple(p) for p in np.random.default_rng(3).normal(size=(240, 3))])
         tracemalloc.start()
         try:
             matrix = gram_on(ClosedFormKernel("sconv"), pts)
@@ -203,7 +203,7 @@ class TestGramOn:
 
     @pytest.mark.parametrize("name", ["lip", "power_distance"])
     def test_lip_and_power_tables_allocate_no_point_pair_axis_tensor(self, name):
-        pts = PointSet.make([tuple(p) for p in np.random.default_rng(4).normal(size=(1000, 3))])
+        pts = PointSet([tuple(p) for p in np.random.default_rng(4).normal(size=(1000, 3))])
         tracemalloc.start()
         try:
             matrix = gram_on(ClosedFormKernel(name), pts)
@@ -215,13 +215,13 @@ class TestGramOn:
 
     def test_gram_kernel_copies_the_callers_matrix(self):
         matrix = BIPARTITE_5.copy()
-        gram = GramKernel(PointSet.make(range(5)), matrix)
+        gram = GramKernel(PointSet(range(5)), matrix)
         matrix[:] = 7.0
         assert np.array_equal(gram.matrix, BIPARTITE_5)
         assert not gram.matrix.flags.writeable
 
     def test_adopted_matrix_is_checked_and_frozen_not_copied(self):
-        pts = PointSet.make(range(5))
+        pts = PointSet(range(5))
         matrix = BIPARTITE_5.copy()
         gram = GramKernel._adopt(pts, matrix)
         assert gram.matrix is matrix and not matrix.flags.writeable
@@ -248,7 +248,7 @@ class TestGramOn:
 
     def test_point_off_gram_grid_raises_key_error(self):
         with pytest.raises(KeyError):
-            gram_on(gram5(), PointSet.make([0, 1]), PointSet.make([2, 7]))
+            gram_on(gram5(), PointSet([0, 1]), PointSet([2, 7]))
 
     def test_closed_form_needs_rows(self):
         with pytest.raises(ValueError):
@@ -334,33 +334,33 @@ class TestTpsd:
 
     def test_violating_gram(self):
         verdict = is_tpsd_pairwise(
-            GramKernel(PointSet.make([0, 1]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+            GramKernel(PointSet([0, 1]), np.array([[0.0, 1.0], [1.0, 0.0]]))
         )
         assert not verdict.is_tpsd
         assert verdict.failure == "positivity"
         assert verdict.witness == (0, 1)
 
     def test_lip_always_tpsd(self):
-        pts = PointSet.make([(0, 0), (1, 3), (-2, 5), (4, 4)])
+        pts = PointSet([(0, 0), (1, 3), (-2, 5), (4, 4)])
         assert is_tpsd_pairwise(ClosedFormKernel("lip"), pts).is_tpsd
 
     def test_asymmetric_reported(self):
         verdict = is_tpsd_pairwise(
-            GramKernel(PointSet.make([0, 1]), np.array([[0.0, -1.0], [-2.0, 0.0]]))
+            GramKernel(PointSet([0, 1]), np.array([[0.0, -1.0], [-2.0, 0.0]]))
         )
         assert not verdict.is_tpsd
         assert verdict.failure == "symmetry"
 
     def test_gram_rejects_plus_infinity(self):
         with pytest.raises(ValueError):
-            GramKernel(PointSet.make([0]), np.array([[np.inf]]))
+            GramKernel(PointSet([0]), np.array([[np.inf]]))
 
     def test_hilbertian_psd_grams_pass(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             feats = rng.normal(size=(5, 3))
             gram = GramKernel(
-                PointSet.make(list(range(5))), feats @ feats.T
+                PointSet(list(range(5))), feats @ feats.T
             )
             assert is_tpsd_pairwise(gram).is_tpsd
 
@@ -371,19 +371,19 @@ class TestTpsd:
             k = feats @ feats.T
             with np.errstate(divide="ignore"):
                 logk = np.log(np.abs(k))
-            gram = GramKernel(PointSet.make(list(range(4))), logk)
+            gram = GramKernel(PointSet(list(range(4))), logk)
             assert is_tpsd_pairwise(gram).is_tpsd
 
     def test_stability_sum_constant_restriction(self):
         rng = np.random.default_rng(3)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         for _ in range(20):
             f1 = rng.normal(size=(4, 2))
             f2 = rng.normal(size=(4, 2))
             a, b = f1 @ f1.T, f2 @ f2.T
             assert is_tpsd_pairwise(GramKernel(pts, a + b)).is_tpsd
             assert is_tpsd_pairwise(GramKernel(pts, a + 3.5)).is_tpsd
-            sub = PointSet.make([0, 2])
+            sub = PointSet([0, 2])
             assert is_tpsd_pairwise(
                 GramKernel(sub, a[np.ix_([0, 2], [0, 2])])
             ).is_tpsd
@@ -445,7 +445,7 @@ class TestPermutationPositivity:
 
     def test_pairwise_equals_permutation_verdict(self):
         rng = np.random.default_rng(5)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         for _ in range(50):
             m = rng.integers(-3, 4, size=(4, 4)).astype(float)
             m = np.minimum(m, m.T)
@@ -458,7 +458,7 @@ class TestPermutationPositivity:
 class TestDecompose:
     def test_conv_gram_example(self):
         gram = GramKernel(
-            PointSet.make([0, 1, 2]),
+            PointSet([0, 1, 2]),
             np.array([[0.0, 0, 0], [0, 1, 2], [0, 2, 4]]),
         )
         phi, b0 = decompose_phi_b0(gram)
@@ -470,20 +470,20 @@ class TestDecompose:
 
     def test_zero_diagonal_fixed_point(self):
         m = np.array([[0.0, -2.0], [-2.0, 0.0]])
-        phi, b0 = decompose_phi_b0(GramKernel(PointSet.make([0, 1]), m))
+        phi, b0 = decompose_phi_b0(GramKernel(PointSet([0, 1]), m))
         assert (phi.values == 0).all()
         assert np.array_equal(b0.matrix, m)
 
     def test_minus_inf_row_convention(self):
         m = np.array([[NEG_INF, NEG_INF], [NEG_INF, 0.0]])
-        phi, b0 = decompose_phi_b0(GramKernel(PointSet.make([0, 1]), m))
+        phi, b0 = decompose_phi_b0(GramKernel(PointSet([0, 1]), m))
         assert phi.values[0] == NEG_INF
         assert b0.matrix[0, 0] == 0.0
         assert b0.matrix[0, 1] == 0.0
 
     def test_reassembly_where_finite(self):
         rng = np.random.default_rng(6)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         for _ in range(20):
             feats = rng.normal(size=(4, 3))
             m = feats @ feats.T
@@ -496,14 +496,14 @@ class TestDecompose:
     def test_requires_tpsd(self):
         with pytest.raises(PreconditionError):
             decompose_phi_b0(
-                GramKernel(PointSet.make([0, 1]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+                GramKernel(PointSet([0, 1]), np.array([[0.0, 1.0], [1.0, 0.0]]))
             )
 
 
 class TestFactorize:
     def test_two_point_example(self):
         gram = GramKernel(
-            PointSet.make([0, 1]), np.array([[0.0, -1.0], [-1.0, 0.0]])
+            PointSet([0, 1]), np.array([[0.0, -1.0], [-1.0, 0.0]])
         )
         fm = factorize(gram)
         labels = {z: k for k, z in enumerate(fm.z_labels)}
@@ -514,12 +514,12 @@ class TestFactorize:
         assert np.array_equal(fm.recompose(), gram.matrix)
 
     def test_single_point(self):
-        gram = GramKernel(PointSet.make([5]), np.array([[3.0]]))
+        gram = GramKernel(PointSet([5]), np.array([[3.0]]))
         assert np.array_equal(factorize(gram).recompose(), gram.matrix)
 
     def test_recomposition_exact_on_integer_grams(self):
         rng = np.random.default_rng(7)
-        pts = PointSet.make(list(range(4)))
+        pts = PointSet(list(range(4)))
         count = 0
         while count < 25:
             m = rng.integers(-3, 4, size=(4, 4)).astype(float)
@@ -535,13 +535,13 @@ class TestFactorize:
     def test_lip_self_factorization(self):
         # The lip gram serves as its own feature map: sup_z b(x,z)+b(y,z)
         # equals b(x,y) because the triangle inequality is tight at z=y.
-        pts = PointSet.make([0.0, 1.0, 2.5])
+        pts = PointSet([0.0, 1.0, 2.5])
         b = gram_on(ClosedFormKernel("lip"), pts)
         recomposed = np.max(b[:, None, :] + b[None, :, :], axis=2)
         assert np.allclose(recomposed, b)
 
     def test_recompose_builds_no_cubic_tensor(self):
-        pts = PointSet.make([float(i) for i in range(60)])
+        pts = PointSet([float(i) for i in range(60)])
         gram = GramKernel(pts, gram_on(ClosedFormKernel("lip"), pts))
         features = factorize(gram)
         tracemalloc.start()
@@ -556,7 +556,7 @@ class TestFactorize:
 
     def test_size_guard(self):
         # 101^3 feature entries exceed PAIR_GUARD; nothing is allocated.
-        pts = PointSet.make([float(i) for i in range(101)])
+        pts = PointSet([float(i) for i in range(101)])
         with pytest.raises(SizeError):
             factorize(GramKernel(pts, gram_on(ClosedFormKernel("lip"), pts)))
 
@@ -582,7 +582,7 @@ class TestFactorize:
             b0[below] = b0.T[below]
             np.fill_diagonal(b0, pool[rng.integers(0, 2, n)])
             m = phi[:, None] + b0 + phi[None, :]  # b0 <= 0 is symmetric, so m is tpsd
-            gram = GramKernel(PointSet.make(range(n)), m)
+            gram = GramKernel(PointSet(range(n)), m)
             fm = factorize(gram)
             assert not fm.psi.flags.writeable
             assert np.array_equal(fm.psi.view(np.int64), loop(gram.matrix).view(np.int64))
@@ -590,7 +590,7 @@ class TestFactorize:
     def test_requires_tpsd(self):
         with pytest.raises(PreconditionError):
             factorize(
-                GramKernel(PointSet.make([0, 1]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+                GramKernel(PointSet([0, 1]), np.array([[0.0, 1.0], [1.0, 0.0]]))
             )
 
 

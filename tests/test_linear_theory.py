@@ -30,7 +30,7 @@ import tropkern.linear_theory as linear_theory
 
 from oracles import regularity_brute_all
 
-GRID3 = PointSet.make([-1.0, 0.0, 1.0])
+GRID3 = PointSet([-1.0, 0.0, 1.0])
 CONV_GRAM3 = gram_on(ClosedFormKernel("conv"), GRID3)
 DELTA_BOT3 = np.where(np.eye(3, dtype=bool), 0.0, NEG_INF)
 
@@ -44,7 +44,7 @@ def family_abs_id() -> FunctionFamily:
 
 def random_integer_family(rng, n=4, m=3, allow_top=False) -> FunctionFamily:
     members = []
-    pts = PointSet.make(list(range(n)))
+    pts = PointSet(list(range(n)))
     for _ in range(m):
         v = rng.integers(-5, 6, size=n).astype(float)
         if allow_top:
@@ -62,7 +62,7 @@ class TestFunctionFamily:
             FunctionFamily(GRID3, ())
 
     def test_domain_mismatch_rejected(self):
-        other = PointSet.make([0.0, 1.0])
+        other = PointSet([0.0, 1.0])
         with pytest.raises(ValueError):
             FunctionFamily(GRID3, (GridFunction(other, np.zeros(2)),))
 
@@ -95,7 +95,7 @@ class TestMaxKernel:
             assert np.array_equal(np.diag(max_kernel_cG(fam)), np.zeros(4))
 
     def test_diagonal_top_where_all_members_top(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         fam = FunctionFamily(
             pts,
             (
@@ -143,7 +143,7 @@ class TestClosure:
 
     def test_shape_mismatch_rejected(self):
         c = max_kernel_cG(family_abs_id())
-        f = GridFunction(PointSet.make([0.0, 1.0]), np.zeros(2))
+        f = GridFunction(PointSet([0.0, 1.0]), np.zeros(2))
         with pytest.raises(ValueError):
             closure_CG(c, f)
 
@@ -166,7 +166,7 @@ class TestLipschitzMembership:
 
     def test_constant_iff_offdiagonal_nonpositive(self):
         rng = np.random.default_rng(34)
-        const = GridFunction(PointSet.make(list(range(4))), np.full(4, 3.0))
+        const = GridFunction(PointSet(list(range(4))), np.full(4, 3.0))
         for _ in range(20):
             fam = random_integer_family(rng)
             c = max_kernel_cG(fam)
@@ -358,7 +358,7 @@ class TestRegularityFromSquare:
         # ulps in some entries and B is idempotent only within tol.
         rng = np.random.default_rng(1)
         cells = np.sort(rng.choice(22 * 22, 240, replace=False))
-        grid = PointSet.make(np.stack([cells // 22 - 11, cells % 22 - 11], axis=1).tolist())
+        grid = PointSet(np.stack([cells // 22 - 11, cells % 22 - 11], axis=1).tolist())
         gram = gram_on(ClosedFormKernel("lip"), grid)
         assert (mp_matmul(gram, gram) > gram).any()
 
@@ -383,7 +383,7 @@ class TestRegularityFromSquare:
         # The float square of this lip Gram equals it exactly, so B is its
         # own witness, fl(B (x) B (x) B) = B; the float residuation misses B
         # by an ulp, which no tol may turn into "not regular".
-        gram = gram_on(ClosedFormKernel("lip"), PointSet.make([0.1, 0.2, 0.5]))
+        gram = gram_on(ClosedFormKernel("lip"), PointSet([0.1, 0.2, 0.5]))
         assert (mp_matmul(gram, gram) == gram).all()
         a_star = right_residual(left_residual(gram, gram), gram)
         assert not (mp_matmul(mp_matmul(gram, a_star), gram) == gram).all()

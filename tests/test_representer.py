@@ -45,32 +45,32 @@ from oracles import (
     witnesses_per_sample,
 )
 
-CAND3 = PointSet.make([-1.0, 0.0, 1.0])
+CAND3 = PointSet([-1.0, 0.0, 1.0])
 CONV = ClosedFormKernel("conv")
 
 
 def convex_samples() -> SampleSet:
-    return SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), CAND3)
+    return SampleSet(PointSet([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), CAND3)
 
 
 def concave_samples() -> SampleSet:
-    return SampleSet(PointSet.make([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), CAND3)
+    return SampleSet(PointSet([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), CAND3)
 
 
 def lip_gram(points) -> GramKernel:
-    pts = PointSet.make(points)
+    pts = PointSet(points)
     return GramKernel(pts, gram_on(ClosedFormKernel("lip"), pts))
 
 
 def random_instance(rng, n_samples=4, n_cand=5, bottom_density=0.15):
-    xs = PointSet.make([(0.0, float(i)) for i in range(n_samples)])
-    cands = PointSet.make([(1.0, float(j)) for j in range(n_cand)])
+    xs = PointSet([(0.0, float(i)) for i in range(n_samples)])
+    cands = PointSet([(1.0, float(j)) for j in range(n_cand)])
     bxp = rng.integers(-4, 5, size=(n_samples, n_cand)).astype(float)
     bxp[rng.random((n_samples, n_cand)) < bottom_density] = NEG_INF
     matrix = np.full((n_samples + n_cand, n_samples + n_cand), NEG_INF)
     matrix[:n_samples, n_samples:] = bxp
     matrix[n_samples:, :n_samples] = bxp.T
-    all_points = PointSet.make(list(xs.points) + list(cands.points))
+    all_points = PointSet(list(xs.points) + list(cands.points))
     kernel = GramKernel(all_points, matrix)
     ys = rng.integers(-4, 5, size=n_samples).astype(float)
     return SampleSet(xs, ys, cands), kernel, bxp
@@ -81,7 +81,7 @@ def _grid_points(rng, count, dim, scale, low=-6, high=7):
     pts = set()
     while len(pts) < count:
         pts.add(tuple(float(c) * scale for c in rng.integers(low, high, dim)))
-    return PointSet.make(sorted(pts))
+    return PointSet(sorted(pts))
 
 
 def _closed_case(name, dim=1, span=6, **params):
@@ -98,10 +98,10 @@ def _lax_hopf_case(rng, scale):
     # Sites at t = 0, anchors at t in {0, 1, 2, 4}: dyadic actions, and -inf
     # between distinct simultaneous points.
     n, n_cand = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-    xs = PointSet.make([(0.0, x) for x in sorted({float(v) for v in rng.integers(-4, 5, n)})])
+    xs = PointSet([(0.0, x) for x in sorted({float(v) for v in rng.integers(-4, 5, n)})])
     cands = sorted({(float(rng.choice([0, 1, 2, 4])), float(v) * scale)
                     for v in rng.integers(-4, 5, n_cand)})
-    return ClosedFormKernel("lax_hopf"), xs, PointSet.make(cands)
+    return ClosedFormKernel("lax_hopf"), xs, PointSet(cands)
 
 
 def _gram_case(rng, scale):
@@ -187,13 +187,19 @@ def witness_oracle(samples: SampleSet, bxp: np.ndarray) -> bool:
 
 class TestSampleSet:
     def test_shape_and_finiteness_validation(self):
-        xs = PointSet.make([0.0, 1.0])
+        xs = PointSet([0.0, 1.0])
         with pytest.raises(ValueError):
             SampleSet(xs, np.array([0.0]), CAND3)
         with pytest.raises(ValueError):
             SampleSet(xs, np.array([0.0, POS_INF]), CAND3)
         with pytest.raises(ValueError):
-            SampleSet(PointSet.make([]), np.array([]), CAND3)
+            SampleSet(PointSet([]), np.array([]), CAND3)
+
+    @pytest.mark.parametrize("ys", [[[1.0, 2.0]], [[1.0], [2.0]], 1.0, [[[1.0, 2.0]]]])
+    def test_targets_are_one_vector(self, ys):
+        # Targets of shape (1, n) or (n, 1) are not flattened into n targets.
+        with pytest.raises(ValueError, match="one target per sample point is required"):
+            SampleSet(PointSet([0.0, 1.0]), ys, PointSet([0.0]))
 
 
 class TestFeasibleWitnesses:
@@ -209,15 +215,15 @@ class TestFeasibleWitnesses:
         assert exc.value.cycle is None
 
     def test_single_sample_lowest_index(self):
-        samples = SampleSet(PointSet.make([0.5]), np.array([2.0]), CAND3)
+        samples = SampleSet(PointSet([0.5]), np.array([2.0]), CAND3)
         result = feasible_witnesses(samples, CONV)
         assert result.witness_indices == (0,)
 
     def test_bottom_self_evaluation_disqualifies(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         matrix = np.array([[NEG_INF, 0.0], [0.0, 0.0]])
         kernel = GramKernel(pts, matrix)
-        samples = SampleSet(PointSet.make([0]), np.array([1.0]), pts)
+        samples = SampleSet(PointSet([0]), np.array([1.0]), pts)
         result = feasible_witnesses(samples, kernel)
         assert result.witness_indices == (1,)
 
@@ -228,7 +234,7 @@ class TestFeasibleWitnesses:
             base = witnesses_or_none(samples, kernel)
             perm = rng.permutation(len(samples))
             shuffled = SampleSet(
-                PointSet.make([samples.xs.points[i] for i in perm]),
+                PointSet([samples.xs.points[i] for i in perm]),
                 samples.ys[perm],
                 samples.dual_candidates,
             )
@@ -278,14 +284,14 @@ class TestBuildF0:
             assert f0(x) == y
 
     def test_single_sample_section(self):
-        samples = SampleSet(PointSet.make([1.0]), np.array([3.0]), CAND3)
+        samples = SampleSet(PointSet([1.0]), np.array([3.0]), CAND3)
         f0 = build_f0(samples, (1.0,), CONV)
         for x in np.linspace(-2, 2, 9):
             assert f0(float(x)) == pytest.approx(x * 1.0 - 1.0 + 3.0, abs=1e-12)
 
     def test_idempotent_kernel_self_anchors(self):
         kernel = lip_gram([0.0, 1.0, 2.0, 3.0])
-        xs = PointSet.make([0.0, 2.0])
+        xs = PointSet([0.0, 2.0])
         ys = np.array([1.0, 0.5])
         samples = SampleSet(xs, ys, kernel.points)
         f0 = build_f0(samples, tuple(xs.points), kernel)
@@ -303,7 +309,7 @@ class TestBuildF0:
             build_f0(convex_samples(), (0.0,), CONV)
 
     def test_witness_result_of_other_samples_rejected(self):
-        single = SampleSet(PointSet.make([1.0]), np.array([3.0]), CAND3)
+        single = SampleSet(PointSet([1.0]), np.array([3.0]), CAND3)
         with pytest.raises(ValueError, match="one witness per sample"):
             build_f0(convex_samples(), feasible_witnesses(single, CONV), CONV)
 
@@ -351,7 +357,7 @@ class TestBuildF0:
         second = CanonicalInterpolant(lip, anchors[::-1], offsets[::-1])
         assert np.copysign(1.0, first(0.0)) == -1.0
         assert np.copysign(1.0, second(0.0)) == 1.0
-        grid = PointSet.make([0.0])
+        grid = PointSet([0.0])
         assert np.copysign(1.0, first.on_grid(grid).values[0]) == -1.0
 
     def test_terms_expose_representation(self):
@@ -390,7 +396,7 @@ class TestBuildF0:
 
         monkeypatch.setattr(representer, "point_array", refuse)
         assert np.array_equal(f0.on_grid(samples.xs).values, samples.ys)
-        grid = PointSet.make([-1.0, 4.0])
+        grid = PointSet([-1.0, 4.0])
         assert list(f0.on_grid(grid).values) == [f0(-1.0), f0(4.0)]
 
 
@@ -424,9 +430,9 @@ class TestDifferenceConstraints:
     def test_top_bound_rejected_at_construction(self):
         # A -inf self-evaluation makes the sample's gaps +inf, which no
         # finite targets satisfy: refused before any closure, at that sample.
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         kernel = GramKernel(pts, np.array([[NEG_INF, 0.0], [0.0, 0.0]]))
-        samples = SampleSet(PointSet.make([0, 1]), np.array([0.0, 0.0]), pts)
+        samples = SampleSet(PointSet([0, 1]), np.array([0.0, 0.0]), pts)
         with pytest.raises(InfeasibleConstraintsError, match="-inf at its sample") as exc:
             regress(samples, kernel, "sup_norm", fixed_p=((0.0,), (1.0,)))
         assert exc.value.cycle is None
@@ -589,8 +595,8 @@ class TestExactCycles:
         for trial in range(200):
             xs = np.sort(rng.choice(np.arange(-30, 31), 8, replace=False)) / 10
             ps = np.sort(rng.choice(np.arange(-30, 31), 4, replace=False)) / 10
-            samples = SampleSet(PointSet.make(xs), rng.integers(-30, 31, 8) / 10,
-                                PointSet.make(ps))
+            samples = SampleSet(PointSet(xs), rng.integers(-30, 31, 8) / 10,
+                                PointSet(ps))
             bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
             fixed = rng.integers(0, 4, 8)
             loss = ("sup_norm", "l1")[trial % 2]
@@ -651,8 +657,8 @@ class TestExactCycles:
         # 2^14 <= 20,000 < 2^15: 14 samples are built in full; over 15 a
         # row's closure and fit are longer than the product test admitted,
         # so the pass stops at the first sample with two anchors.
-        xs = PointSet.make(np.arange(15.0))
-        bxp = gram_on(CONV, xs, PointSet.make([-1.0, 1.0]))
+        xs = PointSet(np.arange(15.0))
+        bxp = gram_on(CONV, xs, PointSet([-1.0, 1.0]))
         assert len(_two_cycle_free(bxp[:14])) == 15
         assert _two_cycle_free(bxp) is None
         assert _two_cycle_free(bxp[:, :1]).tolist() == [[0] * 15]
@@ -694,7 +700,7 @@ class TestRegress:
         assert result.loss_value == pytest.approx(0.25, abs=1e-9)
 
     def test_single_sample_zero_loss(self):
-        samples = SampleSet(PointSet.make([0.5]), np.array([7.0]), CAND3)
+        samples = SampleSet(PointSet([0.5]), np.array([7.0]), CAND3)
         for loss in ("sup_norm", "l1"):
             assert regress(samples, CONV, loss=loss).loss_value == 0.0
 
@@ -705,9 +711,9 @@ class TestRegress:
             regress(samples, CONV, loss="l2")
 
     def test_bottom_anchor_infeasible(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         kernel = GramKernel(pts, np.array([[NEG_INF, 0.0], [0.0, 0.0]]))
-        samples = SampleSet(PointSet.make([0]), np.array([1.0]), pts)
+        samples = SampleSet(PointSet([0]), np.array([1.0]), pts)
         with pytest.raises(InfeasibleConstraintsError):
             regress(samples, kernel, fixed_p=(0,))
 
@@ -746,9 +752,9 @@ class TestRegress:
             gaps = (xs[:, None] - xs[None, :]) * slopes[None, :]
             np.fill_diagonal(gaps, NEG_INF)
             samples = SampleSet(
-                PointSet.make(xs.astype(float)),
+                PointSet(xs.astype(float)),
                 rng.integers(-30, 31, n).astype(float),
-                PointSet.make(slopes),
+                PointSet(slopes),
             )
             cons = [(k, m, gaps[k, m]) for k in range(n) for m in range(n) if k != m]
             try:
@@ -792,8 +798,8 @@ class TestRegress:
                 n = int(rng.integers(2, 6))
                 xs = np.sort(rng.choice(np.arange(-10, 11), n, replace=False))
                 cands = np.sort(rng.choice(np.arange(-4, 5), 3, replace=False))
-                samples = SampleSet(PointSet.make(xs * 0.5), rng.integers(-10, 11, n) * 0.5,
-                                    PointSet.make(cands.astype(float)))
+                samples = SampleSet(PointSet(xs * 0.5), rng.integers(-10, 11, n) * 0.5,
+                                    PointSet(cands.astype(float)))
                 kernel = CONV
             try:
                 expected = unpruned_search(samples, kernel, loss)
@@ -828,9 +834,9 @@ class TestRegress:
         # the 21, so 8 are fitted; the winner is neither closed nor fitted
         # again.
         samples = SampleSet(
-            PointSet.make([-8.0, -4.0, -1.0, 3.0, 7.0]),
+            PointSet([-8.0, -4.0, -1.0, 3.0, 7.0]),
             np.array([-3.0, 8.0, -9.0, -9.0, -6.0]),
-            PointSet.make([-3.0, 0.0, 1.0]),
+            PointSet([-3.0, 0.0, 1.0]),
         )
         bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
         assert len(two_cycle_free_assignments(bxp)) == 21
@@ -872,7 +878,7 @@ class TestRegress:
                 ys = rng.integers(-30, 31, n) / 10
             if problem == "scaled by 1e8":
                 xs, ys = xs * 1e8, ys * 1e8
-            samples = SampleSet(PointSet.make(np.sort(xs)), ys, PointSet.make(np.sort(ps)))
+            samples = SampleSet(PointSet(np.sort(xs)), ys, PointSet(np.sort(ps)))
             expected = unpruned_search(samples, CONV, "l1")
             got = regress(samples, CONV, loss="l1")
             assert got.loss_value == expected.loss_value
@@ -906,9 +912,9 @@ class TestRegress:
         # 200 samples and 200 candidates, far beyond any enumeration.
         rng = np.random.default_rng(60)
         samples = SampleSet(
-            PointSet.make(np.sort(rng.choice(np.arange(-400, 401), 200, replace=False)) * 0.5),
+            PointSet(np.sort(rng.choice(np.arange(-400, 401), 200, replace=False)) * 0.5),
             rng.integers(-400, 401, 200) * 0.5,
-            PointSet.make(np.sort(rng.choice(np.arange(-400, 401), 200, replace=False)) * 0.25),
+            PointSet(np.sort(rng.choice(np.arange(-400, 401), 200, replace=False)) * 0.25),
         )
         result = regress(samples, CONV, loss="sup_norm")
         bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
@@ -925,7 +931,7 @@ class TestRegress:
         # Collinear decimal targets: some optimal anchors have a cycle of
         # gaps whose weight is 0 before rounding and 1.1e-16 after it.
         xs = np.array([-2.0, -1.7, 0.5, 1.7, 2.2, 2.7])
-        samples = SampleSet(PointSet.make(xs), 0.3 * xs + 0.1, PointSet.make([-3.0, -0.3]))
+        samples = SampleSet(PointSet(xs), 0.3 * xs + 0.1, PointSet([-3.0, -0.3]))
         result = regress(samples, CONV, loss="sup_norm")
         bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
         best_loss, _, _ = regression_brute(bxp, samples.ys, "sup_norm")
@@ -941,7 +947,7 @@ class TestRegress:
         xs = np.sort(rng.choice(np.arange(-20, 21), 9, replace=False)) * 0.5
         cands = np.sort(rng.choice(np.arange(-8, 9), 4, replace=False)) * 0.5
         samples = SampleSet(
-            PointSet.make(xs), rng.integers(-20, 21, 9) * 0.5, PointSet.make(cands)
+            PointSet(xs), rng.integers(-20, 21, 9) * 0.5, PointSet(cands)
         )
         assert 4 ** 9 > representer.SEARCH_ENUMERATION_BUDGET
         bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
@@ -963,8 +969,8 @@ class TestRegress:
         for _ in range(3):
             xs = np.sort(rng.choice(np.arange(-30, 31), 9, replace=False)) / 10
             ps = np.sort(rng.choice(np.arange(-30, 31), 4, replace=False)) / 10
-            samples = SampleSet(PointSet.make(xs), rng.integers(-30, 31, 9) / 10,
-                                PointSet.make(ps))
+            samples = SampleSet(PointSet(xs), rng.integers(-30, 31, 9) / 10,
+                                PointSet(ps))
             bxp = gram_on(CONV, samples.xs, samples.dual_candidates)
             optimum = POS_INF
             for idx in itertools.combinations_with_replacement(range(4), 9):
@@ -985,8 +991,8 @@ class TestRegress:
         # fits the projection's anchors alone, as the product test did.
         rng = np.random.default_rng(25)
         xs = np.sort(rng.choice(np.arange(-1000, 1000), 200, replace=False)) * 1.0
-        samples = SampleSet(PointSet.make(xs), rng.integers(-30, 31, 200) * 1.0,
-                            PointSet.make([-1.0, 1.0]))
+        samples = SampleSet(PointSet(xs), rng.integers(-30, 31, 200) * 1.0,
+                            PointSet([-1.0, 1.0]))
         stacks = []
 
         def counting_closures(stack):
@@ -1116,8 +1122,8 @@ def drift_samples() -> SampleSet:
     to 100 steps."""
     rng = np.random.default_rng(100)
     xs = np.sort(rng.choice(np.arange(-500, 500), 100, replace=False)) / 10
-    return SampleSet(PointSet.make(xs), rng.integers(-30, 31, 100) / 10,
-                     PointSet.make([-1.0, 1.0]))
+    return SampleSet(PointSet(xs), rng.integers(-30, 31, 100) / 10,
+                     PointSet([-1.0, 1.0]))
 
 
 def exchange_gaps(sections):
@@ -1206,7 +1212,7 @@ class TestEquivalenceInvariant:
         samples = convex_samples()
         witnesses = feasible_witnesses(samples, CONV).witnesses
         f0 = build_f0(samples, witnesses, CONV)
-        grid = PointSet.make([-1.0, 0.0, 0.5, 1.0, 2.0])
+        grid = PointSet([-1.0, 0.0, 0.5, 1.0, 2.0])
         op = ConjugationOp(CONV, grid)
         assert is_in_range(op, f0.on_grid(grid)).in_range
 
@@ -1221,7 +1227,7 @@ class TestStoppingCost:
 
     def test_consistent_samples_interpolated_exactly(self):
         kernel, f = self.kernel_and_truth()
-        xs = PointSet.make([1.0, 2.0])
+        xs = PointSet([1.0, 2.0])
         samples = SampleSet(xs, f[1:3], kernel.points)
         result = reconstruct_stopping_cost(samples, kernel)
         assert result.loss_value == 0.0
@@ -1233,7 +1239,7 @@ class TestStoppingCost:
 
     def test_reconstruction_below_source_value(self):
         kernel, f = self.kernel_and_truth()
-        samples = SampleSet(PointSet.make([1.0, 2.0]), f[1:3], kernel.points)
+        samples = SampleSet(PointSet([1.0, 2.0]), f[1:3], kernel.points)
         result = reconstruct_stopping_cost(samples, kernel)
         rebuilt = np.array([result.generator(x) for x in kernel.points])
         assert (rebuilt <= f + 1e-12).all()
@@ -1245,14 +1251,14 @@ class TestStoppingCost:
     )
     def test_reconstruction_dominates_source_value(self):
         kernel, f = self.kernel_and_truth()
-        samples = SampleSet(PointSet.make([1.0, 2.0]), f[1:3], kernel.points)
+        samples = SampleSet(PointSet([1.0, 2.0]), f[1:3], kernel.points)
         result = reconstruct_stopping_cost(samples, kernel)
         rebuilt = np.array([result.generator(x) for x in kernel.points])
         assert (rebuilt >= f - 1e-12).all()
 
     def test_singleton_sample_top_spike_cost(self):
         kernel, _ = self.kernel_and_truth()
-        samples = SampleSet(PointSet.make([2.0]), np.array([1.5]), kernel.points)
+        samples = SampleSet(PointSet([2.0]), np.array([1.5]), kernel.points)
         result = reconstruct_stopping_cost(samples, kernel)
         w = result.stopping_cost.values
         assert w[kernel.points.index_of(2.0)] == -1.5
@@ -1260,33 +1266,33 @@ class TestStoppingCost:
         assert (w[mask] == POS_INF).all()
 
     def test_non_idempotent_kernel_rejected(self):
-        pts = PointSet.make([-1.0, 0.0, 1.0])
+        pts = PointSet([-1.0, 0.0, 1.0])
         kernel = GramKernel(pts, gram_on(CONV, pts))
-        samples = SampleSet(PointSet.make([0.0]), np.array([0.0]), pts)
+        samples = SampleSet(PointSet([0.0]), np.array([0.0]), pts)
         with pytest.raises(PreconditionError):
             reconstruct_stopping_cost(samples, kernel)
 
     def test_nonzero_diagonal_rejected(self):
-        pts = PointSet.make([0, 1])
+        pts = PointSet([0, 1])
         kernel = GramKernel(pts, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        samples = SampleSet(PointSet.make([0]), np.array([0.0]), pts)
+        samples = SampleSet(PointSet([0]), np.array([0.0]), pts)
         with pytest.raises(PreconditionError, match="zero diagonal"):
             reconstruct_stopping_cost(samples, kernel)
 
     def test_off_grid_sample_rejected(self):
         kernel, _ = self.kernel_and_truth()
-        samples = SampleSet(PointSet.make([9.0]), np.array([0.0]), kernel.points)
+        samples = SampleSet(PointSet([9.0]), np.array([0.0]), kernel.points)
         with pytest.raises(PreconditionError, match="kernel grid"):
             reconstruct_stopping_cost(samples, kernel)
 
     def test_idempotency_is_checked_after_the_cheap_checks(self):
         # Zero diagonal, but the path 0 -> 1 -> 2 (-2) beats b(0, 2) = -5.
-        pts = PointSet.make([0.0, 1.0, 2.0])
+        pts = PointSet([0.0, 1.0, 2.0])
         kernel = GramKernel(pts, [[0.0, -1.0, -5.0], [-1.0, 0.0, -1.0], [-5.0, -1.0, 0.0]])
-        on_grid = SampleSet(PointSet.make([1.0]), np.array([0.0]), pts)
+        on_grid = SampleSet(PointSet([1.0]), np.array([0.0]), pts)
         with pytest.raises(PreconditionError, match="must be idempotent"):
             reconstruct_stopping_cost(on_grid, kernel)
-        off_grid = SampleSet(PointSet.make([9.0]), np.array([0.0]), pts)
+        off_grid = SampleSet(PointSet([9.0]), np.array([0.0]), pts)
         with pytest.raises(PreconditionError, match="kernel grid"):
             reconstruct_stopping_cost(off_grid, kernel)
         conv = GramKernel(pts, gram_on(CONV, pts))  # nor idempotent, nor a zero diagonal
@@ -1297,7 +1303,7 @@ class TestStoppingCost:
 def _decimal_points(rng, count):
     """``count`` distinct 2-D points with one decimal in [-2, 2]^2."""
     cells = rng.choice(41 * 41, count, replace=False)
-    return PointSet.make(np.stack([cells // 41 - 20, cells % 41 - 20], axis=1) / 10.0)
+    return PointSet(np.stack([cells // 41 - 20, cells % 41 - 20], axis=1) / 10.0)
 
 
 def _bits(values):
