@@ -14,9 +14,13 @@ Exit codes:
 
 Extended reals, point coordinates included, are encoded as numbers, with
 the strings ``"inf"`` and ``"-inf"`` for the two infinities, in both JSON and
-CSV.  Handlers put arrays in their payloads; the writer prints each one from the text of its
-distinct values, a run of equal entries as one text, with the bytes
-``json.dumps(encode_values(array), indent=2, sort_keys=True)`` would give.
+CSV.  Handlers put arrays in their payloads, the integer fields as int64
+arrays; one coder (``_run_texts``) prints each one, and each CSV sibling as
+one array of coordinates and values, from the text of its distinct values,
+a run of equal entries as one text, with the bytes
+``json.dumps(encode_values(array), indent=2, sort_keys=True)`` would give
+(of the ints themselves for an int array).  Only a lattice's points in JSON
+are written from the text of its axes.
 ``--tol`` must be a finite number >= 0.  ``blocking_index`` counts samples from
 1; ``negative_cycle``, ``witness_indices`` and ``witness`` count from 0.
 """
@@ -252,7 +256,7 @@ def _cmd_check_tpsd(data: Mapping, config: RunConfig):
     payload: dict = {"tpsd": verdict.is_tpsd}
     if not verdict.is_tpsd:
         payload["failure"] = verdict.failure
-        payload["witness"] = list(verdict.witness)
+        payload["witness"] = np.array(verdict.witness, dtype=np.int64)
     m_max = data.get("permutation_m_max")
     if m_max is not None:
         if type(m_max) is not int or m_max < 1:
@@ -269,7 +273,7 @@ def _cmd_factorize(data: Mapping, config: RunConfig):
     feature_map = factorize(GramKernel._adopt(domain, gram_on(kernel, domain)))
     payload = {
         "points": feature_map.points,
-        "labels": [list(z) for z in feature_map.z_labels],
+        "labels": np.array(feature_map.z_labels, dtype=np.int64),
         "features": feature_map.psi,
     }
     return payload, None
@@ -346,7 +350,7 @@ def _cmd_interpolate(data: Mapping, config: RunConfig):
     payload = {
         "feasible": True,
         "witnesses": wit.witnesses,
-        "witness_indices": list(wit.witness_indices),
+        "witness_indices": np.array(wit.witness_indices, dtype=np.int64),
         "f0": _f0_payload(f0),
         "values_at_xs": f0.on_grid(samples.xs).values,
     }
@@ -443,7 +447,7 @@ def _cmd_invert_terminal_cost(data: Mapping, config: RunConfig):
     payload = {
         "feasible": True,
         "witnesses": result.witnesses,
-        "witness_indices": list(result.witness_indices),
+        "witness_indices": np.array(result.witness_indices, dtype=np.int64),
         "points": result.psi_T.domain,
         "psi_T": result.psi_T.values,
     }
@@ -480,15 +484,15 @@ _SCALAR_TYPES = {str, int, float, bool, type(None)}
 def _dump_json(obj, level: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
-    With ``indent`` json falls back to its pure-Python encoder, so lists of
-    scalars, lists of non-empty scalar lists, and lists of pairs
-    [non-empty scalar list, scalar] go through one call of the C encoder
-    (``indent=None``) with the newline and indent of ``level`` in the item
-    separator; everything else recurses.  ``obj`` is written as if
-    it sat ``level`` levels deep, so later lines carry that indent.  A 1-D
-    or 2-D ``np.ndarray`` is written as ``encode_values`` of it
-    (``_array_parts``, which writes a run of equal entries as one text), and
-    a ``PointSet`` as its coordinate array, or a lattice from its axes.
+    ``obj`` is written as if it sat ``level`` levels deep, so later lines
+    carry that indent.  A 1-D or 2-D ``np.ndarray``, float64 or int64, is
+    written as ``encode_values`` of it, or as its ints (``_array_parts``,
+    which writes a run of equal entries as one text); a ``PointSet`` as its
+    coordinate array, or a lattice from the text of its axes.  With
+    ``indent`` json falls back to its pure-Python encoder, so a list of pairs
+    [non-empty scalar list, scalar], as the f0 terms, goes through one call
+    of the C encoder (``indent=None``) with the newlines and indents in the
+    item separator; every other list recurses.
     """
     ind = "\n" + "  " * level
     pad = ind + "  "
@@ -520,25 +524,12 @@ def _dump_json(obj, level: int = 0) -> str:
         return json.dumps(obj)
     if not obj:
         return "[]"
-    if set(map(type, obj)) <= _SCALAR_TYPES:
-        flat = json.dumps(obj, separators=("," + pad, ": "))
-        return "".join(("[", pad, flat[1:-1], ind, "]"))
-    if all(type(row) is list and row for row in obj) and set(
-        map(type, itertools.chain.from_iterable(obj))
-    ) <= _SCALAR_TYPES:
-        # Rows joined by "]," + pad2 + "[": that text holds a newline, which
-        # ensure_ascii escapes inside every string, so it only ends a row.
-        pad2 = pad + "  "
-        body = json.dumps(obj, separators=("," + pad2, ": "))[2:-2].replace(
-            "]," + pad2 + "[", pad + "]," + pad + "[" + pad2
-        )
-        return "".join(("[", pad, "[", pad2, body, pad, "]", ind, "]"))
     if all(type(item) is list and len(item) == 2 and type(item[0]) is list and item[0]
            for item in obj) and set(map(type, itertools.chain.from_iterable(
                [*item[0], item[1]] for item in obj))) <= _SCALAR_TYPES:
-        # Pairs [scalar list, scalar], as the f0 terms.  A separator after a
-        # list ("]," + pad3) is followed by "[" between pairs and by the
-        # scalar inside a pair.
+        # A separator after a list ("]," + pad3) is followed by "[" between
+        # pairs and by the scalar inside a pair.  It holds a newline, which
+        # ensure_ascii escapes inside every string, so it only ends a list.
         pad2, pad3 = pad + "  ", pad + "    "
         body = json.dumps(obj, separators=("," + pad3, ": "))[3:-2]
         body = body.replace(
@@ -586,19 +577,24 @@ def _coded_texts(
     """The distinct texts of ``values`` and each value's code into them.
 
     A text is its value's followed by ``sep``, or by ``row_sep`` for the
-    entries at ``row_ends``.  A finite value is written by
+    entries at ``row_ends``.  An int64 value is written by ``repr``, once
+    per distinct value.  A finite float64 value is written by
     ``float.__repr__``, as json writes it, once per distinct bit pattern (so
     -0.0 stays apart from 0.0); +inf, -inf and NaN (any payload) by
     ``nonfinite``.
     """
-    finite = np.isfinite(values)
-    bits, finite_codes = _distinct(values[finite].view(np.int64))
-    texts = list(map(float.__repr__, bits.view(float).tolist()))
-    texts += nonfinite
-    codes = np.full(values.size, len(texts) - 1)
-    codes[values == POS_INF] = len(texts) - 3
-    codes[values == NEG_INF] = len(texts) - 2
-    codes[finite] = finite_codes
+    if values.dtype == np.int64:
+        ints, codes = _distinct(values)
+        texts = list(map(repr, ints.tolist()))
+    else:
+        finite = np.isfinite(values)
+        bits, finite_codes = _distinct(values[finite].view(np.int64))
+        texts = list(map(float.__repr__, bits.view(float).tolist()))
+        texts += nonfinite
+        codes = np.full(values.size, len(texts) - 1)
+        codes[values == POS_INF] = len(texts) - 3
+        codes[values == NEG_INF] = len(texts) - 2
+        codes[finite] = finite_codes
     table = [t + sep for t in texts]
     if row_ends is not None:
         table += [t + row_sep for t in texts]
@@ -615,20 +611,6 @@ def _block_texts(
     ends = slice((row_len - 1 - start) % row_len, None, row_len) if row_len else None
     table, codes = _coded_texts(chunk, nonfinite, sep, row_sep, ends)
     return np.array(table, dtype=object)[codes].tolist()
-
-
-def _entry_texts(values: np.ndarray, nonfinite: tuple[str, str, str]) -> list[str]:
-    """The text of each entry of ``values`` in C order (``_coded_texts``),
-    coded one block of ``_BLOCK`` entries at a time."""
-    flat = np.asarray(values, dtype=float).ravel()
-    # Filled in place: a list grown block by block left the allocator
-    # holding more of the process's peak resident set.
-    out = [""] * flat.size
-    for start in range(0, flat.size, _BLOCK):
-        out[start:start + _BLOCK] = _block_texts(
-            flat[start:start + _BLOCK], start, nonfinite, "", 0, ""
-        )
-    return out
 
 
 def _run_bounds(chunk: np.ndarray, start: int, row_len: int) -> np.ndarray | None:
@@ -661,9 +643,9 @@ def _run_texts(
     row_len: int = 0,
     row_sep: str = "",
 ) -> list[str]:
-    """Texts that join to the text of each entry of ``values`` in C order
-    (``_coded_texts``) followed by ``sep``, or by ``row_sep`` if it ends a
-    row of ``row_len`` entries.
+    """Texts that join to the text of each entry of ``values`` (float64 or
+    int64) in C order (``_coded_texts``) followed by ``sep``, or by
+    ``row_sep`` if it ends a row of ``row_len`` entries.
 
     A run is a stretch of entries with one bit pattern inside a block of
     ``_BLOCK`` entries and a row; a row's last entry is a run of its own, as
@@ -671,7 +653,7 @@ def _run_texts(
     is written as one text per run, its entry's text times its length, each
     distinct (text, length) built once; any other block per entry.
     """
-    flat = np.asarray(values, dtype=float).ravel()
+    flat = values.ravel()
     out: list[str] = []
     for start in range(0, flat.size, _BLOCK):
         chunk = flat[start:start + _BLOCK]
@@ -698,7 +680,7 @@ def _run_texts(
 
 def _array_parts(arr: np.ndarray, level: int) -> list[str]:
     """Texts that join to ``_dump_json(encode_values(arr), level)`` for a
-    1-D or 2-D array.
+    1-D or 2-D array, or to ``_dump_json(arr.tolist(), level)`` for int64.
 
     Each entry's text carries the separator that follows it, so the array
     is one list of texts, one per run of equal entries or one per entry
@@ -727,28 +709,21 @@ def _array_parts(arr: np.ndarray, level: int) -> list[str]:
     return parts
 
 
-def _lattice_text(cells: list[list[str]], sep: str, end: str) -> tuple[list[str], list[str]]:
-    """Per-axis text of a lattice: the cells of the first axis, and for each
-    point of the product of the other axes (C order) its text after the
-    first cell, each further cell led by ``sep`` and the last one followed
-    by ``end``.  ``cells`` holds the text of each axis's coordinates."""
-    rest = [end]
-    for col in reversed(cells[1:]):
-        rest = [sep + c + r for c in col for r in rest]
-    return cells[0], rest
-
-
 def _lattice_json(axes: Sequence[np.ndarray], level: int) -> str:
     """``_dump_json`` of a lattice's points, written from per-axis text.
 
-    The text after the first coordinate is built once for the inner axes and
-    joined once for each first coordinate, so the cost is the output bytes.
+    The text after the first coordinate, each further coordinate led by its
+    separator, is built once for each point of the product of the inner axes
+    (C order) and joined once for each first coordinate, so the cost is the
+    output bytes.
     """
     ind = "\n" + "  " * level
     pad = ind + "  "
     pad2 = pad + "  "
-    cells = [json.dumps(encode_values(ax))[1:-1].split(", ") for ax in axes]
-    firsts, rest = _lattice_text(cells, "," + pad2, pad + "]")
+    firsts, *inner = [json.dumps(encode_values(ax))[1:-1].split(", ") for ax in axes]
+    sep, rest = "," + pad2, [pad + "]"]
+    for col in reversed(inner):
+        rest = [sep + c + r for c in col for r in rest]
     blocks = []
     for c in firsts:
         head = "[" + pad2 + c
@@ -756,22 +731,18 @@ def _lattice_json(axes: Sequence[np.ndarray], level: int) -> str:
     return "".join(("[", pad, ("," + pad).join(blocks), ind, "]"))
 
 
-def _csv_lines(fn: GridFunction) -> list[str]:
+def _csv_text(fn: GridFunction) -> str:
+    """The CSV sibling of a grid function: a header line, then one line per
+    point with its coordinates and its value, written by ``_run_texts``."""
     domain = fn.domain
     dim = domain.dim
     if domain.has_time:
         header = ["t"] + [f"x{i}" for i in range(1, dim)]
     else:
         header = [f"x{i}" for i in range(dim)]
-    values = _entry_texts(fn.values, _CSV_NONFINITE)
-    if domain.axes is None:
-        cells = [",".join([repr(float(c)) for c in p]) + "," for p in domain]
-    else:
-        firsts, rest = _lattice_text(
-            [list(map(repr, ax.tolist())) for ax in domain.axes], ",", ","
-        )
-        cells = [c + r for c in firsts for r in rest]
-    return [",".join(header + ["value"])] + list(map(str.__add__, cells, values))
+    table = np.column_stack([domain.as_array(), fn.values])
+    rows = _run_texts(table, _CSV_NONFINITE, ",", dim + 1, "\n")
+    return ",".join(header + ["value"]) + "\n" + "".join(rows)
 
 
 def _emit(
@@ -787,7 +758,7 @@ def _emit(
             fh.write("\n")
         if grid_fn is not None:
             csv_path = out.with_suffix(".csv")
-            csv_path.write_text("\n".join(_csv_lines(grid_fn)) + "\n")
+            csv_path.write_text(_csv_text(grid_fn))
 
 
 def run(config: RunConfig) -> int:
@@ -809,7 +780,7 @@ def run(config: RunConfig) -> int:
             payload = {"feasible": False, "blocking_index": exc.blocking_index + 1}
         else:
             payload = {"feasible": False,
-                       "negative_cycle": list(exc.cycle) if exc.cycle else None}
+                       "negative_cycle": np.array(exc.cycle, dtype=np.int64) if exc.cycle else None}
     _emit(payload, config, grid_fn)
     return code
 

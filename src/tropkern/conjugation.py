@@ -148,6 +148,15 @@ def is_in_range(op: ConjugationOp, g: GridFunction, tol: float = 1e-9) -> RangeV
     return RangeVerdict(bool(equal.all()), bicon, GridFunction(g.domain, gap))
 
 
+def _pairings(
+    op: ConjugationOp, f_hat: GridFunction, g_hat: GridFunction
+) -> tuple[float, float, float, float]:
+    """The duality products <f,Bf>, <g,Bg>, <f,Bg> and <g,Bf>."""
+    bf, bg = conj_sesqui(op, f_hat), conj_sesqui(op, g_hat)
+    return (duality_product(f_hat, bf), duality_product(g_hat, bg),
+            duality_product(f_hat, bg), duality_product(g_hat, bf))
+
+
 def discrepancy_dB(op: ConjugationOp, f_hat: GridFunction, g_hat: GridFunction) -> float:
     """Quadratic-style discrepancy between two dual functions.
 
@@ -159,10 +168,7 @@ def discrepancy_dB(op: ConjugationOp, f_hat: GridFunction, g_hat: GridFunction) 
         PreconditionError: If the kernel is asymmetric.
     """
     op._check_symmetric("discrepancy_dB")
-    ff = duality_product(f_hat, conj_sesqui(op, f_hat))
-    gg = duality_product(g_hat, conj_sesqui(op, g_hat))
-    fg = duality_product(f_hat, conj_sesqui(op, g_hat))
-    gf = duality_product(g_hat, conj_sesqui(op, f_hat))
+    ff, gg, fg, gf = _pairings(op, f_hat, g_hat)
     return 0.5 * upper_sub(upper_sub(upper_add(ff, gg), fg), gf)
 
 
@@ -191,10 +197,7 @@ def check_monotone(
         PreconditionError: If the kernel is asymmetric.
     """
     op._check_symmetric("check_monotone")
-    ff = duality_product(f_hat, conj_sesqui(op, f_hat))
-    gg = duality_product(g_hat, conj_sesqui(op, g_hat))
-    fg = duality_product(f_hat, conj_sesqui(op, g_hat))
-    gf = duality_product(g_hat, conj_sesqui(op, f_hat))
+    ff, gg, fg, gf = _pairings(op, f_hat, g_hat)
     holds_pair = upper_add(ff, gg) >= lower_add(fg, gf) - tol
     holds_max = max(ff, gg) >= fg - tol
     return MonotoneCheck(bool(holds_pair), bool(holds_max))

@@ -53,7 +53,6 @@ from .core import (
     PreconditionError,
     Record,
     SizeError,
-    as_point,
     decode_extreal,
     decode_values,
     ext_close,
@@ -207,7 +206,7 @@ def lax_hopf(
 ) -> float:
     """Least action between two spacetime points: the 1x1 case of
     ``lax_hopf_table``."""
-    table = lax_hopf_table(lagrangian, np.array([as_point(x0)]), np.array([as_point(x1)]))
+    table = lax_hopf_table(lagrangian, point_array([x0]), point_array([x1]))
     return float(table[0, 0])
 
 

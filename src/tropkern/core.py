@@ -460,15 +460,6 @@ def _adopted(cls: type, **attrs: object):
     return obj
 
 
-def as_point(p: float | Sequence[float]) -> Point:
-    """Normalize one scalar or coordinate sequence to a point tuple, for a
-    single lookup such as ``PointSet.index_of``; point lists go through
-    ``point_array``."""
-    if isinstance(p, (int, float)):
-        return (ext(p),)
-    return tuple(ext(c) for c in p)
-
-
 def point_array(points: Sequence[float | Sequence[float]] | np.ndarray) -> np.ndarray:
     """Read a list of points into one new (n, d) float64 array.
 
@@ -617,11 +608,12 @@ class PointSet:
         return self._array.shape[1] if self.axes is None else len(self.axes)
 
     def index_of(self, p: float | Sequence[float]) -> int:
-        """Index of a point; raises KeyError if absent."""
-        key = as_point(p)
-        i = int(self.indices(np.array([key]))[0])
+        """Index of a point, read by ``point_array([p])`` (so a bool or a
+        string but "inf" and "-inf" is a ValueError); KeyError if absent."""
+        row = point_array([p])
+        i = int(self.indices(row)[0])
         if i < 0:
-            raise KeyError(f"point {key} is not in the set")
+            raise KeyError(f"point {tuple(row[0].tolist())} is not in the set")
         return i
 
     def indices(self, coords: np.ndarray) -> np.ndarray:

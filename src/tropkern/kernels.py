@@ -31,7 +31,6 @@ from .core import (
     SizeError,
     _adopted,
     _checked,
-    as_point,
     decode_extreal,
     decode_values,
     encode_values,
@@ -142,7 +141,7 @@ class ClosedFormKernel(Record):
 
     def eval(self, x: float | Sequence[float], y: float | Sequence[float]) -> float:
         """b(x, y): the 1x1 ``gram_on``, so PreconditionError where it is NaN or +inf."""
-        return float(gram_on(self, PointSet([as_point(x)]), PointSet([as_point(y)]))[0, 0])
+        return float(gram_on(self, PointSet([x]), PointSet([y]))[0, 0])
 
     def table(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """[b(x, y)] for the rows x of ``xs`` (n, d) and y of ``ys`` (m, d)."""

@@ -95,12 +95,8 @@ class SampleSet(Record):
         ys = np.asarray(self.ys, dtype=float)
         if ys.shape != (len(self.xs),):
             raise ValueError("one target per sample point is required")
-        if len(ys) == 0:
-            raise ValueError("at least one sample is required")
         if not np.isfinite(ys).all():
             raise ValueError("targets must be finite")
-        if len(self.dual_candidates) == 0:
-            raise ValueError("dual candidate set must be nonempty")
         object.__setattr__(self, "ys", owned_array(ys, "targets"))
 
     def __len__(self) -> int:

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 import tropkern
 from tropkern.cli import (
-    _BLOCK, _RUNS_MIN, COMMANDS, RunConfig, _SchemaError, _array_parts, _csv_lines, _dump_json,
+    _BLOCK, _RUNS_MIN, COMMANDS, RunConfig, _SchemaError, _array_parts, _csv_text, _dump_json,
     _points, run, main,
 )
 from tropkern.control import MaupertuisProblem, maupertuis_dp
-from tropkern.core import NEG_INF, POS_INF, PointSet, decode_values, encode_values
+from tropkern.core import NEG_INF, POS_INF, GridFunction, PointSet, decode_values, encode_values
 from tropkern.kernels import ClosedFormKernel, kernel_from_spec
 from oracles import lp_regression
 
@@ -1656,13 +1656,31 @@ def edge_array(shape):
     return rng.choice(np.array(SPECIAL_VALUES), size=shape)
 
 
+INT64 = np.iinfo(np.int64)
+INT_VALUES = st.one_of(st.sampled_from([0, -1, 1, INT64.min, INT64.max]),
+                       st.integers(INT64.min, INT64.max))
+SMALL_INT_ARRAYS = st.one_of(
+    st.lists(INT_VALUES, max_size=7).map(lambda v: np.array(v, dtype=np.int64)),
+    st.integers(0, 7).flatmap(
+        lambda m: st.lists(st.lists(INT_VALUES, min_size=m, max_size=m), max_size=7)
+        .map(lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), m))
+    ),
+)
+INT_EDGE_SHAPES = [(_BLOCK - 1,), (_BLOCK + 1,), (3, _BLOCK // 3 + 1), (_BLOCK // 7 + 1, 7)]
+
+
+def check_int_array_text(arr, level):
+    expected = json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+    assert _dump_json(arr, level).split("\n") == expected.split("\n")
+
+
 def csv_values(values):
-    """The value column ``_csv_lines`` writes for ``values``."""
+    """The value column ``_csv_text`` writes for ``values``."""
     fn = SimpleNamespace(domain=PointSet.lattice([np.arange(len(values), dtype=float)]),
                          values=values)
-    lines = _csv_lines(fn)
-    assert lines[0] == "x0,value"
-    return [line.split(",")[1] for line in lines[1:]]
+    header, *lines, end = _csv_text(fn).split("\n")
+    assert (header, end) == ("x0,value", "")
+    return [line.split(",")[1] for line in lines]
 
 
 def check_array_text(arr, level):
@@ -1694,6 +1712,26 @@ class TestArrayWriter:
 
     def test_peak_memory_stays_within_two_and_a_half_outputs(self):
         assert peak_over_output({"matrix": least_action_like_matrix()}) <= 2.5
+
+    @settings(deadline=None)
+    @given(SMALL_INT_ARRAYS, st.integers(0, 3))
+    def test_int_arrays_match_json_dumps(self, arr, level):
+        check_int_array_text(arr, level)
+
+    @pytest.mark.parametrize("runs", [False, True])
+    @pytest.mark.parametrize("shape", INT_EDGE_SHAPES)
+    def test_int_arrays_at_block_edges(self, shape, runs):
+        rng = np.random.default_rng(shape[-1])
+        if runs:
+            # Runs of up to 40 equal ints: blocks past _RUNS_MIN are written
+            # as runs.
+            flat = np.repeat(rng.integers(-2, 3, size=_BLOCK), rng.integers(1, 40, size=_BLOCK))
+            arr = flat[:math.prod(shape)].reshape(shape)
+        else:
+            arr = rng.integers(INT64.min, INT64.max, size=shape, endpoint=True)
+        check_int_array_text(arr, 2)
+        if arr.size >= _RUNS_MIN:
+            assert (len(_array_parts(arr, 2)) < arr.size) == runs
 
 
 # Entries from a small alphabet, repeated, so that blocks are written as
@@ -1796,6 +1834,46 @@ LATTICE_AXES = st.one_of(
         lambda t: np.linspace(t[0] / 3, t[0] / 3 + t[1] / 7, t[2]).tolist()
     ),
 )
+
+
+CSV_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, POS_INF, NEG_INF, 0.1, -1.0 / 3.0]),
+                       st.floats(allow_nan=False))
+
+
+def csv_reference(fn):
+    """The CSV text of a grid function, one ``str`` of an encoded number per
+    cell."""
+    d, has_time = fn.domain.dim, fn.domain.has_time
+    header = ["t", *(f"x{i}" for i in range(1, d))] if has_time else [f"x{i}" for i in range(d)]
+    rows = [",".join(map(str, encode_values(np.array([*p, v]))))
+            for p, v in zip(fn.domain, fn.values)]
+    return "\n".join([",".join(header + ["value"])] + rows) + "\n"
+
+
+class TestCsvWriter:
+    @settings(deadline=None)
+    @given(st.lists(LATTICE_AXES, min_size=1, max_size=3), st.booleans(), st.booleans(),
+           st.randoms(use_true_random=False), st.data())
+    def test_matches_str_of_encoded_rows(self, axes, listed, has_time, rand, data):
+        domain = PointSet.lattice(axes, has_time=has_time)
+        if listed:
+            # A shuffled subset of the lattice's points, held as a list.
+            rows = domain.as_array()
+            domain = PointSet(rows[rand.sample(range(len(rows)), rand.randint(1, len(rows)))],
+                              has_time=has_time)
+        values = data.draw(st.lists(CSV_VALUES, min_size=len(domain), max_size=len(domain)))
+        fn = GridFunction(domain, np.array(values))
+        assert _csv_text(fn) == csv_reference(fn)
+
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_rows_across_block_edges(self, listed):
+        # 3 entries per row: rows straddle the block edges.
+        domain = PointSet.lattice([np.arange(150) / 7, np.linspace(-1, 1, 150)], has_time=True)
+        if listed:
+            domain = PointSet(domain.as_array()[::-1])
+        values = np.random.default_rng(0).choice([NEG_INF, -0.0, 0.5, POS_INF], len(domain))
+        fn = GridFunction(domain, values)
+        assert _csv_text(fn).split("\n") == csv_reference(fn).split("\n")
 
 
 class TestInfiniteCoordinates:

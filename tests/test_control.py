@@ -145,6 +145,11 @@ class TestLaxHopf:
         with pytest.raises(ValueError):
             lax_hopf(QUAD, 0.0, 1.0)
 
+    @pytest.mark.parametrize("point", [("0", 0.0), (0.0, True), "0"])
+    def test_bool_and_string_coordinates_rejected(self, point):
+        with pytest.raises(ValueError, match="invalid extended-real"):
+            lax_hopf(QUAD, point, (1.0, 1.0))
+
     def test_table_cost_not_consulted_between_simultaneous_points(self):
         # (0, 0) and (0, 2) are simultaneous; their displacement 2 is not a
         # tabulated velocity, and must not be looked up.

@@ -516,6 +516,13 @@ class TestPointLookup:
             with pytest.raises(KeyError):
                 points.index_of(rows[0])
 
+    @pytest.mark.parametrize("point", [True, False, "1", "0", (True,), ("1.0",), [False]])
+    def test_bools_and_numeric_strings_are_no_points(self, point):
+        points = PointSet([0.0, 1.0])
+        assert point not in points
+        with pytest.raises(ValueError, match="invalid extended-real"):
+            points.index_of(point)
+
     @settings(deadline=None, max_examples=100)
     @given(point_sets_and_queries(), st.randoms(use_true_random=False))
     def test_gram_on_reads_subsets_by_index(self, case, rand):

@@ -282,6 +282,14 @@ class TestClosedFormEval:
             with pytest.raises(PreconditionError, match=re.escape("values must be < +inf")):
                 conv.eval(1.0, POS_INF)
 
+    @pytest.mark.parametrize("x", ["2", True, ("2", 1.0), (1.0, False)])
+    def test_eval_reads_points_by_the_one_number_rule(self, x):
+        # A bool or a numeric string is no coordinate, as in the JSON input.
+        with pytest.raises(ValueError, match="invalid extended-real"):
+            ClosedFormKernel("conv").eval(x, 3.0)
+        with pytest.raises(ValueError, match="invalid extended-real"):
+            ClosedFormKernel("conv").eval(3.0, x)
+
     def test_conv_inner_product(self):
         k = ClosedFormKernel("conv")
         assert k.eval((1, 2), (3, -1)) == 1.0
