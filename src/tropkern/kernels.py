@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     NEG_INF,
     PAIR_GUARD,
-    _TERM_BLOCK,
     GridFunction,
     Point,
     PointSet,
@@ -107,6 +106,10 @@ class ClosedFormKernel(Record):
                          convex state-independent running cost
                          (param ``lagrangian``: a running-cost spec mapping).
 
+    The table of conv, sconv, lip or power_distance adds the per-axis terms
+    x_k * y_k or (x_k - y_k)^2 left to right to +0.0, with no BLAS call; lip
+    and power_distance then take the sqrt and apply -alpha or the power p.
+
     The params are checked when the kernel is built: a form takes no param
     but its own, ``alpha`` and ``p`` must be finite numbers and ``p``
     nonnegative (a negative power divides by the zero distance on the
@@ -147,8 +150,6 @@ class ClosedFormKernel(Record):
         """[b(x, y)] for the rows x of ``xs`` (n, d) and y of ``ys`` (m, d)."""
         if xs.shape[1] != ys.shape[1]:
             raise ValueError("points must share one dimension")
-        if self.name == "conv":
-            return xs @ ys.T
         if self.name == "dirac":
             # One coordinate at a time, as sconv adds, so no (n, m, d) tensor.
             same = np.ones((len(xs), len(ys)), dtype=bool)
@@ -159,24 +160,21 @@ class ClosedFormKernel(Record):
             from .control import lax_hopf_table
 
             return lax_hopf_table(self._lagrangian, xs, ys)
+        # One axis at a time, so no (n, m, d) tensor and no CPU-chosen rounding.
+        total = np.zeros((len(xs), len(ys)))
+        term = np.empty_like(total)
+        for k in range(xs.shape[1]):
+            if self.name == "conv":
+                np.multiply.outer(xs[:, k], ys[:, k], out=term)
+            else:
+                np.subtract.outer(xs[:, k], ys[:, k], out=term)
+                term *= term
+            total += term
+        if self.name == "conv":
+            return total
         if self.name == "sconv":
-            # One axis at a time, so no (n, m, d) tensor.  Below 8 axes this
-            # is the order np.sum(diff * diff, axis=2) adds in, bit for bit;
-            # from 8 on np.sum adds pairwise and may round the last bit apart.
-            total = np.zeros((len(xs), len(ys)))
-            d = np.empty_like(total)
-            for k in range(xs.shape[1]):
-                np.subtract.outer(xs[:, k], ys[:, k], out=d)
-                d *= d
-                total += d
             return np.negative(total, out=total)
-        # One dot product per pair keeps np.linalg.norm's scalar rounding (a
-        # sum of squares does not), in row blocks of at most _TERM_BLOCK pairs.
-        dist = np.empty((len(xs), len(ys)))
-        rows = max(1, _TERM_BLOCK // max(len(ys), 1))
-        for i in range(0, len(xs), rows):
-            diff = xs[i : i + rows, None, :] - ys[None, :, :]
-            np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0], out=dist[i : i + rows])
+        dist = np.sqrt(total, out=total)
         if self.name == "lip":
             return np.multiply(-_number_param(self.params, "alpha"), dist, out=dist)
         dist **= _number_param(self.params, "p")  # the scalar power's fast paths, as **

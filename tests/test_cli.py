@@ -93,6 +93,16 @@ def invoke(capsys, tmp_path, command, payload, **flags):
     return code, json.loads(out)
 
 
+def openblas_picks_its_kernel():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel by CPU at run
+    time, so ``OPENBLAS_CORETYPE`` can force another one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
 def module_env(hash_seed):
     """Environment for ``python -m tropkern`` in a fresh interpreter.
 
@@ -890,9 +900,10 @@ class TestGoldenOutputs:
     # coordinates, whose sections and offsets round, and a fixed-anchor l1
     # fit on 100 one-decimal samples, whose closure sums rounded gaps along
     # paths of up to 100 steps, and a fixed-anchor fit refused at a sample
-    # whose anchor's section is -inf there.
-    @pytest.mark.parametrize("command", [*COMMANDS, "interpolate-2d", "regress-2d",
-                                         "regress-decimal", "regress-blocked"])
+    # whose anchor's section is -inf there, and a lip conjugate on one-decimal
+    # 2-D points, whose distances round.
+    @pytest.mark.parametrize("command", [*COMMANDS, "conjugate-lip-2d", "interpolate-2d",
+                                         "regress-2d", "regress-decimal", "regress-blocked"])
     def test_stdout_bytes_match_golden(self, capsys, command):
         code = main([golden_command(command), "--input", str(GOLDEN / f"{command}.json")])
         out = capsys.readouterr().out
@@ -1517,6 +1528,36 @@ class TestOutputsAndDeterminism:
         assert first.stdout == second.stdout
         assert first.stdout.strip()
         json.loads(first.stdout)
+
+    @pytest.mark.skipif(not openblas_picks_its_kernel(),
+                        reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH")
+    @pytest.mark.parametrize("command, name", [("membership", "conv"), ("conjugate", "lip")])
+    def test_stdout_bytes_do_not_depend_on_the_blas_core_type(self, tmp_path, command, name):
+        # One-decimal 2-D points, whose products and distances round.  A BLAS
+        # product would round them by the kernel OpenBLAS picks for the CPU:
+        # with or without FMA (Haswell, Nehalem), or AVX-512 (SkylakeX).
+        rng = np.random.default_rng(1)
+        grid = np.stack(np.meshgrid(np.arange(-30, 31), np.arange(-30, 31)), -1).reshape(-1, 2)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({
+            "kernel": {"type": "closed_form", "name": name},
+            "points": (grid[rng.choice(len(grid), 20, replace=False)] / 10).tolist(),
+            "values": (rng.integers(-30, 31, 20) / 10).tolist(),
+        }))
+        outs = []
+        for core in ("Haswell", "Nehalem", "SkylakeX"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropkern", command, "--input", str(path)],
+                capture_output=True, cwd=tmp_path,
+                env={**module_env("0"), "OPENBLAS_CORETYPE": core},
+            )
+            if proc.returncode < 0:
+                continue  # killed by a signal: this CPU lacks the core type's instructions
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        if len(outs) < 2:
+            pytest.skip("fewer than two of the core types run on this CPU")
+        assert all(out == outs[0] for out in outs)
 
     def test_console_script_entry_point_resolves_to_main(self):
         tomllib = pytest.importorskip("tomllib")
